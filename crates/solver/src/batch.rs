@@ -21,13 +21,13 @@
 //! thread; lane arithmetic never depends on the sharding, so results
 //! are identical at any thread count.
 //!
-//! Per lane, the floating-point operation sequence is exactly the
-//! per-leaf [`SdpSolver::try_solve_from`] iteration — same kernels,
-//! same summation orders, same adaptive-ρ and early-stop schedule — so
-//! the two backends produce bit-identical solutions. The batched layout
-//! buys its speed from allocation-free sweeps and arena reuse across
-//! rounds, not from reordered arithmetic; the flat layout is also the
-//! seam a GPU backend would slot into (see `DESIGN.md` §11).
+//! Each lane runs the ADMM iteration on dense `n × n` matrices. The
+//! per-leaf [`SdpSolver::try_solve_from`] runs the same iteration —
+//! same kernels, same summation orders, same adaptive-ρ and early-stop
+//! schedule — on the problem's interval blocks only, so the two
+//! backends produce bit-identical solutions, and this dense loop is the
+//! reference the block-wise one is tested against. The flat layout is
+//! also the seam a GPU backend would slot into (see `DESIGN.md` §11).
 
 use std::time::Instant;
 
@@ -207,14 +207,17 @@ impl Shard {
     ///
     /// # Errors
     ///
-    /// Returns the same [`SolveError::NotPositiveDefinite`] the
-    /// per-leaf path produces when the ridge-regularized Gram matrix
+    /// Returns the same [`SolveError::InvalidInput`] or
+    /// [`SolveError::NotPositiveDefinite`] the per-leaf path produces
+    /// for a rejected input or a ridge-regularized Gram matrix that
     /// fails to factor.
     fn push_lane(&mut self, item_idx: usize, item: &BatchItem) -> Result<(), SolveError> {
         let problem = item.problem;
         let n = problem.dim();
         let nn = n * n;
         let m = problem.num_constraints();
+        let warm = item.warm.filter(|(z0, u0)| z0.dim() == n && u0.dim() == n);
+        item.solver.check_inputs(problem, warm)?;
 
         // Factor the Gram matrix once (ridge-regularized), exactly as
         // the per-leaf path does at solve start.
@@ -242,11 +245,9 @@ impl Shard {
         self.f.resize(z + nn, 0.0);
         let u = self.f.len();
         self.f.resize(u + nn, 0.0);
-        if let Some((z0, u0)) = item.warm {
-            if z0.dim() == n && u0.dim() == n {
-                self.f[z..z + nn].copy_from_slice(z0.as_slice());
-                self.f[u..u + nn].copy_from_slice(u0.as_slice());
-            }
+        if let Some((z0, u0)) = warm {
+            self.f[z..z + nn].copy_from_slice(z0.as_slice());
+            self.f[u..u + nn].copy_from_slice(u0.as_slice());
         }
         let b = self.f.len();
         self.f
@@ -307,10 +308,11 @@ fn frob_norm(v: &[f64]) -> f64 {
     acc.sqrt()
 }
 
-/// Advances one lane by one ADMM iteration. The body mirrors the
-/// per-leaf [`SdpSolver::try_solve_from`] loop statement for statement;
-/// any edit here must keep the floating-point operation sequence
-/// identical or the backend-equivalence snapshots will (rightly) fail.
+/// Advances one lane by one ADMM iteration. The body is the dense form
+/// of the per-leaf [`SdpSolver::try_solve_from`] loop, statement for
+/// statement; any edit here must keep the floating-point operation
+/// sequence identical or the backend-equivalence snapshots will
+/// (rightly) fail.
 #[allow(clippy::too_many_arguments)]
 fn step_lane(
     lane: &mut Lane,
@@ -375,7 +377,7 @@ fn step_lane(
                 .extend(b.iter().zip(&s.ax).map(|(bi, ai)| rho * (bi - ai)));
             factor.solve_into(&s.rhs, &mut s.y, &mut s.nu);
             // adjoint(ν) accumulated into zeroed scratch, same entry
-            // order and symmetric split as `SdpProblem::adjoint`.
+            // order and symmetric split as the per-leaf X-update.
             let adj = &mut s.adj[..nn];
             adj.fill(0.0);
             for row in 0..m {
@@ -533,7 +535,10 @@ fn run_shard(shard: &mut Shard, items: &[BatchItem]) -> Vec<(usize, SdpSolution)
 
 /// Materializes a retired lane's arena state into an [`SdpSolution`],
 /// computing the closing residual/objective exactly as the per-leaf
-/// path does after its iteration loop.
+/// path does after its iteration loop. Like the per-leaf path, it
+/// writes every zero as `+0.0` (`v + 0.0` is `v` for every other
+/// value), so the dense and block-wise iterations' differing signs of
+/// zero never reach a solution.
 fn finalize_lane(
     lane: &Lane,
     f: &[f64],
@@ -543,7 +548,8 @@ fn finalize_lane(
 ) -> SdpSolution {
     let n = lane.n;
     let nn = n * n;
-    let x = &f[lane.x..lane.x + nn];
+    let dense = |off: usize| -> Vec<f64> { f[off..off + nn].iter().map(|v| v + 0.0).collect() };
+    let x = dense(lane.x);
     let b = &f[lane.b..lane.b + lane.m];
 
     // -0.0 accumulator starts: see `frob_norm` on sum() bit-identity
@@ -568,9 +574,9 @@ fn finalize_lane(
     }
 
     SdpSolution {
-        x: SymMatrix::from_raw(n, x.to_vec()),
-        z: SymMatrix::from_raw(n, f[lane.z..lane.z + nn].to_vec()),
-        u: SymMatrix::from_raw(n, f[lane.u..lane.u + nn].to_vec()),
+        x: SymMatrix::from_raw(n, x),
+        z: SymMatrix::from_raw(n, dense(lane.z)),
+        u: SymMatrix::from_raw(n, dense(lane.u)),
         objective,
         iterations: lane.it,
         primal_residual: lane.primal,
@@ -754,26 +760,9 @@ pub fn cholesky_factor_batch(mats: &[&SymMatrix]) -> Vec<Result<Cholesky, Choles
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sdp::tests::{assignment_problem, cpla_shaped_problem};
+    use crate::SolveScratch;
     use prng::Rng;
-
-    /// A dyadic-coefficient assignment-shaped SDP (all constraint
-    /// coefficients ±1, costs exactly representable), so even the
-    /// HashMap-ordered Gram accumulation is bit-deterministic.
-    fn assignment_problem(rows: usize, pair: f64) -> SdpProblem {
-        let n = 2 * rows;
-        let mut c = SymMatrix::zeros(n);
-        for i in 0..n {
-            c.set(i, i, 1.0 + i as f64 * 0.5);
-        }
-        if n >= 4 {
-            c.set(1, 3, pair);
-        }
-        let mut p = SdpProblem::new(c);
-        for s in 0..rows {
-            p.add_constraint(vec![(2 * s, 2 * s, 1.0), (2 * s + 1, 2 * s + 1, 1.0)], 1.0);
-        }
-        p
-    }
 
     fn assert_bitwise(a: &SdpSolution, b: &SdpSolution, label: &str) {
         assert_eq!(a.iterations, b.iterations, "{label}: iterations");
@@ -809,18 +798,48 @@ mod tests {
 
     #[test]
     fn batch_matches_per_leaf_bitwise() {
-        let problems: Vec<SdpProblem> = vec![
+        let mut problems: Vec<SdpProblem> = vec![
             assignment_problem(1, 0.0),
             assignment_problem(2, 0.5),
             assignment_problem(3, 1.5),
             assignment_problem(2, 0.0),
             SdpProblem::new(SymMatrix::identity(3)), // unconstrained lane
         ];
+        // Multi-interval CPLA-shaped lanes: nets of tree-coupled
+        // segments, with and without capacity slacks.
+        let shapes: [(&[usize], usize, usize); 4] = [
+            (&[3, 1, 4], 2, 2),
+            (&[5, 2], 3, 3),
+            (&[1, 1, 6, 2], 3, 0),
+            (&[7], 4, 2),
+        ];
+        let cpla = problems.len();
+        for (seed, &(nets, layers, caps)) in shapes.iter().enumerate() {
+            problems.push(cpla_shaped_problem(nets, layers, caps, seed as u64));
+        }
         let solver = SdpSolver {
             max_iterations: 120,
             ..SdpSolver::default()
         };
-        let items: Vec<BatchItem> = problems
+        // Warm pairs from cold solves of same-sized neighbors: one with
+        // the same nets and other costs, one with all segments in one
+        // net, whose wider pattern widens the intervals.
+        let mut warm_pairs: Vec<(usize, SdpSolution)> = Vec::new();
+        for (k, &(nets, layers, caps)) in shapes.iter().enumerate() {
+            let segs: usize = nets.iter().sum();
+            for (seed, nets) in [(100 + k as u64, nets), (200 + k as u64, &[segs][..])] {
+                let sibling = cpla_shaped_problem(nets, layers, caps, seed);
+                let cold = solver.try_solve_from(&sibling, None).expect("sibling");
+                warm_pairs.push((cpla + k, cold));
+            }
+        }
+        // The CPLA engine's rank-stop configuration on the warm lanes.
+        let ranked = |p: &SdpProblem| SdpSolver {
+            rank_stop_window: 2,
+            rank_stop_vars: p.dim() - 3,
+            ..solver
+        };
+        let mut items: Vec<BatchItem> = problems
             .iter()
             .map(|p| BatchItem {
                 solver,
@@ -828,14 +847,29 @@ mod tests {
                 warm: None,
             })
             .collect();
+        for (pi, sol) in &warm_pairs {
+            for cfg in [solver, ranked(&problems[*pi])] {
+                items.push(BatchItem {
+                    solver: cfg,
+                    problem: &problems[*pi],
+                    warm: Some((&sol.z, &sol.u)),
+                });
+            }
+        }
         let mut arena = BatchArena::new();
         let batched = solve_batch(&items, 1, &mut arena);
-        assert_eq!(batched.results.len(), problems.len());
+        assert_eq!(batched.results.len(), items.len());
         assert!(batched.sweeps > 0);
-        for (i, (p, r)) in problems.iter().zip(&batched.results).enumerate() {
-            let leaf = solver.try_solve_from(p, None).expect("per-leaf solve");
+        // One scratch threaded through lanes of every size and pattern,
+        // as the engine's serial Solve path does.
+        let mut scratch = SolveScratch::new();
+        for (i, (item, r)) in items.iter().zip(&batched.results).enumerate() {
+            let leaf = item
+                .solver
+                .try_solve_from_with(item.problem, item.warm, &mut scratch)
+                .expect("per-leaf solve");
             let sol = r.as_ref().expect("batched solve");
-            assert_bitwise(sol, &leaf, &format!("problem {i}"));
+            assert_bitwise(sol, &leaf, &format!("item {i}"));
         }
     }
 

@@ -8,7 +8,7 @@ use crate::SymMatrix;
 /// including NaN — bit-identical to the bare `== 0.0` it replaces, but
 /// expressed through the IEEE total order so the comparison cannot be
 /// silently NaN-poisoned (audit rule A2).
-fn is_zero(x: f64) -> bool {
+pub(crate) fn is_zero(x: f64) -> bool {
     x.abs().total_cmp(&0.0).is_eq()
 }
 
@@ -72,10 +72,25 @@ pub fn eigen_decompose(m: &SymMatrix) -> Eigen {
 /// reduction, `d` the diagonal and `e` the subdiagonal (with
 /// `e[0] = 0`).
 pub(crate) fn tred2(a: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
+    tred2_block(a, n, false, d, e);
+}
+
+/// [`tred2`] on one diagonal block of a larger block-diagonal matrix.
+///
+/// With `offset` set, the block is taken to start at a row > 0 of the
+/// larger matrix. The dense reduction of that matrix sees the block's
+/// second row with zero columns in front of it, so it reflects that row
+/// with a one-entry Householder vector where a standalone pass takes
+/// the `l == 0` shortcut. The reflection negates the first column of
+/// the block's transform and its first subdiagonal entry. QL is
+/// symmetric under that sign change except at an exact shift tie, so
+/// only replaying the reflection keeps the block pass bit-identical to
+/// the dense one.
+pub(crate) fn tred2_block(a: &mut [f64], n: usize, offset: bool, d: &mut [f64], e: &mut [f64]) {
     for i in (1..n).rev() {
         let l = i - 1;
         let mut h = 0.0f64;
-        if l > 0 {
+        if l > 0 || offset {
             let mut scale = 0.0f64;
             for k in 0..=l {
                 scale += a[i * n + k].abs();

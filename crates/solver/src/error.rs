@@ -32,6 +32,16 @@ pub enum SolveError {
         /// The budget that ran out.
         budget: u64,
     },
+    /// An SDP input the ADMM iteration cannot survive: a NaN or
+    /// infinite cost entry, constraint coefficient, right-hand side or
+    /// warm-start entry, or a penalty `rho` that is not positive and
+    /// finite.
+    InvalidInput {
+        /// Which input was rejected.
+        what: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for SolveError {
@@ -52,6 +62,9 @@ impl fmt::Display for SolveError {
                     f,
                     "branch-and-bound found no solution within {budget} nodes"
                 )
+            }
+            SolveError::InvalidInput { what, value } => {
+                write!(f, "invalid SDP input: {what} is {value}")
             }
         }
     }
@@ -79,5 +92,10 @@ mod tests {
         assert!(e.to_string().contains("warm start z"));
         let e = SolveError::BudgetExhausted { budget: 10 };
         assert!(e.to_string().contains("10"));
+        let e = SolveError::InvalidInput {
+            what: "rho",
+            value: f64::NAN,
+        };
+        assert_eq!(e.to_string(), "invalid SDP input: rho is NaN");
     }
 }

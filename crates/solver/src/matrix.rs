@@ -242,8 +242,29 @@ impl PsdScratch {
 ///
 /// Panics if `n == 0` or `a.len() != n * n`.
 pub fn psd_project_in_place(a: &mut [f64], n: usize, scratch: &mut PsdScratch) {
+    psd_project_block(a, n, false, scratch);
+}
+
+/// [`psd_project_in_place`] on one diagonal block of a larger
+/// block-diagonal matrix whose off-block entries are zero. `offset`
+/// says whether the block starts after row 0 of the larger matrix (see
+/// `eigen::tred2_block`). The projected block then equals, bit for bit
+/// up to the sign of zero entries, the same block of the dense
+/// projection of the whole matrix.
+///
+/// # Panics
+///
+/// Panics if `n == 0` or `a.len() != n * n`.
+pub(crate) fn psd_project_block(a: &mut [f64], n: usize, offset: bool, scratch: &mut PsdScratch) {
     assert_eq!(a.len(), n * n);
     assert!(n > 0, "cannot project an empty matrix");
+    if n == 1 {
+        // The general path below, specialized: the 1×1 eigenvector is
+        // exactly 1, so the projection is √v·√v for a positive entry.
+        let v = a[0];
+        a[0] = if v > 0.0 { v.sqrt() * v.sqrt() } else { 0.0 };
+        return;
+    }
     let s = scratch;
     s.work.clear();
     s.work.extend_from_slice(a);
@@ -251,7 +272,7 @@ pub fn psd_project_in_place(a: &mut [f64], n: usize, scratch: &mut PsdScratch) {
     s.d.resize(n, 0.0);
     s.e.clear();
     s.e.resize(n, 0.0);
-    crate::eigen::tred2(&mut s.work, n, &mut s.d, &mut s.e);
+    crate::eigen::tred2_block(&mut s.work, n, offset, &mut s.d, &mut s.e);
     crate::eigen::tqli(&mut s.d, &mut s.e, &mut s.work);
     // Descending eigenvalue order (index tiebreak = the stable sort the
     // eager decomposition uses).
@@ -349,6 +370,79 @@ mod tests {
         let p = psd_project(&m);
         for (i, j, want) in [(0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 0.5)] {
             assert!((p.get(i, j) - want).abs() < 1e-9, "({i},{j})");
+        }
+    }
+
+    /// Projects the block-diagonal matrix with the given blocks densely
+    /// and block by block, and asserts the two agree bit for bit (up to
+    /// the sign of zeros) with zeros off the blocks.
+    fn assert_block_projection_is_dense(blocks: &[SymMatrix], scratch: &mut PsdScratch) {
+        let n: usize = blocks.iter().map(SymMatrix::dim).sum();
+        let mut dense = SymMatrix::zeros(n);
+        let mut s = 0;
+        for b in blocks {
+            for i in 0..b.dim() {
+                for j in i..b.dim() {
+                    dense.set(s + i, s + j, b.get(i, j));
+                }
+            }
+            s += b.dim();
+        }
+        psd_project_in_place(dense.as_mut_slice(), n, scratch);
+        let mut s = 0;
+        for b in blocks {
+            let nb = b.dim();
+            let mut block = b.as_slice().to_vec();
+            psd_project_block(&mut block, nb, s > 0, scratch);
+            for i in s..s + nb {
+                for j in 0..n {
+                    let want = (dense.get(i, j) + 0.0).to_bits();
+                    let got = if (s..s + nb).contains(&j) {
+                        (block[(i - s) * nb + j - s] + 0.0).to_bits()
+                    } else {
+                        0
+                    };
+                    assert_eq!(got, want, "blocks {blocks:?}: entry ({i},{j})");
+                }
+            }
+            s += nb;
+        }
+    }
+
+    #[test]
+    fn block_projection_matches_the_dense_projection_bitwise() {
+        let mut scratch = PsdScratch::new();
+        // A block after row 0 whose QL pass meets a shift tie (equal
+        // diagonal entries): the dense reduction's extra reflection
+        // flips the tie's outcome, so this block is bit-identical only
+        // with `offset` set.
+        let mut tie = SymMatrix::from_diagonal(&[-2.0, -2.0, 0.0]);
+        tie.set(0, 1, 3.0);
+        tie.set(1, 2, 3.0);
+        assert_block_projection_is_dense(&[SymMatrix::zeros(1), tie], &mut scratch);
+        // Random block-diagonal matrices with blocks of 1–5 rows, mostly
+        // drawn from a few values so that such ties are common.
+        let values = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0];
+        let mut rng = prng::Rng::seed_from_u64(0xB10C);
+        for _case in 0..3000 {
+            let blocks: Vec<SymMatrix> = (0..rng.range_usize(1, 4))
+                .map(|_| {
+                    let nb = rng.range_usize(1, 5);
+                    let mut b = SymMatrix::zeros(nb);
+                    for i in 0..nb {
+                        for j in i..nb {
+                            let v = if rng.bool(0.8) {
+                                values[rng.range_usize(0, values.len() - 1)]
+                            } else {
+                                rng.range_f64(-2.0, 2.0)
+                            };
+                            b.set(i, j, v);
+                        }
+                    }
+                    b
+                })
+                .collect();
+            assert_block_projection_is_dense(&blocks, &mut scratch);
         }
     }
 

@@ -17,7 +17,8 @@
 //! sufficient — this is the substitution for the CSDP C library used by
 //! the paper (see `DESIGN.md` §2).
 
-use crate::matrix::{psd_project_in_place, PsdScratch};
+use crate::eigen::is_zero;
+use crate::matrix::{psd_project_block, PsdScratch};
 use crate::{Cholesky, SolveError, SymMatrix};
 
 /// One linear equality constraint `Σ coeff · X_ij = rhs`.
@@ -103,23 +104,6 @@ impl SdpProblem {
         }));
     }
 
-    /// Accumulates `Σ_k nu_k · A_k` into a symmetric matrix.
-    fn adjoint(&self, nu: &[f64]) -> SymMatrix {
-        let mut out = SymMatrix::zeros(self.dim());
-        for (c, &v) in self.constraints.iter().zip(nu) {
-            for &(i, j, coeff) in &c.entries {
-                if i == j {
-                    out.add_to(i, i, v * coeff);
-                } else {
-                    // Split over the symmetric pair so that
-                    // ⟨adjoint, X⟩ recovers Σ nu_k ⟨A_k, X⟩.
-                    out.add_to(i, j, v * coeff / 2.0);
-                }
-            }
-        }
-        out
-    }
-
     /// The normalized constraint rows (batch backend input).
     pub(crate) fn constraints_raw(&self) -> &[Constraint] {
         &self.constraints
@@ -127,12 +111,10 @@ impl SdpProblem {
 
     /// Builds the constraint Gram matrix `G_kl = ⟨A_k, A_l⟩`.
     ///
-    /// The entry grouping iterates a `HashMap` in arbitrary order, so
-    /// the *summation order* of each Gram entry is not deterministic;
-    /// CPLA's constraints carry only `±1.0` coefficients, whose partial
-    /// products are exactly representable, so the accumulated bits are
-    /// order-independent in practice. Both solve backends call this same
-    /// function either way.
+    /// Coefficients are grouped by matrix entry in a `BTreeMap`, so each
+    /// Gram cell accumulates its products in ascending `(i, j)` order:
+    /// the bits are the same on every run, and both solve backends call
+    /// this same function.
     pub(crate) fn gram(&self) -> SymMatrix {
         let m = self.constraints.len();
         let mut g = SymMatrix::zeros(m);
@@ -232,15 +214,27 @@ pub struct SdpSolution {
     pub converged: bool,
 }
 
-/// Reusable workspaces for [`SdpSolver::try_solve_from_with`]: the PSD
-/// projection's eigendecomposition buffers plus the affine projection's
-/// constraint-value and substitution vectors. One scratch serves
+/// Reusable workspaces for [`SdpSolver::try_solve_from_with`]: the
+/// problem's interval blocks, the flat arena that holds the ADMM
+/// iterates block by block, the PSD projection's eigendecomposition
+/// buffers and the affine projection's vectors. One scratch serves
 /// problems of any size (buffers grow on demand and keep their
 /// capacity), so a caller solving many problems — CPLA solves one per
 /// partition leaf per round — threads a single scratch through all of
-/// them instead of re-allocating every ADMM iteration.
+/// them, and no ADMM iteration allocates.
 #[derive(Clone, Debug, Default)]
 pub struct SolveScratch {
+    /// Interval blocks of the current problem.
+    blocks: Intervals,
+    /// `[c | x | z | u | target | zprev | adj]`: each section
+    /// holds the interval blocks back to back, each block row-major.
+    arena: Vec<f64>,
+    /// Constraint entries as arena positions `(ij, ji, coeff)`,
+    /// constraint by constraint in entry order (`ij == ji` on the
+    /// diagonal).
+    entries: Vec<(usize, usize, f64)>,
+    /// Start of each constraint's run in `entries`, plus the end.
+    rows: Vec<usize>,
     /// PSD-projection eigendecomposition workspace.
     psd: PsdScratch,
     /// Constraint values `A(target)`.
@@ -251,6 +245,12 @@ pub struct SolveScratch {
     y: Vec<f64>,
     /// Dual multipliers `ν` of the affine projection.
     nu: Vec<f64>,
+    /// Quantized leading diagonal of the ranking check.
+    quant: Vec<i64>,
+    /// Candidate ranking of the ranking check.
+    order: Vec<u32>,
+    /// Previous ranking sample; empty before the first.
+    rank_prev: Vec<u32>,
 }
 
 impl SolveScratch {
@@ -260,12 +260,115 @@ impl SolveScratch {
     }
 }
 
+/// The finest split of `0..n` into index intervals such that every
+/// off-diagonal nonzero of a solve's inputs — cost, warm `(z, u)` and
+/// constraint entries — lies inside one interval's diagonal block.
+///
+/// ADMM never leaves these blocks: the elementwise updates and the
+/// affine projection keep zeros outside them, and the PSD projection of
+/// a block-diagonal matrix is the block-wise projection. The solve
+/// therefore stores and updates only the blocks.
+#[derive(Clone, Debug, Default)]
+struct Intervals {
+    /// Interval boundaries: interval `k` covers `bounds[k]..bounds[k + 1]`.
+    bounds: Vec<usize>,
+    /// Arena offset of each interval's block, plus the total length.
+    offsets: Vec<usize>,
+    /// Arena position of every diagonal entry `(i, i)`.
+    diag: Vec<usize>,
+    /// Farthest index each index shares a nonzero with (detection only).
+    reach: Vec<usize>,
+}
+
+impl Intervals {
+    /// Detects the intervals of `problem` started from `warm` and lays
+    /// their blocks out back to back.
+    fn detect(&mut self, problem: &SdpProblem, warm: Option<(&SymMatrix, &SymMatrix)>) {
+        let n = problem.dim();
+        let reach = &mut self.reach;
+        reach.clear();
+        reach.extend(0..n);
+        let (z0, u0) = warm.unzip();
+        for m in [Some(problem.cost()), z0, u0].into_iter().flatten() {
+            let a = m.as_slice();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if !is_zero(a[i * n + j]) {
+                        reach[i] = reach[i].max(j);
+                    }
+                }
+            }
+        }
+        for c in &problem.constraints {
+            for &(i, j, _) in &c.entries {
+                // Entries are normalized to i <= j.
+                reach[i] = reach[i].max(j);
+            }
+        }
+        self.bounds.clear();
+        self.offsets.clear();
+        self.diag.clear();
+        self.bounds.push(0);
+        self.offsets.push(0);
+        // An interval closes at the first index that no index of it
+        // reaches past.
+        let (mut start, mut off, mut end) = (0, 0, 0);
+        for (i, &r) in reach.iter().enumerate() {
+            end = end.max(r);
+            if end == i {
+                let nb = i + 1 - start;
+                self.diag.extend((0..nb).map(|k| off + k * (nb + 1)));
+                start = i + 1;
+                off += nb * nb;
+                self.bounds.push(start);
+                self.offsets.push(off);
+            }
+        }
+    }
+
+    /// Number of intervals.
+    fn n_blocks(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Total arena length of all blocks.
+    fn arena_len(&self) -> usize {
+        self.offsets.last().copied().unwrap_or(0)
+    }
+
+    /// Start index, size and arena offset of interval `k`.
+    fn block(&self, k: usize) -> (usize, usize, usize) {
+        (
+            self.bounds[k],
+            self.bounds[k + 1] - self.bounds[k],
+            self.offsets[k],
+        )
+    }
+
+    /// Every block row as `(dense offset, arena offset, width)`: row
+    /// `s + r` of interval `s..s + nb` starts at `(s + r)·n + s` in the
+    /// dense `n × n` matrix and at `off + r·nb` in the arena.
+    fn block_rows(&self, n: usize) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        (0..self.n_blocks()).flat_map(move |k| {
+            let (s, nb, off) = self.block(k);
+            (0..nb).map(move |r| ((s + r) * n + s, off + r * nb, nb))
+        })
+    }
+
+    /// Arena position of entry `(i, j)`; both indices must lie in one
+    /// interval.
+    fn arena_pos(&self, i: usize, j: usize) -> usize {
+        self.diag[i] + j - i
+    }
+}
+
 impl SdpSolver {
     /// Solves `problem` from the cold start `X = Z = U = 0`.
     ///
     /// # Panics
     ///
-    /// Panics if the problem has dimension 0.
+    /// Panics if the problem has dimension 0 or an input is rejected
+    /// (see [`SdpSolver::try_solve_from`]).
     pub fn solve(&self, problem: &SdpProblem) -> SdpSolution {
         self.solve_from(problem, None)
     }
@@ -282,25 +385,30 @@ impl SdpSolver {
     ///
     /// # Panics
     ///
-    /// Panics if the problem has dimension 0.
+    /// Panics if the problem has dimension 0 or an input is rejected
+    /// (see [`SdpSolver::try_solve_from`]).
     pub fn solve_from(
         &self,
         problem: &SdpProblem,
         warm: Option<(&SymMatrix, &SymMatrix)>,
     ) -> SdpSolution {
-        // invariant: CPLA-extracted problems always have ≥ 1 variable
+        // invariant: CPLA's problems have ≥ 1 variable, finite entries
         // and a ridge-regularized (hence positive-definite) Gram matrix.
         self.try_solve_from(problem, warm)
             .expect("well-formed SDP problem")
     }
 
     /// [`SdpSolver::solve_from`] returning typed errors instead of
-    /// panicking: an empty problem or a Gram matrix that fails to factor
-    /// (numerically degenerate constraints) surfaces as [`SolveError`].
+    /// panicking: an empty problem, an input the iteration cannot
+    /// survive, or a Gram matrix that fails to factor (numerically
+    /// degenerate constraints) surfaces as [`SolveError`].
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError::Dimension`] for a 0-dimensional problem and
+    /// Returns [`SolveError::Dimension`] for a 0-dimensional problem,
+    /// [`SolveError::InvalidInput`] for a NaN or infinite cost entry,
+    /// constraint coefficient, right-hand side or entry of a used warm
+    /// pair, or a `rho` that is not positive and finite, and
     /// [`SolveError::NotPositiveDefinite`] when the ridge-regularized
     /// Gram matrix cannot be factored.
     pub fn try_solve_from(
@@ -312,15 +420,56 @@ impl SdpSolver {
         self.try_solve_from_with(problem, warm, &mut scratch)
     }
 
+    /// Rejects the inputs the ADMM iteration cannot survive: NaN or
+    /// infinite entries reach the PSD projection's QL iteration, which
+    /// then fails to converge, and a `rho` that is not positive and
+    /// finite breaks the penalty. `warm` is the pair the solve will
+    /// use (already filtered by dimension). Both solve backends check
+    /// here, so they reject the same inputs in the same order.
+    pub(crate) fn check_inputs(
+        &self,
+        problem: &SdpProblem,
+        warm: Option<(&SymMatrix, &SymMatrix)>,
+    ) -> Result<(), SolveError> {
+        let invalid = |what: &'static str, value: f64| SolveError::InvalidInput { what, value };
+        if !(self.rho.is_finite() && self.rho > 0.0) {
+            return Err(invalid("rho", self.rho));
+        }
+        let (z0, u0) = warm.unzip();
+        for (what, m) in [
+            ("cost entry", Some(problem.cost())),
+            ("warm-start z entry", z0),
+            ("warm-start u entry", u0),
+        ] {
+            if let Some(&v) = m.and_then(|m| m.as_slice().iter().find(|v| !v.is_finite())) {
+                return Err(invalid(what, v));
+            }
+        }
+        for c in &problem.constraints {
+            if let Some(&(_, _, v)) = c.entries.iter().find(|e| !e.2.is_finite()) {
+                return Err(invalid("constraint coefficient", v));
+            }
+            if !c.rhs.is_finite() {
+                return Err(invalid("constraint right-hand side", c.rhs));
+            }
+        }
+        Ok(())
+    }
+
     /// [`SdpSolver::try_solve_from`] with caller-provided scratch.
     ///
-    /// The eigendecomposition workspaces of the PSD projection and the
-    /// constraint/Cholesky vectors of the affine projection are the
-    /// per-iteration allocations that dominate the solver's allocator
-    /// traffic; threading one [`SolveScratch`] through every solve of a
-    /// round (and every iteration within a solve) reuses them instead.
-    /// Bit-identical to [`SdpSolver::try_solve_from`], which wraps it
-    /// with a fresh scratch.
+    /// The solve runs on the problem's interval blocks: at entry it
+    /// splits `0..n` into the finest index intervals that hold every
+    /// off-diagonal nonzero of the cost, of the warm pair and of any
+    /// constraint entry. CPLA's constraints touch only diagonal entries
+    /// and its cost couples only tree-adjacent segments, so the blocks
+    /// are small. Every iterate stays zero outside them, and each
+    /// iteration updates, projects and measures block by block, in the
+    /// dense loop's order. The result is bit-identical to running the
+    /// iteration on dense `n × n` matrices — which is what
+    /// [`crate::solve_batch`] does — once the dense solution, built at
+    /// exit, writes every zero as `+0.0`. All workspaces live in
+    /// `scratch`, so no iteration allocates.
     ///
     /// # Errors
     ///
@@ -339,11 +488,8 @@ impl SdpSolver {
                 expected: 1,
             });
         }
-        // Normalize the cost so ρ's default scale is meaningful across
-        // wildly different delay magnitudes.
-        let cost_scale = problem.cost.norm().max(1e-12);
-        let mut c = problem.cost.clone();
-        c.scale(1.0 / cost_scale);
+        let warm = warm.filter(|(z0, u0)| z0.dim() == n && u0.dim() == n);
+        self.check_inputs(problem, warm)?;
 
         let b: Vec<f64> = problem.constraints.iter().map(|x| x.rhs).collect();
         let m = b.len();
@@ -361,89 +507,161 @@ impl SdpSolver {
             None
         };
 
-        let mut x = SymMatrix::zeros(n);
-        let mut z = SymMatrix::zeros(n);
-        let mut u = SymMatrix::zeros(n);
-        if let Some((z0, u0)) = warm {
-            if z0.dim() == n && u0.dim() == n {
-                z = z0.clone();
-                u = u0.clone();
+        let SolveScratch {
+            blocks,
+            arena,
+            entries,
+            rows,
+            psd,
+            ax,
+            rhs,
+            y,
+            nu,
+            quant,
+            order,
+            rank_prev,
+        } = scratch;
+        blocks.detect(problem, warm);
+        let len = blocks.arena_len();
+        arena.clear();
+        arena.resize(7 * len, 0.0);
+        let (c, rest) = arena.split_at_mut(len);
+        let (x, rest) = rest.split_at_mut(len);
+        let (mut z, rest) = rest.split_at_mut(len);
+        let (u, rest) = rest.split_at_mut(len);
+        let (target, rest) = rest.split_at_mut(len);
+        let (mut zprev, adj) = rest.split_at_mut(len);
+
+        // Normalize the cost so ρ's default scale is meaningful across
+        // wildly different delay magnitudes.
+        let inv_scale = 1.0 / problem.cost.norm().max(1e-12);
+        let cost = problem.cost.as_slice();
+        for (row, at, nb) in blocks.block_rows(n) {
+            for (cv, &v) in c[at..at + nb].iter_mut().zip(&cost[row..row + nb]) {
+                *cv = v * inv_scale;
+            }
+            if let Some((z0, u0)) = warm {
+                z[at..at + nb].copy_from_slice(&z0.as_slice()[row..row + nb]);
+                u[at..at + nb].copy_from_slice(&u0.as_slice()[row..row + nb]);
             }
         }
-        let mut rho = self.rho;
+        entries.clear();
+        rows.clear();
+        rows.push(0);
+        for con in &problem.constraints {
+            for &(i, j, coeff) in &con.entries {
+                entries.push((blocks.arena_pos(i, j), blocks.arena_pos(j, i), coeff));
+            }
+            rows.push(entries.len());
+        }
 
+        let mut rho = self.rho;
         let mut iterations = 0;
         let mut primal_residual = f64::INFINITY;
         let mut converged = false;
-        // Scratch buffer holding the previous Z (swapped, not cloned,
-        // each iteration).
-        let mut z_prev = SymMatrix::zeros(n);
         // Ranking-stability state (see `rank_stop_window`).
-        let mut rank_prev: Vec<u32> = Vec::new();
+        rank_prev.clear();
         let mut rank_stable = 0usize;
         for it in 0..self.max_iterations {
             iterations = it + 1;
             // X-update: affine projection of Z − U − C/ρ.
             // X = argmin ||X - target|| s.t. A(X) = b
             //   = target + (1/ρ)·adjoint(ν),  G ν = ρ (b − A(target)).
-            let mut target = &z - &u;
-            target.axpy(-1.0 / rho, &c);
-            x = match &gram_factor {
-                // alloc: per-iteration X update; the batched backend is the alloc-free path.
-                None => target.clone(),
+            let cscale = -1.0 / rho;
+            for k in 0..len {
+                target[k] = z[k] - u[k] + cscale * c[k];
+            }
+            match &gram_factor {
+                None => x.copy_from_slice(target),
                 Some(factor) => {
-                    problem.apply_into(&target, &mut scratch.ax);
-                    scratch.rhs.clear();
-                    scratch
-                        .rhs
-                        .extend(b.iter().zip(&scratch.ax).map(|(bi, ai)| rho * (bi - ai)));
-                    factor.solve_into(&scratch.rhs, &mut scratch.y, &mut scratch.nu);
-                    // alloc: per-iteration X update; the batched backend is the alloc-free path.
-                    let mut out = target.clone();
-                    out.axpy(1.0 / rho, &problem.adjoint(&scratch.nu));
-                    out
+                    // A(target), each row a left fold from -0.0 like
+                    // `Iterator::sum`.
+                    ax.clear();
+                    for r in 0..m {
+                        let mut acc = -0.0f64;
+                        for &(ij, _, coeff) in &entries[rows[r]..rows[r + 1]] {
+                            acc += coeff * target[ij];
+                        }
+                        ax.push(acc);
+                    }
+                    rhs.clear();
+                    rhs.extend(b.iter().zip(ax.iter()).map(|(bi, ai)| rho * (bi - ai)));
+                    factor.solve_into(rhs, y, nu);
+                    // adjoint(ν) = Σ ν_k A_k, split over the symmetric
+                    // pair so that ⟨adjoint, X⟩ recovers Σ ν_k ⟨A_k, X⟩.
+                    adj.fill(0.0);
+                    for r in 0..m {
+                        let v = nu[r];
+                        for &(ij, ji, coeff) in &entries[rows[r]..rows[r + 1]] {
+                            if ij == ji {
+                                adj[ij] += v * coeff;
+                            } else {
+                                let half = v * coeff / 2.0;
+                                adj[ij] += half;
+                                adj[ji] += half;
+                            }
+                        }
+                    }
+                    let inv_rho = 1.0 / rho;
+                    for k in 0..len {
+                        x[k] = target[k] + inv_rho * adj[k];
+                    }
                 }
-            };
+            }
 
-            // Z-update: PSD projection of X + U.
-            std::mem::swap(&mut z, &mut z_prev);
-            let mut w = &x + &u;
-            psd_project_in_place(w.as_mut_slice(), n, &mut scratch.psd);
-            z = w;
+            // Z-update: PSD projection of X + U, block by block (the
+            // previous Z is swapped aside, not copied).
+            std::mem::swap(&mut z, &mut zprev);
+            for k in 0..len {
+                z[k] = x[k] + u[k];
+            }
+            for k in 0..blocks.n_blocks() {
+                let (s, nb, off) = blocks.block(k);
+                psd_project_block(&mut z[off..off + nb * nb], nb, s > 0, psd);
+            }
 
-            // U-update; the same X − Z difference feeds the dual ascent
-            // and the primal residual, so compute it once.
-            let diff = &x - &z;
-            u.axpy(1.0, &diff);
-
-            primal_residual = diff.norm();
-            let dual_residual = rho * (&z - &z_prev).norm();
-            let scale = 1.0 + x.norm().max(z.norm());
+            // U-update, fused with the residual norms: the same X − Z
+            // difference feeds the dual ascent and the primal residual.
+            // The blocks sit in the arena in the dense row-major order of
+            // their nonzeros, and each norm is its own left fold from
+            // -0.0 (like `Iterator::sum`), so one pass reproduces the
+            // dense norms.
+            let (mut primal_sq, mut dual_sq) = (-0.0f64, -0.0f64);
+            let (mut x_sq, mut z_sq) = (-0.0f64, -0.0f64);
+            for k in 0..len {
+                let diff = x[k] - z[k];
+                u[k] += diff;
+                primal_sq += diff * diff;
+                let step = z[k] - zprev[k];
+                dual_sq += step * step;
+                x_sq += x[k] * x[k];
+                z_sq += z[k] * z[k];
+            }
+            primal_residual = primal_sq.sqrt();
+            let dual_residual = rho * dual_sq.sqrt();
+            let scale = 1.0 + x_sq.sqrt().max(z_sq.sqrt());
             if primal_residual < self.tolerance * scale && dual_residual < self.tolerance * scale {
                 converged = true;
                 break;
             }
             if self.rank_stop_window > 0 && it >= 8 && it % 3 == 2 {
-                let diag = x.diagonal();
                 let k = if self.rank_stop_vars == 0 {
-                    diag.len()
+                    n
                 } else {
-                    self.rank_stop_vars.min(diag.len())
+                    self.rank_stop_vars.min(n)
                 };
+                let diag = &blocks.diag[..k];
                 // Rank on values quantized to 1e-3 of the prefix's
                 // magnitude: entries closer than that are ties the
                 // relaxation has not resolved (and may never resolve —
                 // they jitter below the quantum from iterate to
                 // iterate), so their order must not hold up the stop.
-                let scale = diag[..k].iter().fold(1e-12f64, |m, v| m.max(v.abs()));
+                let scale = diag.iter().fold(1e-12f64, |m, &p| m.max(x[p].abs()));
                 let quantum = 1e-3 * scale;
-                let quant: Vec<i64> = diag[..k]
-                    .iter()
-                    .map(|v| (v / quantum).round() as i64)
-                    // alloc: small per-check vector for the rank-stability stop.
-                    .collect();
-                // alloc: small per-check vector for the rank-stability stop.
-                let mut order: Vec<u32> = (0..k as u32).collect();
+                quant.clear();
+                quant.extend(diag.iter().map(|&p| (x[p] / quantum).round() as i64));
+                order.clear();
+                order.extend(0..k as u32);
                 order.sort_unstable_by(|&a, &b| {
                     quant[b as usize].cmp(&quant[a as usize]).then(a.cmp(&b))
                 });
@@ -454,23 +672,40 @@ impl SdpSolver {
                     }
                 } else {
                     rank_stable = 0;
-                    rank_prev = order;
+                    std::mem::swap(order, rank_prev);
                 }
             }
             if self.adaptive_rho && it % 10 == 9 {
                 if primal_residual > 10.0 * dual_residual {
                     rho *= 2.0;
-                    u.scale(0.5);
+                    for v in u.iter_mut() {
+                        *v *= 0.5;
+                    }
                 } else if dual_residual > 10.0 * primal_residual {
                     rho *= 0.5;
-                    u.scale(2.0);
+                    for v in u.iter_mut() {
+                        *v *= 2.0;
+                    }
                 }
             }
         }
 
-        problem.apply_into(&x, &mut scratch.ax);
-        let constraint_residual = scratch
-            .ax
+        // Dense iterates, every zero written as +0.0: the dense loop
+        // leaves -0.0 in places, the blocks never hold off-block
+        // entries, and `v + 0.0` is `v` for every other value.
+        let dense = |part: &[f64]| {
+            let mut out = SymMatrix::zeros(n);
+            let data = out.as_mut_slice();
+            for (row, at, nb) in blocks.block_rows(n) {
+                for (d, &v) in data[row..row + nb].iter_mut().zip(&part[at..at + nb]) {
+                    *d = v + 0.0;
+                }
+            }
+            out
+        };
+        let (x, z, u) = (dense(x), dense(z), dense(u));
+        problem.apply_into(&x, ax);
+        let constraint_residual = ax
             .iter()
             .zip(&b)
             .map(|(a, bi)| (a - bi).powi(2))
@@ -491,8 +726,256 @@ impl SdpSolver {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::{solve_batch, BatchArena, BatchItem};
+    use prng::Rng;
+
+    /// A dyadic-coefficient assignment-shaped SDP: `rows` two-candidate
+    /// assignment rows (all coefficients ±1, costs exactly
+    /// representable), with cost `pair` coupling variables 1 and 3.
+    pub(crate) fn assignment_problem(rows: usize, pair: f64) -> SdpProblem {
+        let n = 2 * rows;
+        let mut c = SymMatrix::zeros(n);
+        for i in 0..n {
+            c.set(i, i, 1.0 + i as f64 * 0.5);
+        }
+        if n >= 4 {
+            c.set(1, 3, pair);
+        }
+        let mut p = SdpProblem::new(c);
+        for s in 0..rows {
+            p.add_constraint(vec![(2 * s, 2 * s, 1.0), (2 * s + 1, 2 * s + 1, 1.0)], 1.0);
+        }
+        p
+    }
+
+    /// A CPLA-shaped SDP (the layout of `PartitionProblem::to_sdp`):
+    /// one net per entry of `nets` with that many segments, `layers`
+    /// candidates per segment, pair costs between each segment and its
+    /// tree parent (segment `k` hangs off segment `(k - 1) / 2` of its
+    /// net), and `caps` capacity rows over candidates of different nets,
+    /// each with its slack variable behind the assignment variables.
+    /// A net of two or more segments is one interval; the candidates of
+    /// a one-segment net and every slack are singletons.
+    pub(crate) fn cpla_shaped_problem(
+        nets: &[usize],
+        layers: usize,
+        caps: usize,
+        seed: u64,
+    ) -> SdpProblem {
+        let mut rng = Rng::seed_from_u64(seed);
+        let segs: usize = nets.iter().sum();
+        let vars = segs * layers;
+        let n = vars + caps;
+        let var = |seg: usize, layer: usize| seg * layers + layer;
+        let mut c = SymMatrix::zeros(n);
+        for i in 0..vars {
+            c.set(i, i, rng.range_f64(1.0, 40.0));
+        }
+        let mut first = 0;
+        for &size in nets {
+            for k in 1..size {
+                let (child, parent) = (first + k, first + (k - 1) / 2);
+                for a in 0..layers {
+                    for b in 0..layers {
+                        c.add_to(var(child, a), var(parent, b), rng.range_f64(0.0, 8.0) / 2.0);
+                    }
+                }
+            }
+            first += size;
+        }
+        let mut p = SdpProblem::new(c);
+        for seg in 0..segs {
+            p.add_constraint(
+                (0..layers)
+                    .map(|l| (var(seg, l), var(seg, l), 1.0))
+                    .collect(),
+                1.0,
+            );
+        }
+        for k in 0..caps {
+            let layer = k % layers;
+            let mut entries: Vec<(usize, usize, f64)> = (0..segs)
+                .filter(|seg| (seg + k) % 2 == 0)
+                .map(|seg| (var(seg, layer), var(seg, layer), 1.0))
+                .collect();
+            let limit = (entries.len() / 2) as f64;
+            entries.push((vars + k, vars + k, 1.0));
+            p.add_constraint(entries, limit);
+        }
+        p
+    }
+
+    /// The interval boundaries `try_solve_from_with` detects.
+    fn bounds(p: &SdpProblem, warm: Option<(&SymMatrix, &SymMatrix)>) -> Vec<usize> {
+        let mut blocks = Intervals::default();
+        blocks.detect(p, warm);
+        blocks.bounds
+    }
+
+    #[test]
+    fn a_pair_straddling_a_variable_gives_one_interval() {
+        // Variables 1 and 3 are coupled, so 2 joins their interval.
+        assert_eq!(bounds(&assignment_problem(3, 1.5), None), [0, 1, 4, 5, 6]);
+    }
+
+    #[test]
+    fn a_wider_warm_pattern_widens_the_interval() {
+        let p = assignment_problem(2, 0.0);
+        assert_eq!(bounds(&p, None), [0, 1, 2, 3, 4]);
+        let mut z = SymMatrix::identity(4);
+        z.set(0, 2, 0.25);
+        let u = SymMatrix::zeros(4);
+        assert_eq!(bounds(&p, Some((&z, &u))), [0, 3, 4]);
+        assert_eq!(bounds(&p, Some((&u, &z))), [0, 3, 4]);
+    }
+
+    #[test]
+    fn an_off_diagonal_constraint_entry_joins_intervals() {
+        let mut p = SdpProblem::new(SymMatrix::from_diagonal(&[1.0, 2.0, 3.0, 4.0]));
+        p.add_constraint(vec![(0, 0, 1.0), (3, 3, 1.0)], 1.0);
+        assert_eq!(bounds(&p, None), [0, 1, 2, 3, 4]);
+        p.add_constraint(vec![(2, 1, 1.0)], 0.5);
+        assert_eq!(bounds(&p, None), [0, 1, 3, 4]);
+    }
+
+    #[test]
+    fn an_all_diagonal_problem_gives_singleton_intervals() {
+        let mut p = SdpProblem::new(SymMatrix::from_diagonal(&[1.0, -0.0, 3.0, 4.0, 5.0]));
+        p.add_constraint(vec![(0, 0, 1.0), (4, 4, 1.0)], 1.0);
+        assert_eq!(bounds(&p, None), [0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_dense_problem_gives_one_interval() {
+        let mut c = SymMatrix::identity(4);
+        for i in 0..4 {
+            for j in (i + 1)..4 {
+                c.set(i, j, 0.5);
+            }
+        }
+        assert_eq!(bounds(&SdpProblem::new(c), None), [0, 4]);
+    }
+
+    #[test]
+    fn cpla_shaped_problems_split_per_net_and_slack() {
+        let p = cpla_shaped_problem(&[3, 1, 4], 2, 2, 7);
+        assert_eq!(bounds(&p, None), [0, 6, 7, 8, 16, 17, 18]);
+    }
+
+    #[test]
+    fn a_reused_scratch_reproduces_a_fresh_one() {
+        // Back-to-back solves through one scratch: a larger problem,
+        // then the same rank-stopped problem twice. No state (ranking
+        // history, arena, layout) may carry over. The tolerance is out
+        // of reach, so the ranking alone stops each solve.
+        let solver = SdpSolver {
+            rank_stop_window: 2,
+            tolerance: 1e-15,
+            ..SdpSolver::default()
+        };
+        // Clear per-row preferences: the ranking settles early, so a
+        // stale ranking history would stop the repeat solve sooner.
+        let mut p = SdpProblem::new(SymMatrix::from_diagonal(&[1.0, 3.0, 4.0, 2.0]));
+        p.add_constraint(vec![(0, 0, 1.0), (1, 1, 1.0)], 1.0);
+        p.add_constraint(vec![(2, 2, 1.0), (3, 3, 1.0)], 1.0);
+        let fresh = solver.try_solve_from(&p, None).expect("fresh");
+        let mut scratch = SolveScratch::new();
+        let larger = cpla_shaped_problem(&[3, 1, 4], 2, 2, 7);
+        solver
+            .try_solve_from_with(&larger, None, &mut scratch)
+            .expect("larger");
+        for _ in 0..2 {
+            let reused = solver
+                .try_solve_from_with(&p, None, &mut scratch)
+                .expect("reused");
+            assert_eq!(reused, fresh);
+            assert!(!reused.converged && reused.iterations < solver.max_iterations);
+        }
+    }
+
+    /// Asserts that both solve backends reject an input, naming it.
+    fn assert_rejected(
+        solver: SdpSolver,
+        p: &SdpProblem,
+        warm: Option<(&SymMatrix, &SymMatrix)>,
+        what: &str,
+    ) {
+        let leaf = solver.try_solve_from(p, warm);
+        let items = [BatchItem {
+            solver,
+            problem: p,
+            warm,
+        }];
+        let batched = solve_batch(&items, 1, &mut BatchArena::new());
+        for (backend, got) in [("per-leaf", &leaf), ("batched", &batched.results[0])] {
+            assert!(
+                matches!(got, Err(SolveError::InvalidInput { what: w, .. }) if *w == what),
+                "{backend}: expected {what} rejection, got {got:?}"
+            );
+        }
+    }
+
+    const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    #[test]
+    fn non_finite_cost_entries_are_rejected() {
+        for v in NON_FINITE {
+            for (i, j) in [(0, 0), (0, 1)] {
+                let mut p = assignment_problem(1, 0.0);
+                p.cost.set(i, j, v);
+                assert_rejected(SdpSolver::default(), &p, None, "cost entry");
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_constraint_coefficients_are_rejected() {
+        for v in NON_FINITE {
+            let mut p = SdpProblem::new(SymMatrix::from_diagonal(&[1.0, 2.0]));
+            p.add_constraint(vec![(0, 0, 1.0), (1, 1, v)], 1.0);
+            assert_rejected(SdpSolver::default(), &p, None, "constraint coefficient");
+        }
+    }
+
+    #[test]
+    fn non_finite_right_hand_sides_are_rejected() {
+        for v in NON_FINITE {
+            let mut p = SdpProblem::new(SymMatrix::from_diagonal(&[1.0, 2.0]));
+            p.add_constraint(vec![(0, 0, 1.0), (1, 1, 1.0)], v);
+            assert_rejected(SdpSolver::default(), &p, None, "constraint right-hand side");
+        }
+    }
+
+    #[test]
+    fn non_finite_warm_iterates_are_rejected() {
+        let p = assignment_problem(1, 0.0);
+        let ok = SymMatrix::zeros(2);
+        for v in NON_FINITE {
+            let mut bad = SymMatrix::zeros(2);
+            bad.set(0, 1, v);
+            let solver = SdpSolver::default();
+            assert_rejected(solver, &p, Some((&bad, &ok)), "warm-start z entry");
+            assert_rejected(solver, &p, Some((&ok, &bad)), "warm-start u entry");
+            // A pair of the wrong dimension is ignored, not checked.
+            let mut stale = SymMatrix::zeros(3);
+            stale.set(0, 0, v);
+            assert!(solver.try_solve_from(&p, Some((&stale, &stale))).is_ok());
+        }
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_rho_is_rejected() {
+        let p = assignment_problem(1, 0.0);
+        for rho in [0.0, -0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let solver = SdpSolver {
+                rho,
+                ..SdpSolver::default()
+            };
+            assert_rejected(solver, &p, None, "rho");
+        }
+    }
 
     #[test]
     fn trace_constrained_diagonal_cost() {

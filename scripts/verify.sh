@@ -39,6 +39,9 @@ cargo test -q --offline
 echo "==> workspace tests"
 cargo test --workspace -q --offline
 
+echo "==> benchmark package tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> observability artifacts: cpla-bench + cpla-bench-check"
 # One instrumented rep of the default workload; the checker validates
 # that both exporters still emit parseable artifacts and that the
