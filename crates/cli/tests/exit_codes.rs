@@ -89,6 +89,23 @@ fn parse_errors_exit_three() {
 }
 
 #[test]
+fn corrupt_headers_exit_three() {
+    // A pin count of four billion must end as "unexpected end of file",
+    // not as an allocation abort (exit 134); a grid width past u16 must
+    // be refused, not wrapped to a smaller grid that then optimizes.
+    for (name, from, to, what) in [
+        ("pins.ispd", "n0 0 2 1", "n0 0 4000000000 1", "end of file"),
+        ("wide.ispd", "grid 4 4 2", "grid 65560 4 2", "grid x"),
+    ] {
+        let f = Scratch::new(name, &TINY.replace(from, to));
+        let out = bin().args(["optimize", f.path()]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(exit_of(&out), 3, "{name}: stderr: {stderr}");
+        assert!(stderr.contains(what), "{name}: {stderr}");
+    }
+}
+
+#[test]
 fn grid_errors_exit_four() {
     // Parses fine, but the adjustment spans two layers, which the grid
     // model rejects. Only the trailing adjustment count may change —

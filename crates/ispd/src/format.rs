@@ -155,6 +155,9 @@ pub enum ParseErrorKind {
     EmptyNet,
     /// The tile dimensions were not positive.
     NonPositiveTileSize,
+    /// An integer does not fit the type the workspace stores it in
+    /// (grid sizes and tile coordinates are `u16`); names the field.
+    OutOfRange(&'static str),
     /// The underlying reader failed.
     Io,
 }
@@ -168,6 +171,9 @@ impl ParseErrorKind {
             ParseErrorKind::ExpectedInteger => "expected integer".to_string(),
             ParseErrorKind::EmptyNet => "net has no pins".to_string(),
             ParseErrorKind::NonPositiveTileSize => "non-positive tile size".to_string(),
+            ParseErrorKind::OutOfRange(field) => {
+                format!("{field} out of range (at most {})", u16::MAX)
+            }
             ParseErrorKind::Io => "read failure".to_string(),
         }
     }
@@ -334,6 +340,13 @@ impl<R: BufRead> Tokens<R> {
             .map_err(|_| self.err_here(ParseErrorKind::ExpectedInteger))
     }
 
+    /// An integer that must fit a `u16` tile count or coordinate;
+    /// `field` names it in the error.
+    fn next_u16(&mut self, field: &'static str) -> Result<u16, ParseError> {
+        let v = self.next_u32()?;
+        u16::try_from(v).map_err(|_| self.err_here(ParseErrorKind::OutOfRange(field)))
+    }
+
     fn expect(&mut self, word: &'static str) -> Result<(), ParseError> {
         let t = self.next()?;
         if t.eq_ignore_ascii_case(word) {
@@ -381,8 +394,8 @@ pub fn parse_with(
     let mut t = Tokens::new(reader);
 
     t.expect("grid")?;
-    let grid_x = t.next_u32()? as u16;
-    let grid_y = t.next_u32()? as u16;
+    let grid_x = t.next_u16("grid x")?;
+    let grid_y = t.next_u16("grid y")?;
     let num_layers = t.next_u32()? as usize;
 
     t.expect("vertical")?;
@@ -434,7 +447,9 @@ pub fn parse_with(
         let _id = t.next_u32()?;
         let num_pins = t.next_u32()? as usize;
         let _min_width = t.next_f64()?;
-        let mut pins = Vec::with_capacity(num_pins);
+        // No pre-allocation from the declared count: a corrupt header
+        // must run into the end of the input, not into the allocator.
+        let mut pins = Vec::new();
         for p in 0..num_pins {
             let x = t.next_f64()?;
             let y = t.next_f64()?;
@@ -465,11 +480,11 @@ pub fn parse_with(
     if t.has_more()? {
         let count = t.next_u32()? as usize;
         for _ in 0..count {
-            let x1 = t.next_u32()? as u16;
-            let y1 = t.next_u32()? as u16;
+            let x1 = t.next_u16("adjustment x")?;
+            let y1 = t.next_u16("adjustment y")?;
             let l1 = t.next_u32()? as usize;
-            let x2 = t.next_u32()? as u16;
-            let y2 = t.next_u32()? as u16;
+            let x2 = t.next_u16("adjustment x")?;
+            let y2 = t.next_u16("adjustment y")?;
             let l2 = t.next_u32()? as usize;
             let capacity = t.next_u32()?;
             adjustments.push(CapacityAdjustment {
@@ -661,6 +676,44 @@ netB 1 3 1
         let broken = "grid 4 4 2\nvertical capacity 0";
         let e = parse(BufReader::new(broken.as_bytes())).unwrap_err();
         assert!(e.to_string().contains("end of file"), "{e}");
+    }
+
+    #[test]
+    fn huge_pin_count_reports_end_of_input() {
+        // The last net claims four billion pins; the file holds a few.
+        let broken = SAMPLE.replace("netB 1 3 1", "netB 1 4000000000 1");
+        let e = parse(BufReader::new(broken.as_bytes())).unwrap_err();
+        assert_eq!(e.kind, ParseErrorKind::UnexpectedEof, "{e}");
+    }
+
+    #[test]
+    fn grid_sizes_past_u16_are_rejected() {
+        for (grid, field) in [("grid 65560 4 2", "grid x"), ("grid 4 65536 2", "grid y")] {
+            let broken = SAMPLE.replace("grid 4 4 2", grid);
+            let e = parse(BufReader::new(broken.as_bytes())).unwrap_err();
+            assert_eq!(e.kind, ParseErrorKind::OutOfRange(field), "{e}");
+            assert_eq!(e.line, 1);
+            assert!(e.to_string().contains(field), "{e}");
+        }
+        // The largest u16 still parses.
+        let edge = SAMPLE.replace("grid 4 4 2", "grid 65535 4 2");
+        assert_eq!(
+            parse(BufReader::new(edge.as_bytes())).unwrap().grid_x,
+            u16::MAX
+        );
+    }
+
+    #[test]
+    fn adjustment_coordinates_past_u16_are_rejected() {
+        for (adj, field) in [
+            ("70000 0 1 1 0 1 10", "adjustment x"),
+            ("0 0 1 1 65536 1 10", "adjustment y"),
+        ] {
+            let broken = SAMPLE.replace("0 0 1 1 0 1 10", adj);
+            let e = parse(BufReader::new(broken.as_bytes())).unwrap_err();
+            assert_eq!(e.kind, ParseErrorKind::OutOfRange(field), "{e}");
+            assert_eq!(e.line, 17);
+        }
     }
 
     #[test]

@@ -242,7 +242,7 @@ impl SyntheticConfig {
             }
         }
         // Window too small to host the wanted distinct pins: accept what
-        // fits (≥ 1); route_spec drops true degenerates.
+        // fits (≥ 1); the router drops true degenerates.
         let mut pins = Vec::with_capacity(cells.len());
         for (k, c) in cells.iter().enumerate() {
             if k == 0 {

@@ -5,9 +5,10 @@
 //! the ISPD'08 benchmarks). This crate builds that starting point from
 //! scratch:
 //!
-//! 1. [`route_spec`] / [`route_netlist`] — rectilinear Steiner topology
+//! 1. [`Router`] / [`route_netlist`] — rectilinear Steiner topology
 //!    construction per net (closest-point attachment with
-//!    congestion-aware L-shape choice and an optional maze fallback).
+//!    congestion-aware L/Z pattern choice and an optional maze
+//!    fallback).
 //! 2. [`maze`] — a congestion-weighted shortest-path router used when
 //!    pattern routes would overflow.
 //! 3. [`initial_assignment`] — the net-by-net dynamic-programming layer
@@ -42,4 +43,4 @@ pub mod maze;
 mod steiner;
 
 pub use initial::{initial_assignment, initial_assignment_with, InitialConfig};
-pub use steiner::{route_netlist, route_spec, CongestionMap, RouterConfig};
+pub use steiner::{route_netlist, CongestionMap, Router, RouterConfig};

@@ -1,85 +1,191 @@
 //! Congestion-weighted maze (shortest-path) routing on the 2-D grid.
 //!
-//! Used as a fallback when both L-shapes of a pattern route would cross
-//! overflowed edges. The router is a uniform-cost search (Dijkstra) over
-//! tile cells with caller-supplied edge costs and an optional forbidden
-//! edge set (the edges already covered by the net's own tree, which a
-//! routing tree must not cover twice).
+//! Used as a fallback when the cheapest pattern route would cross a full
+//! edge. The router is a uniform-cost search (Dijkstra) over
+//! tile cells with caller-supplied per-edge costs and a forbidden-edge
+//! mask (the edges already covered by the net's own tree, which a
+//! routing tree must not cover twice). Both are dense slices in the
+//! [`edge_index`] layout.
+//!
+//! One [`Search`] serves every call on a grid: its distance and
+//! predecessor arrays are reset through a list of the cells the last
+//! search reached, not reallocated.
+//!
+//! Routes are a pure function of the inputs. Heap entries are keyed
+//! `(Reverse(distance bits), x << 16 | y)`, a total order on distinct
+//! entries, so the pop sequence does not depend on the heap's internal
+//! layout: ties in distance pop the larger `x` first, then the larger
+//! `y`. Relaxation is strict (`<`), so the first cell to reach a
+//! distance keeps its predecessor.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
-use grid::{Cell, Edge2d};
+use grid::{Cell, Direction, Edge2d};
 
-/// Finds a minimum-cost rectilinear path from `start` to `goal`.
+/// Number of routing edges of a `width × height` grid.
+pub fn num_edges(width: u16, height: u16) -> usize {
+    let (w, h) = (width as usize, height as usize);
+    (w - 1) * h + w * (h - 1)
+}
+
+/// Dense index of `e` on a `width × height` grid: the horizontal edges
+/// row by row, then the vertical edges row by row. Every per-edge slice
+/// of this crate uses this layout.
+pub fn edge_index(width: u16, height: u16, e: Edge2d) -> usize {
+    let (w, h) = (width as usize, height as usize);
+    let (x, y) = (e.cell.x as usize, e.cell.y as usize);
+    match e.dir {
+        Direction::Horizontal => y * (w - 1) + x,
+        Direction::Vertical => (w - 1) * h + y * w + x,
+    }
+}
+
+/// Heap payload of a cell: compares like `(x, y)`.
+fn key(c: Cell) -> u32 {
+    u32::from(c.x) << 16 | u32::from(c.y)
+}
+
+/// The cell a [`key`] encodes.
+fn cell_of(k: u32) -> Cell {
+    // cast: both halves of a key hold a u16 coordinate.
+    Cell::new((k >> 16) as u16, (k & 0xffff) as u16)
+}
+
+/// Reusable search state for one `width × height` grid.
 ///
-/// `edge_cost` must return a non-negative, finite cost for every edge;
-/// edges in `forbidden` are never traversed. Returns the cell sequence
-/// from `start` to `goal` inclusive, or `None` if no path exists.
-///
-/// # Panics
-///
-/// Panics if `start` or `goal` lies outside the `width × height` grid.
-pub fn find_path(
+/// Between calls every `dist` entry is `+∞` and the heap and touched
+/// list are empty; `prev` is only read along a path the current call
+/// built.
+#[derive(Debug)]
+pub struct Search {
     width: u16,
     height: u16,
-    start: Cell,
-    goal: Cell,
-    mut edge_cost: impl FnMut(Edge2d) -> f64,
-    forbidden: &HashSet<Edge2d>,
-) -> Option<Vec<Cell>> {
-    assert!(start.x < width && start.y < height, "start out of bounds");
-    assert!(goal.x < width && goal.y < height, "goal out of bounds");
-    let idx = |c: Cell| c.y as usize * width as usize + c.x as usize;
-    let n = width as usize * height as usize;
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<Cell>> = vec![None; n];
-    // f64 keys via ordered bits (costs are non-negative and finite).
-    let mut heap: BinaryHeap<(Reverse<u64>, u16, u16)> = BinaryHeap::new();
-    dist[idx(start)] = 0.0;
-    heap.push((Reverse(0), start.x, start.y));
-    while let Some((Reverse(dbits), x, y)) = heap.pop() {
-        let cur = Cell::new(x, y);
-        let d = f64::from_bits(dbits);
-        if d > dist[idx(cur)] {
-            continue;
+    /// Best known distance per cell (row-major).
+    dist: Vec<f64>,
+    /// Key of each reached cell's predecessor (row-major).
+    prev: Vec<u32>,
+    heap: BinaryHeap<(Reverse<u64>, u32)>,
+    /// Row-major indices of the cells whose `dist` is finite.
+    touched: Vec<u32>,
+}
+
+impl Search {
+    /// Empty search state for a `width × height` grid.
+    pub fn new(width: u16, height: u16) -> Search {
+        let n = width as usize * height as usize;
+        Search {
+            width,
+            height,
+            dist: vec![f64::INFINITY; n],
+            prev: vec![0; n],
+            heap: BinaryHeap::new(),
+            touched: Vec::new(),
         }
-        if cur == goal {
-            break;
-        }
-        let neighbors = [
-            (x > 0).then(|| Cell::new(x - 1, y)),
-            (x + 1 < width).then(|| Cell::new(x + 1, y)),
-            (y > 0).then(|| Cell::new(x, y - 1)),
-            (y + 1 < height).then(|| Cell::new(x, y + 1)),
-        ];
-        for next in neighbors.into_iter().flatten() {
-            // invariant: the neighbor table only yields 4-adjacent cells.
-            let edge = Edge2d::between(cur, next).expect("neighbors are adjacent by construction");
-            if forbidden.contains(&edge) {
+    }
+
+    /// Finds a minimum-cost rectilinear path from `start` to `goal`.
+    ///
+    /// `costs[edge_index(e)]` is the cost of edge `e` and must be
+    /// non-negative and finite; edges with `forbidden[edge_index(e)]`
+    /// set are never traversed. Returns the cell sequence from `start`
+    /// to `goal` inclusive, or `None` if no path exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` or `goal` lies outside the grid, or if `costs`
+    /// or `forbidden` does not hold one entry per edge.
+    pub fn find_path(
+        &mut self,
+        start: Cell,
+        goal: Cell,
+        costs: &[f64],
+        forbidden: &[bool],
+    ) -> Option<Vec<Cell>> {
+        let (width, height) = (self.width, self.height);
+        assert!(start.x < width && start.y < height, "start out of bounds");
+        assert!(goal.x < width && goal.y < height, "goal out of bounds");
+        let edges = num_edges(width, height);
+        assert_eq!(costs.len(), edges, "one cost per edge");
+        assert_eq!(forbidden.len(), edges, "one mask entry per edge");
+        let (w, h) = (width as usize, height as usize);
+        let h_edges = (w - 1) * h;
+        let index = |c: Cell| c.y as usize * w + c.x as usize;
+        let (start_at, goal_at) = (index(start), index(goal));
+
+        let Search {
+            dist,
+            prev,
+            heap,
+            touched,
+            ..
+        } = self;
+        dist[start_at] = 0.0;
+        // cast: a u16 × u16 grid has fewer than 2^32 cells.
+        touched.push(start_at as u32);
+        // f64 keys via ordered bits (costs are non-negative and finite).
+        heap.push((Reverse(0), key(start)));
+        while let Some((Reverse(dbits), k)) = heap.pop() {
+            let d = f64::from_bits(dbits);
+            let (x, y) = ((k >> 16) as usize, (k & 0xffff) as usize);
+            let at = y * w + x;
+            if d > dist[at] {
                 continue;
             }
-            let w = edge_cost(edge);
-            debug_assert!(w.is_finite() && w >= 0.0, "bad edge cost {w}");
-            let nd = d + w;
-            if nd < dist[idx(next)] {
-                dist[idx(next)] = nd;
-                prev[idx(next)] = Some(cur);
-                heap.push((Reverse(nd.to_bits()), next.x, next.y));
+            if at == goal_at {
+                break;
+            }
+            // Relaxes the neighbour at row-major `to` across edge `edge`.
+            let mut relax = |to: usize, edge: usize, to_key: u32| {
+                if forbidden[edge] {
+                    return;
+                }
+                let cost = costs[edge];
+                debug_assert!(cost.is_finite() && cost >= 0.0, "bad edge cost {cost}");
+                let nd = d + cost;
+                let old = dist[to];
+                if nd < old {
+                    if old == f64::INFINITY {
+                        // cast: a u16 × u16 grid has fewer than 2^32 cells.
+                        touched.push(to as u32);
+                    }
+                    dist[to] = nd;
+                    prev[to] = k;
+                    heap.push((Reverse(nd.to_bits()), to_key));
+                }
+            };
+            if x > 0 {
+                relax(at - 1, at - y - 1, k - (1 << 16));
+            }
+            if x + 1 < w {
+                relax(at + 1, at - y, k + (1 << 16));
+            }
+            if y > 0 {
+                relax(at - w, h_edges + at - w, k - 1);
+            }
+            if y + 1 < h {
+                relax(at + w, h_edges + at, k + 1);
             }
         }
+
+        let path = dist[goal_at].is_finite().then(|| {
+            let mut path = vec![goal];
+            let mut at = goal_at;
+            while at != start_at {
+                let p = cell_of(prev[at]);
+                path.push(p);
+                at = index(p);
+            }
+            path.reverse();
+            path
+        });
+        for &t in touched.iter() {
+            dist[t as usize] = f64::INFINITY;
+        }
+        touched.clear();
+        heap.clear();
+        path
     }
-    if dist[idx(goal)].is_infinite() {
-        return None;
-    }
-    let mut path = vec![goal];
-    // invariant: `path` is seeded with `goal` and only ever grows.
-    while let Some(p) = prev[idx(*path.last().unwrap())] {
-        path.push(p);
-    }
-    path.reverse();
-    debug_assert_eq!(path[0], start);
-    Some(path)
 }
 
 /// Compresses a cell path into its bend points (the waypoints a
@@ -112,20 +218,123 @@ pub fn path_waypoints(path: &[Cell]) -> Vec<Cell> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
-    fn unit_cost(_: Edge2d) -> f64 {
-        1.0
+    /// The search as it stood before [`Search`]: fresh arrays per
+    /// call, a hashed forbidden set, and a cost callback per edge. Kept
+    /// as the reference the buffered search must reproduce exactly.
+    fn reference_find_path(
+        width: u16,
+        height: u16,
+        start: Cell,
+        goal: Cell,
+        mut edge_cost: impl FnMut(Edge2d) -> f64,
+        forbidden: &HashSet<Edge2d>,
+    ) -> Option<Vec<Cell>> {
+        assert!(start.x < width && start.y < height, "start out of bounds");
+        assert!(goal.x < width && goal.y < height, "goal out of bounds");
+        let idx = |c: Cell| c.y as usize * width as usize + c.x as usize;
+        let n = width as usize * height as usize;
+        let mut dist = vec![f64::INFINITY; n];
+        let mut prev: Vec<Option<Cell>> = vec![None; n];
+        let mut heap: BinaryHeap<(Reverse<u64>, u16, u16)> = BinaryHeap::new();
+        dist[idx(start)] = 0.0;
+        heap.push((Reverse(0), start.x, start.y));
+        while let Some((Reverse(dbits), x, y)) = heap.pop() {
+            let cur = Cell::new(x, y);
+            let d = f64::from_bits(dbits);
+            if d > dist[idx(cur)] {
+                continue;
+            }
+            if cur == goal {
+                break;
+            }
+            let neighbors = [
+                (x > 0).then(|| Cell::new(x - 1, y)),
+                (x + 1 < width).then(|| Cell::new(x + 1, y)),
+                (y > 0).then(|| Cell::new(x, y - 1)),
+                (y + 1 < height).then(|| Cell::new(x, y + 1)),
+            ];
+            for next in neighbors.into_iter().flatten() {
+                let edge = Edge2d::between(cur, next).unwrap();
+                if forbidden.contains(&edge) {
+                    continue;
+                }
+                let nd = d + edge_cost(edge);
+                if nd < dist[idx(next)] {
+                    dist[idx(next)] = nd;
+                    prev[idx(next)] = Some(cur);
+                    heap.push((Reverse(nd.to_bits()), next.x, next.y));
+                }
+            }
+        }
+        if dist[idx(goal)].is_infinite() {
+            return None;
+        }
+        let mut path = vec![goal];
+        while let Some(p) = prev[idx(*path.last().unwrap())] {
+            path.push(p);
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Every edge of a `width × height` grid, in [`edge_index`] order.
+    fn all_edges(width: u16, height: u16) -> Vec<Edge2d> {
+        let h = (0..height).flat_map(|y| (0..width - 1).map(move |x| Edge2d::horizontal(x, y)));
+        let v = (0..height - 1).flat_map(|y| (0..width).map(move |x| Edge2d::vertical(x, y)));
+        h.chain(v).collect()
+    }
+
+    /// Runs both searches on one query and returns the shared answer.
+    fn both(
+        search: &mut Search,
+        start: Cell,
+        goal: Cell,
+        costs: &[f64],
+        forbidden: &HashSet<Edge2d>,
+    ) -> Option<Vec<Cell>> {
+        let (w, h) = (search.width, search.height);
+        let mut mask = vec![false; num_edges(w, h)];
+        for &e in forbidden {
+            mask[edge_index(w, h, e)] = true;
+        }
+        let expect =
+            reference_find_path(w, h, start, goal, |e| costs[edge_index(w, h, e)], forbidden);
+        let got = search.find_path(start, goal, costs, &mask);
+        assert_eq!(
+            got,
+            expect,
+            "{w}x{h} grid, {start} -> {goal}, {} forbidden",
+            forbidden.len()
+        );
+        got
+    }
+
+    fn unit_costs(width: u16, height: u16) -> Vec<f64> {
+        vec![1.0; num_edges(width, height)]
+    }
+
+    #[test]
+    fn edge_index_is_dense_in_layout_order() {
+        for (w, h) in [(1, 1), (1, 5), (5, 1), (3, 4), (7, 2)] {
+            let edges = all_edges(w, h);
+            assert_eq!(edges.len(), num_edges(w, h));
+            for (i, &e) in edges.iter().enumerate() {
+                assert_eq!(edge_index(w, h, e), i, "{w}x{h} {e}");
+            }
+        }
     }
 
     #[test]
     fn straight_path_on_empty_grid() {
-        let p = find_path(
-            8,
-            8,
+        let p = both(
+            &mut Search::new(8, 8),
             Cell::new(1, 1),
             Cell::new(5, 1),
-            unit_cost,
+            &unit_costs(8, 8),
             &HashSet::new(),
         )
         .unwrap();
@@ -141,12 +350,11 @@ mod tests {
         for y in 0..7 {
             forbidden.insert(Edge2d::horizontal(1, y));
         }
-        let p = find_path(
-            8,
-            8,
+        let p = both(
+            &mut Search::new(8, 8),
             Cell::new(0, 0),
             Cell::new(4, 0),
-            unit_cost,
+            &unit_costs(8, 8),
             &forbidden,
         )
         .unwrap();
@@ -161,37 +369,49 @@ mod tests {
 
     #[test]
     fn fully_blocked_returns_none() {
-        let mut forbidden = HashSet::new();
-        for y in 0..8 {
-            forbidden.insert(Edge2d::horizontal(3, y));
-        }
-        assert!(find_path(
-            8,
-            8,
+        let forbidden: HashSet<_> = (0..8).map(|y| Edge2d::horizontal(3, y)).collect();
+        let mut search = Search::new(8, 8);
+        let costs = unit_costs(8, 8);
+        assert!(both(
+            &mut search,
             Cell::new(0, 0),
             Cell::new(7, 7),
-            unit_cost,
-            &forbidden,
+            &costs,
+            &forbidden
         )
         .is_none());
+        // The failed search leaves the buffers clean for the next call.
+        assert_eq!(
+            both(
+                &mut search,
+                Cell::new(0, 0),
+                Cell::new(2, 0),
+                &costs,
+                &HashSet::new()
+            )
+            .map(|p| p.len()),
+            Some(3)
+        );
     }
 
     #[test]
     fn congestion_cost_steers_the_path() {
         // Row 0 congested: cost 10 per horizontal edge at y = 0.
-        let cost = |e: Edge2d| {
-            if e.dir == grid::Direction::Horizontal && e.cell.y == 0 {
-                10.0
-            } else {
-                1.0
-            }
-        };
-        let p = find_path(
-            8,
-            8,
+        let costs: Vec<f64> = all_edges(8, 8)
+            .iter()
+            .map(|e| {
+                if e.dir == Direction::Horizontal && e.cell.y == 0 {
+                    10.0
+                } else {
+                    1.0
+                }
+            })
+            .collect();
+        let p = both(
+            &mut Search::new(8, 8),
             Cell::new(0, 0),
             Cell::new(7, 0),
-            cost,
+            &costs,
             &HashSet::new(),
         )
         .unwrap();
@@ -221,16 +441,104 @@ mod tests {
 
     #[test]
     fn start_equals_goal_trivial_path() {
-        let p = find_path(
-            4,
-            4,
+        let p = both(
+            &mut Search::new(4, 4),
             Cell::new(2, 2),
             Cell::new(2, 2),
-            unit_cost,
+            &unit_costs(4, 4),
             &HashSet::new(),
         )
         .unwrap();
         assert_eq!(p, vec![Cell::new(2, 2)]);
         assert!(path_waypoints(&p).is_empty());
+    }
+
+    mod properties {
+        use super::*;
+
+        /// How the differential sweep draws edge costs.
+        #[derive(Clone, Copy, Debug)]
+        enum Regime {
+            /// Every edge costs 1.0: equal-distance ties everywhere.
+            Unit,
+            /// The router's cost formula with usage mostly below
+            /// capacity.
+            UnderCapacity,
+            /// The router's cost formula with usage often at or past
+            /// capacity, so many edges carry the overflow penalty.
+            Overflow,
+        }
+
+        /// The router's edge cost at the default weights.
+        fn congestion_cost(usage: u32, capacity: u32) -> f64 {
+            let (u, c) = (f64::from(usage), f64::from(capacity));
+            let mut cost = 1.0 + 2.0 * u / (c + 1.0);
+            if u >= c {
+                cost += 1000.0;
+            }
+            cost
+        }
+
+        fn costs(rng: &mut prng::Rng, w: u16, h: u16, regime: Regime) -> Vec<f64> {
+            (0..num_edges(w, h))
+                .map(|_| match regime {
+                    Regime::Unit => 1.0,
+                    Regime::UnderCapacity => {
+                        let capacity = rng.range_u32(1, 12);
+                        congestion_cost(rng.range_u32(0, capacity - 1), capacity)
+                    }
+                    Regime::Overflow => {
+                        let capacity = rng.range_u32(0, 12);
+                        congestion_cost(rng.range_u32(0, 2 * capacity + 2), capacity)
+                    }
+                })
+                .collect()
+        }
+
+        fn cell(rng: &mut prng::Rng, w: u16, h: u16) -> Cell {
+            Cell::new(rng.range_u16(0, w - 1), rng.range_u16(0, h - 1))
+        }
+
+        /// The buffered search returns the reference's path, cell for
+        /// cell and `None` for `None`, on random grids up to 32×32: unit
+        /// costs and both congestion regimes, forbidden sets from empty
+        /// to dense, and `start == goal`. One [`Search`] serves all of a
+        /// grid's queries, so a reset that leaks state between calls
+        /// shows up as a diverging path. Deterministic seed sweep; the
+        /// off-by-default `proptest` feature widens it.
+        #[test]
+        fn buffered_search_matches_the_reference() {
+            let grids = if cfg!(feature = "proptest") { 600 } else { 60 };
+            let mut rng = prng::Rng::seed_from_u64(0x3a2e);
+            let (mut found, mut unreachable, mut trivial) = (0, 0, 0);
+            for g in 0..grids {
+                let w = rng.range_u16(1, 32);
+                let h = rng.range_u16(1, 32);
+                let regime = [Regime::Unit, Regime::UnderCapacity, Regime::Overflow][g % 3];
+                let costs = costs(&mut rng, w, h, regime);
+                let edges = all_edges(w, h);
+                let mut search = Search::new(w, h);
+                for q in 0..8 {
+                    // Forbidden density 0, 10%, 30% or 50%.
+                    let density = [0, 10, 30, 50][q % 4];
+                    let forbidden: HashSet<Edge2d> = edges
+                        .iter()
+                        .copied()
+                        .filter(|_| rng.range_u64(0, 99) < density)
+                        .collect();
+                    let start = cell(&mut rng, w, h);
+                    let goal = if q == 7 { start } else { cell(&mut rng, w, h) };
+                    match both(&mut search, start, goal, &costs, &forbidden) {
+                        None => unreachable += 1,
+                        Some(p) if p.len() == 1 => trivial += 1,
+                        Some(_) => found += 1,
+                    }
+                }
+            }
+            assert!(
+                found > 0 && unreachable > 0 && trivial > 0,
+                "sweep missed a case: {found} paths, {unreachable} None, {trivial} trivial"
+            );
+        }
     }
 }

@@ -3,9 +3,9 @@
 //! Nets are routed one at a time with the classic closest-point
 //! attachment heuristic: grow the tree from the source, and repeatedly
 //! connect the unrouted sink nearest to the tree at the tree point
-//! nearest to it. Two-point connections prefer the less congested of the
-//! two L-shapes and fall back to a congestion-weighted maze route when
-//! both L-shapes would overflow.
+//! nearest to it. Two-point connections take the cheapest of the L- and
+//! Z-shaped pattern routes and fall back to a congestion-weighted maze
+//! route when that pattern would cross a full edge.
 //!
 //! Because every attachment starts at the *closest* tree point and L/maze
 //! legs strictly reduce (L) or never revisit (maze with forbidden tree
@@ -51,101 +51,98 @@ impl Default for RouterConfig {
 ///
 /// Tracks per-edge usage against the grid's *projected* (summed over
 /// layers) capacity; the later layer-assignment stage then distributes
-/// each edge's wires among that direction's layers.
+/// each edge's wires among that direction's layers. Every per-edge
+/// array is in the [`maze::edge_index`] layout.
+///
+/// The routing cost of each edge is cached: [`CongestionMap::add`], the
+/// only call that changes usage, recomputes the cost of the edge it
+/// touches, so pattern scoring and the maze search read a load instead
+/// of re-deriving the cost.
 #[derive(Clone, PartialEq, Debug)]
 pub struct CongestionMap {
     width: u16,
     height: u16,
-    h_cap: Vec<u32>,
-    v_cap: Vec<u32>,
-    h_use: Vec<u32>,
-    v_use: Vec<u32>,
+    congestion_weight: f64,
+    overflow_penalty: f64,
+    capacity: Vec<u32>,
+    usage: Vec<u32>,
+    cost: Vec<f64>,
 }
 
 impl CongestionMap {
-    /// Initializes from the grid's projected capacities with zero usage.
-    pub fn from_grid(grid: &Grid) -> CongestionMap {
-        let w = grid.width();
-        let h = grid.height();
-        let mut h_cap = Vec::with_capacity((w as usize - 1) * h as usize);
-        for e in grid.edges_in_direction(Direction::Horizontal) {
-            h_cap.push(grid.projected_capacity(e));
+    /// Initializes from the grid's projected capacities with zero usage,
+    /// pricing edges with `config`'s weights.
+    pub fn from_grid(grid: &Grid, config: &RouterConfig) -> CongestionMap {
+        let capacity: Vec<u32> = grid
+            .edges_in_direction(Direction::Horizontal)
+            .chain(grid.edges_in_direction(Direction::Vertical))
+            .map(|e| grid.projected_capacity(e))
+            .collect();
+        let mut map = CongestionMap {
+            width: grid.width(),
+            height: grid.height(),
+            congestion_weight: config.congestion_weight,
+            overflow_penalty: config.overflow_penalty,
+            usage: vec![0; capacity.len()],
+            cost: vec![0.0; capacity.len()],
+            capacity,
+        };
+        for i in 0..map.cost.len() {
+            map.cost[i] = map.edge_cost(i);
         }
-        let mut v_cap = Vec::with_capacity(w as usize * (h as usize - 1));
-        for e in grid.edges_in_direction(Direction::Vertical) {
-            v_cap.push(grid.projected_capacity(e));
-        }
-        CongestionMap {
-            width: w,
-            height: h,
-            h_use: vec![0; h_cap.len()],
-            v_use: vec![0; v_cap.len()],
-            h_cap,
-            v_cap,
-        }
+        map
     }
 
     fn index(&self, e: Edge2d) -> usize {
-        match e.dir {
-            Direction::Horizontal => {
-                e.cell.y as usize * (self.width as usize - 1) + e.cell.x as usize
-            }
-            Direction::Vertical => e.cell.y as usize * self.width as usize + e.cell.x as usize,
-        }
+        maze::edge_index(self.width, self.height, e)
     }
 
-    /// Current usage of `e`.
-    pub fn usage(&self, e: Edge2d) -> u32 {
-        match e.dir {
-            Direction::Horizontal => self.h_use[self.index(e)],
-            Direction::Vertical => self.v_use[self.index(e)],
-        }
-    }
-
-    /// Projected capacity of `e`.
-    pub fn capacity(&self, e: Edge2d) -> u32 {
-        match e.dir {
-            Direction::Horizontal => self.h_cap[self.index(e)],
-            Direction::Vertical => self.v_cap[self.index(e)],
-        }
-    }
-
-    /// Records one more wire on `e`.
-    pub fn add(&mut self, e: Edge2d) {
-        let i = self.index(e);
-        match e.dir {
-            Direction::Horizontal => self.h_use[i] += 1,
-            Direction::Vertical => self.v_use[i] += 1,
-        }
-    }
-
-    /// Routing cost of `e` under `config`: base 1 plus congestion-scaled
-    /// terms.
-    pub fn cost(&self, e: Edge2d, config: &RouterConfig) -> f64 {
-        let u = self.usage(e) as f64;
-        let c = self.capacity(e) as f64;
-        let mut cost = 1.0 + config.congestion_weight * u / (c + 1.0);
+    /// Routing cost of the edge at index `i`: base 1 plus
+    /// congestion-scaled terms.
+    fn edge_cost(&self, i: usize) -> f64 {
+        let u = self.usage[i] as f64;
+        let c = self.capacity[i] as f64;
+        let mut cost = 1.0 + self.congestion_weight * u / (c + 1.0);
         if u >= c {
-            cost += config.overflow_penalty;
+            cost += self.overflow_penalty;
         }
         cost
     }
 
+    /// Current usage of `e`.
+    pub fn usage(&self, e: Edge2d) -> u32 {
+        self.usage[self.index(e)]
+    }
+
+    /// Projected capacity of `e`.
+    pub fn capacity(&self, e: Edge2d) -> u32 {
+        self.capacity[self.index(e)]
+    }
+
+    /// Records one more wire on `e` and reprices it.
+    pub fn add(&mut self, e: Edge2d) {
+        let i = self.index(e);
+        self.usage[i] += 1;
+        self.cost[i] = self.edge_cost(i);
+    }
+
+    /// Routing cost of `e`: base 1 plus congestion-scaled terms.
+    pub fn cost(&self, e: Edge2d) -> f64 {
+        self.cost[self.index(e)]
+    }
+
+    /// Every edge's routing cost, in [`maze::edge_index`] order.
+    pub(crate) fn costs(&self) -> &[f64] {
+        &self.cost
+    }
+
     /// Total 2-D overflow: `Σ max(0, usage − capacity)`.
     pub fn total_overflow(&self) -> u64 {
-        let h = self
-            .h_use
+        self.usage
             .iter()
-            .zip(&self.h_cap)
+            .zip(&self.capacity)
             .map(|(u, c)| u.saturating_sub(*c) as u64)
-            .sum::<u64>();
-        let v = self
-            .v_use
-            .iter()
-            .zip(&self.v_cap)
-            .map(|(u, c)| u.saturating_sub(*c) as u64)
-            .sum::<u64>();
-        h + v
+            .sum()
     }
 }
 
@@ -195,67 +192,56 @@ fn pattern_candidates(from: Cell, to: Cell, z_samples: usize) -> Vec<Vec<Cell>> 
     out
 }
 
+/// The unit edges of the rectilinear path `from → waypoints[0] → …`,
+/// in walk order, each with the cell it steps onto. Each leg moves
+/// along x first, then along y.
+fn path_steps(from: Cell, waypoints: &[Cell]) -> impl Iterator<Item = (Edge2d, Cell)> + '_ {
+    let mut cur = from;
+    let mut legs = waypoints.iter();
+    let mut target = legs.next().copied();
+    std::iter::from_fn(move || loop {
+        let w = target?;
+        let (edge, next) = if cur.x < w.x {
+            (
+                Edge2d::horizontal(cur.x, cur.y),
+                Cell::new(cur.x + 1, cur.y),
+            )
+        } else if cur.x > w.x {
+            (
+                Edge2d::horizontal(cur.x - 1, cur.y),
+                Cell::new(cur.x - 1, cur.y),
+            )
+        } else if cur.y < w.y {
+            (Edge2d::vertical(cur.x, cur.y), Cell::new(cur.x, cur.y + 1))
+        } else if cur.y > w.y {
+            (
+                Edge2d::vertical(cur.x, cur.y - 1),
+                Cell::new(cur.x, cur.y - 1),
+            )
+        } else {
+            target = legs.next().copied();
+            continue;
+        };
+        cur = next;
+        return Some((edge, next));
+    })
+}
+
 /// Sums edge costs along a rectilinear multi-leg path.
-fn path_cost(
-    cong: &CongestionMap,
-    config: &RouterConfig,
-    mut from: Cell,
-    waypoints: &[Cell],
-) -> f64 {
-    let mut total = 0.0;
-    for &w in waypoints {
-        let mut cur = from;
-        while cur != w {
-            let next = if cur.x < w.x {
-                Cell::new(cur.x + 1, cur.y)
-            } else if cur.x > w.x {
-                Cell::new(cur.x - 1, cur.y)
-            } else if cur.y < w.y {
-                Cell::new(cur.x, cur.y + 1)
-            } else {
-                Cell::new(cur.x, cur.y - 1)
-            };
-            // invariant: `next` steps one cell toward `w`.
-            total += cong.cost(Edge2d::between(cur, next).expect("adjacent"), config);
-            cur = next;
-        }
-        from = w;
-    }
-    total
+fn path_cost(cong: &CongestionMap, from: Cell, waypoints: &[Cell]) -> f64 {
+    path_steps(from, waypoints).fold(0.0, |total, (e, _)| total + cong.cost(e))
 }
 
 /// Whether any edge along the path is already at or beyond capacity.
-fn path_overflows(cong: &CongestionMap, mut from: Cell, waypoints: &[Cell]) -> bool {
-    for &w in waypoints {
-        let mut cur = from;
-        while cur != w {
-            let next = if cur.x < w.x {
-                Cell::new(cur.x + 1, cur.y)
-            } else if cur.x > w.x {
-                Cell::new(cur.x - 1, cur.y)
-            } else if cur.y < w.y {
-                Cell::new(cur.x, cur.y + 1)
-            } else {
-                Cell::new(cur.x, cur.y - 1)
-            };
-            // invariant: `next` steps one cell toward `w`.
-            let e = Edge2d::between(cur, next).expect("adjacent");
-            if cong.usage(e) >= cong.capacity(e) {
-                return true;
-            }
-            cur = next;
-        }
-        from = w;
-    }
-    false
+fn path_overflows(cong: &CongestionMap, from: Cell, waypoints: &[Cell]) -> bool {
+    path_steps(from, waypoints).any(|(e, _)| cong.usage(e) >= cong.capacity(e))
 }
 
 /// Closest point of the current tree to `target`: either an existing node
 /// or a cell interior to a segment (which must then be split).
-fn closest_tree_point(builder: &RouteTreeBuilder, tree_cells: &[Cell], target: Cell) -> Cell {
+fn closest_tree_point(tree_cells: &[Cell], target: Cell) -> Cell {
     // All tree cells (node cells plus segment interiors) are maintained
     // by the caller in `tree_cells`.
-    let _ = builder;
     *tree_cells
         .iter()
         .min_by_key(|c| c.manhattan(target))
@@ -263,173 +249,191 @@ fn closest_tree_point(builder: &RouteTreeBuilder, tree_cells: &[Cell], target: C
         .expect("tree has at least the root cell")
 }
 
-/// Routes one net spec into a [`Net`], updating `congestion`.
+/// Routes nets one at a time on one grid, sharing a congestion map.
 ///
-/// Pins sharing a cell are merged (the first pin at each cell is kept).
-/// Returns `None` when fewer than two distinct pin locations remain —
-/// such nets have no routing (and no layer-assignment) freedom.
-///
-/// # Panics
-///
-/// Panics if a pin lies outside the grid.
-pub fn route_spec(
-    grid: &Grid,
-    spec: &NetSpec,
-    congestion: &mut CongestionMap,
-    config: &RouterConfig,
-) -> Option<Net> {
-    // Deduplicate pins by cell, keeping the source first.
-    let mut pins = Vec::with_capacity(spec.pins.len());
-    let mut seen = HashSet::new();
-    for p in &spec.pins {
-        assert!(grid.contains(p.cell), "pin {} outside grid", p.cell);
-        if seen.insert(p.cell) {
-            pins.push(*p);
-        }
-    }
-    if pins.len() < 2 {
-        return None;
-    }
-
-    let source = pins[0];
-    let mut builder = RouteTreeBuilder::new(source.cell);
-    // invariant: a just-built root node carries no pin yet.
-    builder.attach_pin(0, 0).expect("fresh root has no pin");
-
-    // Tree geometry bookkeeping: every covered cell, and covered edges
-    // (forbidden to the maze fallback).
-    let mut tree_cells: Vec<Cell> = vec![source.cell];
-    let mut tree_edges: HashSet<Edge2d> = HashSet::new();
-
-    let mut remaining: Vec<usize> = (1..pins.len()).collect();
-    while !remaining.is_empty() {
-        // Nearest unrouted sink to the tree.
-        let (pos, &pin_idx) = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &p)| {
-                tree_cells
-                    .iter()
-                    .map(|c| c.manhattan(pins[p].cell))
-                    .min()
-                    .unwrap_or(u32::MAX)
-            })
-            // invariant: guarded by the loop's !remaining.is_empty().
-            .expect("remaining is non-empty");
-        remaining.swap_remove(pos);
-        let target = pins[pin_idx].cell;
-
-        let attach_cell = closest_tree_point(&builder, &tree_cells, target);
-
-        // Candidate connection paths from the attach point.
-        let waypoints = if attach_cell == target {
-            Vec::new()
-        } else if attach_cell.x == target.x || attach_cell.y == target.y {
-            vec![target]
-        } else {
-            let mut best: Vec<Cell> = Vec::new();
-            let mut best_cost = f64::INFINITY;
-            for cand in pattern_candidates(attach_cell, target, config.z_samples) {
-                let cost = path_cost(congestion, config, attach_cell, &cand);
-                if cost < best_cost {
-                    best_cost = cost;
-                    best = cand;
-                }
-            }
-            if config.maze_fallback && path_overflows(congestion, attach_cell, &best) {
-                if let Some(path) = maze::find_path(
-                    grid.width(),
-                    grid.height(),
-                    attach_cell,
-                    target,
-                    |e| congestion.cost(e, config),
-                    &tree_edges,
-                ) {
-                    let mw = maze::path_waypoints(&path);
-                    let mc = path_cost(congestion, config, attach_cell, &mw);
-                    if mc < best_cost {
-                        best = mw;
-                        best_cost = mc;
-                    }
-                }
-            }
-            let _ = best_cost;
-            best
-        };
-
-        // Find or create the attach node.
-        let attach_node = match builder.find_node_at(attach_cell) {
-            Some(n) => n,
-            None => {
-                let seg = builder
-                    .find_segment_through(attach_cell)
-                    // invariant: attach_cell came from `tree_cells`, all
-                    // of which are node cells or segment interiors.
-                    .expect("closest tree cell must lie on the tree");
-                builder
-                    .split_segment_at(seg, attach_cell)
-                    // invariant: attach_cell is interior to `seg` (it is
-                    // on the segment but is not a node cell).
-                    .expect("interior split cannot fail")
-            }
-        };
-
-        let end_node = if waypoints.is_empty() {
-            attach_node
-        } else {
-            let before = builder.num_nodes();
-            let end = builder
-                .add_path(attach_node, &waypoints)
-                // invariant: pattern_candidates and path_waypoints only
-                // emit axis-aligned waypoint sequences.
-                .expect("waypoints are rectilinear by construction");
-            // Record new geometry.
-            let mut cur = attach_cell;
-            for &w in &waypoints {
-                while cur != w {
-                    let next = if cur.x < w.x {
-                        Cell::new(cur.x + 1, cur.y)
-                    } else if cur.x > w.x {
-                        Cell::new(cur.x - 1, cur.y)
-                    } else if cur.y < w.y {
-                        Cell::new(cur.x, cur.y + 1)
-                    } else {
-                        Cell::new(cur.x, cur.y - 1)
-                    };
-                    // invariant: `next` steps one cell toward `w`.
-                    let e = Edge2d::between(cur, next).expect("adjacent");
-                    congestion.add(e);
-                    tree_edges.insert(e);
-                    tree_cells.push(next);
-                    cur = next;
-                }
-            }
-            let _ = before;
-            end
-        };
-        builder
-            // cast: pin ordinals come from the u32-indexed arena.
-            .attach_pin(end_node, pin_idx as u32)
-            // invariant: dedup above leaves one pin per cell, so no node
-            // is asked to carry a second pin.
-            .expect("pin cells are deduplicated");
-    }
-
-    // invariant: pins.len() >= 2 above guarantees at least one path was
-    // added, so the builder holds a segment.
-    let tree = builder.build().expect("two distinct pins imply a segment");
-    let mut net = Net::new(spec.name.clone(), pins, tree);
-    net.driver_resistance = spec.driver_resistance;
-    Some(net)
+/// The router owns the run's maze buffers and the mask of the current
+/// net's tree edges (forbidden to the maze), so routing a net allocates
+/// no grid-sized state.
+#[derive(Debug)]
+pub struct Router<'g> {
+    grid: &'g Grid,
+    config: RouterConfig,
+    congestion: CongestionMap,
+    search: maze::Search,
+    /// Per-edge mask of the edges covered by the net being routed; all
+    /// clear between nets.
+    on_tree: Vec<bool>,
+    /// Edge indices set in `on_tree`, for clearing it.
+    tree_edges: Vec<usize>,
 }
 
-/// Routes every spec in order, sharing one congestion map. Nets that
-/// collapse to a single cell are dropped.
+impl<'g> Router<'g> {
+    /// A router on `grid` with zero usage.
+    pub fn new(grid: &'g Grid, config: &RouterConfig) -> Router<'g> {
+        let (w, h) = (grid.width(), grid.height());
+        Router {
+            grid,
+            config: *config,
+            congestion: CongestionMap::from_grid(grid, config),
+            search: maze::Search::new(w, h),
+            on_tree: vec![false; maze::num_edges(w, h)],
+            tree_edges: Vec::new(),
+        }
+    }
+
+    /// Routes one net spec into a [`Net`], updating the congestion.
+    ///
+    /// Pins sharing a cell are merged (the first pin at each cell is
+    /// kept). Returns `None` when fewer than two distinct pin locations
+    /// remain — such nets have no routing (and no layer-assignment)
+    /// freedom.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pin lies outside the grid.
+    pub fn route(&mut self, spec: &NetSpec) -> Option<Net> {
+        // Deduplicate pins by cell, keeping the source first.
+        let mut pins = Vec::with_capacity(spec.pins.len());
+        let mut seen = HashSet::new();
+        for p in &spec.pins {
+            assert!(self.grid.contains(p.cell), "pin {} outside grid", p.cell);
+            if seen.insert(p.cell) {
+                pins.push(*p);
+            }
+        }
+        if pins.len() < 2 {
+            return None;
+        }
+
+        let source = pins[0];
+        let mut builder = RouteTreeBuilder::new(source.cell);
+        // invariant: a just-built root node carries no pin yet.
+        builder.attach_pin(0, 0).expect("fresh root has no pin");
+
+        // Tree geometry bookkeeping: every covered cell; covered edges
+        // go to the `on_tree` mask.
+        let mut tree_cells: Vec<Cell> = vec![source.cell];
+
+        let mut remaining: Vec<usize> = (1..pins.len()).collect();
+        while !remaining.is_empty() {
+            // Nearest unrouted sink to the tree.
+            let (pos, &pin_idx) = remaining
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &p)| {
+                    tree_cells
+                        .iter()
+                        .map(|c| c.manhattan(pins[p].cell))
+                        .min()
+                        .unwrap_or(u32::MAX)
+                })
+                // invariant: guarded by the loop's !remaining.is_empty().
+                .expect("remaining is non-empty");
+            remaining.swap_remove(pos);
+            let target = pins[pin_idx].cell;
+
+            let attach_cell = closest_tree_point(&tree_cells, target);
+            let waypoints = self.connection(attach_cell, target);
+
+            // Find or create the attach node.
+            let attach_node = match builder.find_node_at(attach_cell) {
+                Some(n) => n,
+                None => {
+                    let seg = builder
+                        .find_segment_through(attach_cell)
+                        // invariant: attach_cell came from `tree_cells`,
+                        // all of which are node cells or segment
+                        // interiors.
+                        .expect("closest tree cell must lie on the tree");
+                    builder
+                        .split_segment_at(seg, attach_cell)
+                        // invariant: attach_cell is interior to `seg` (it
+                        // is on the segment but is not a node cell).
+                        .expect("interior split cannot fail")
+                }
+            };
+
+            let end_node = if waypoints.is_empty() {
+                attach_node
+            } else {
+                let end = builder
+                    .add_path(attach_node, &waypoints)
+                    // invariant: pattern_candidates and path_waypoints
+                    // only emit axis-aligned waypoint sequences.
+                    .expect("waypoints are rectilinear by construction");
+                // Record new geometry.
+                let (w, h) = (self.grid.width(), self.grid.height());
+                for (e, next) in path_steps(attach_cell, &waypoints) {
+                    self.congestion.add(e);
+                    let i = maze::edge_index(w, h, e);
+                    self.on_tree[i] = true;
+                    self.tree_edges.push(i);
+                    tree_cells.push(next);
+                }
+                end
+            };
+            builder
+                // cast: pin ordinals come from the u32-indexed arena.
+                .attach_pin(end_node, pin_idx as u32)
+                // invariant: dedup above leaves one pin per cell, so no
+                // node is asked to carry a second pin.
+                .expect("pin cells are deduplicated");
+        }
+        for i in self.tree_edges.drain(..) {
+            self.on_tree[i] = false;
+        }
+
+        // invariant: pins.len() >= 2 above guarantees at least one path
+        // was added, so the builder holds a segment.
+        let tree = builder.build().expect("two distinct pins imply a segment");
+        let mut net = Net::new(spec.name.clone(), pins, tree);
+        net.driver_resistance = spec.driver_resistance;
+        Some(net)
+    }
+
+    /// Waypoints of the cheapest connection from the tree cell `from` to
+    /// `to`: a straight run, else the best pattern route, replaced by a
+    /// maze route around the tree when the pattern hits a full edge and
+    /// the maze path is strictly cheaper.
+    fn connection(&mut self, from: Cell, to: Cell) -> Vec<Cell> {
+        if from == to {
+            return Vec::new();
+        }
+        if from.x == to.x || from.y == to.y {
+            return vec![to];
+        }
+        let congestion = &self.congestion;
+        let mut best: Vec<Cell> = Vec::new();
+        let mut best_cost = f64::INFINITY;
+        for cand in pattern_candidates(from, to, self.config.z_samples) {
+            let cost = path_cost(congestion, from, &cand);
+            if cost < best_cost {
+                best_cost = cost;
+                best = cand;
+            }
+        }
+        if self.config.maze_fallback && path_overflows(congestion, from, &best) {
+            if let Some(path) = self
+                .search
+                .find_path(from, to, congestion.costs(), &self.on_tree)
+            {
+                let mw = maze::path_waypoints(&path);
+                if path_cost(congestion, from, &mw) < best_cost {
+                    best = mw;
+                }
+            }
+        }
+        best
+    }
+}
+
+/// Routes every spec in order with one [`Router`]. Nets that collapse to
+/// a single cell are dropped.
 pub fn route_netlist(grid: &Grid, specs: &[NetSpec], config: &RouterConfig) -> Netlist {
-    let mut congestion = CongestionMap::from_grid(grid);
+    let mut router = Router::new(grid, config);
     let mut netlist = Netlist::new();
     for spec in specs {
-        if let Some(net) = route_spec(grid, spec, &mut congestion, config) {
+        if let Some(net) = router.route(spec) {
             netlist.push(net);
         }
     }
@@ -493,16 +497,15 @@ mod tests {
         // row 0... force congestion on the two L corridors and verify a
         // Z gets picked.
         let g = grid();
-        let mut cong = CongestionMap::from_grid(&g);
-        let config = RouterConfig::default();
+        let mut router = Router::new(&g, &RouterConfig::default());
         // Saturate row 0 (horizontal leg of L1) and row 9 (of L2).
         for x in 0..15 {
             for _ in 0..10 {
-                cong.add(Edge2d::horizontal(x, 0));
-                cong.add(Edge2d::horizontal(x, 9));
+                router.congestion.add(Edge2d::horizontal(x, 0));
+                router.congestion.add(Edge2d::horizontal(x, 9));
             }
         }
-        let net = route_spec(&g, &spec(&[(0, 0), (9, 9)]), &mut cong, &config).unwrap();
+        let net = router.route(&spec(&[(0, 0), (9, 9)])).unwrap();
         net.validate(16, 16).unwrap();
         // Minimum length preserved (Z and maze both shouldn't detour
         // here; a middle row is free).
@@ -520,14 +523,8 @@ mod tests {
     #[test]
     fn two_pin_l_route_validates() {
         let g = grid();
-        let mut cong = CongestionMap::from_grid(&g);
-        let net = route_spec(
-            &g,
-            &spec(&[(1, 1), (6, 9)]),
-            &mut cong,
-            &RouterConfig::default(),
-        )
-        .unwrap();
+        let mut router = Router::new(&g, &RouterConfig::default());
+        let net = router.route(&spec(&[(1, 1), (6, 9)])).unwrap();
         net.validate(16, 16).unwrap();
         assert_eq!(net.tree().wirelength(), 5 + 8);
     }
@@ -535,14 +532,10 @@ mod tests {
     #[test]
     fn multi_pin_steiner_tree_validates_and_is_short() {
         let g = grid();
-        let mut cong = CongestionMap::from_grid(&g);
-        let net = route_spec(
-            &g,
-            &spec(&[(2, 2), (10, 2), (6, 8), (2, 12), (14, 14)]),
-            &mut cong,
-            &RouterConfig::default(),
-        )
-        .unwrap();
+        let mut router = Router::new(&g, &RouterConfig::default());
+        let net = router
+            .route(&spec(&[(2, 2), (10, 2), (6, 8), (2, 12), (14, 14)]))
+            .unwrap();
         net.validate(16, 16).unwrap();
         // Tree wirelength is at least the HPWL lower bound and at most
         // the sum of per-sink distances from source (star upper bound).
@@ -558,14 +551,10 @@ mod tests {
     #[test]
     fn duplicate_pins_are_merged() {
         let g = grid();
-        let mut cong = CongestionMap::from_grid(&g);
-        let net = route_spec(
-            &g,
-            &spec(&[(1, 1), (5, 5), (5, 5), (1, 1)]),
-            &mut cong,
-            &RouterConfig::default(),
-        )
-        .unwrap();
+        let mut router = Router::new(&g, &RouterConfig::default());
+        let net = router
+            .route(&spec(&[(1, 1), (5, 5), (5, 5), (1, 1)]))
+            .unwrap();
         assert_eq!(net.pins().len(), 2);
         net.validate(16, 16).unwrap();
     }
@@ -573,14 +562,8 @@ mod tests {
     #[test]
     fn all_pins_same_cell_yields_none() {
         let g = grid();
-        let mut cong = CongestionMap::from_grid(&g);
-        assert!(route_spec(
-            &g,
-            &spec(&[(3, 3), (3, 3)]),
-            &mut cong,
-            &RouterConfig::default(),
-        )
-        .is_none());
+        let mut router = Router::new(&g, &RouterConfig::default());
+        assert!(router.route(&spec(&[(3, 3), (3, 3)])).is_none());
     }
 
     #[test]
@@ -591,12 +574,12 @@ mod tests {
         // congestion awareness must not exceed the naive all-same-row
         // routing.
         let g = grid();
-        let mut cong = CongestionMap::from_grid(&g);
-        let config = RouterConfig::default();
+        let mut router = Router::new(&g, &RouterConfig::default());
         for _ in 0..12 {
-            let net = route_spec(&g, &spec(&[(0, 5), (15, 10)]), &mut cong, &config).unwrap();
+            let net = router.route(&spec(&[(0, 5), (15, 10)])).unwrap();
             net.validate(16, 16).unwrap();
         }
+        let cong = &router.congestion;
         // The direct bend rows would each carry 12 wires against cap 8
         // if the router ignored congestion. It must do better.
         assert!(cong.total_overflow() < 12 * 4, "{}", cong.total_overflow());
@@ -635,7 +618,7 @@ mod tests {
 
         fn check_random_net(seed: u64, pins: usize) {
             let g = grid();
-            let mut cong = CongestionMap::from_grid(&g);
+            let mut router = Router::new(&g, &RouterConfig::default());
             let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
             let mut next = |m: u64| {
                 state ^= state << 13;
@@ -644,8 +627,7 @@ mod tests {
                 (state % m) as u16
             };
             let cells: Vec<(u16, u16)> = (0..pins).map(|_| (next(16), next(16))).collect();
-            let Some(net) = route_spec(&g, &spec(&cells), &mut cong, &RouterConfig::default())
-            else {
+            let Some(net) = router.route(&spec(&cells)) else {
                 // All pins collapsed to one cell: acceptable.
                 return;
             };
@@ -672,15 +654,9 @@ mod tests {
     #[test]
     fn pin_on_existing_segment_splits_it() {
         let g = grid();
-        let mut cong = CongestionMap::from_grid(&g);
+        let mut router = Router::new(&g, &RouterConfig::default());
         // Sink (4,0) lies on the segment to (8,0).
-        let net = route_spec(
-            &g,
-            &spec(&[(0, 0), (8, 0), (4, 0)]),
-            &mut cong,
-            &RouterConfig::default(),
-        )
-        .unwrap();
+        let net = router.route(&spec(&[(0, 0), (8, 0), (4, 0)])).unwrap();
         net.validate(16, 16).unwrap();
         assert_eq!(net.tree().wirelength(), 8);
         assert_eq!(net.tree().num_segments(), 2);

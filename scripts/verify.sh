@@ -39,6 +39,9 @@ cargo test -q --offline
 echo "==> workspace tests"
 cargo test --workspace -q --offline
 
+echo "==> route/ispd full property sweeps"
+cargo test -q --offline -p route -p ispd --features proptest
+
 echo "==> benchmark package tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
