@@ -1,7 +1,6 @@
-//! `cpla-bench`: end-to-end pipeline benchmark comparing the legacy and
-//! incremental CPLA evaluation pipelines on a synthetic ISPD-like
-//! workload, emitting machine-readable JSON (stats are hand-serialized —
-//! the toolchain is hermetic, no serde).
+//! `cpla-bench`: end-to-end benchmark of the incremental CPLA pipeline
+//! on a synthetic ISPD-like workload, emitting machine-readable JSON
+//! (stats are hand-serialized — the toolchain is hermetic, no serde).
 //!
 //! ```text
 //! cargo run --release -p cpla-bench -- --threads 4 --nets 400
@@ -9,9 +8,7 @@
 //!
 //! Flags (all optional): `--seed N`, `--nets N`, `--size WxH`,
 //! `--layers N`, `--capacity N`, `--threads N`, `--ratio F`,
-//! `--rounds N`, `--mode both|legacy|incremental`,
-//! `--solve-backend both|per-leaf|batched` (Solve-stage execution
-//! shape; `both` benches the full mode × backend matrix),
+//! `--rounds N`, `--reps N`,
 //! `--trace <file.jsonl>` (per-stage JSON-lines trace),
 //! `--alloc-stats` (per-span allocation accounting),
 //! `--trace-chrome <file.json>` (Chrome `trace_event` span dump for
@@ -19,15 +16,17 @@
 //! text dump), `--bench-json <file|none>` (per-stage p50/p95 baseline,
 //! default `BENCH_cpla.json`), `--preset scale-100k|scale-1m` (fix the
 //! design to a scale-generator config, overriding the design flags),
-//! `--compare-threads N` (additionally run the first enabled cell at
-//! 1 and N threads and record the wall ratio under `thread_scaling`).
+//! `--compare-threads N` (additionally run the workload at 1 and N
+//! threads and record the wall ratio under `thread_scaling`),
+//! `--assigners tila,lagrange,greedy,race` (extra stdout rows).
+//! A flag error exits 2 with a message naming the flag.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
-use cpla::{Cpla, CplaConfig, CplaReport, PipelineMode, PipelineStats};
-use flow::{RoundSnapshot, SolveBackend, Stage, StageObserver};
+use cpla::{Cpla, CplaConfig, CplaReport, PipelineStats};
+use flow::{RoundSnapshot, Stage, StageObserver};
 use grid::Grid;
 use ispd::SyntheticConfig;
 use net::{Assignment, Netlist};
@@ -39,14 +38,16 @@ use route::{initial_assignment, route_netlist, RouterConfig};
 #[global_allocator]
 static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
 
+/// Label of the CPLA run in every report: its key in the JSON outputs
+/// and the name of its span recorder.
+const CELL: &str = "incremental";
+
 /// A [`StageObserver`] that appends one JSON object per stage boundary
 /// and per round to a file — the machine-readable counterpart of
 /// watching the pipeline run. Hand-serialized like the summary JSON
 /// (the toolchain is hermetic, no serde).
 struct JsonlTrace {
     out: BufWriter<File>,
-    /// Pipeline label stamped on every record.
-    mode: &'static str,
     /// Repetition index stamped on every record.
     rep: usize,
 }
@@ -59,7 +60,6 @@ impl JsonlTrace {
         });
         JsonlTrace {
             out: BufWriter::new(file),
-            mode: "",
             rep: 0,
         }
     }
@@ -75,9 +75,8 @@ impl JsonlTrace {
 impl StageObserver for JsonlTrace {
     fn on_stage_start(&mut self, round: usize, stage: Stage) {
         let record = format!(
-            "{{\"event\":\"stage_start\",\"mode\":\"{}\",\"rep\":{},\
+            "{{\"event\":\"stage_start\",\"mode\":\"{CELL}\",\"rep\":{},\
              \"round\":{},\"stage\":\"{}\"}}",
-            self.mode,
             self.rep,
             round,
             stage.name(),
@@ -87,9 +86,8 @@ impl StageObserver for JsonlTrace {
 
     fn on_stage_end(&mut self, round: usize, stage: Stage, seconds: f64) {
         let record = format!(
-            "{{\"event\":\"stage_end\",\"mode\":\"{}\",\"rep\":{},\
+            "{{\"event\":\"stage_end\",\"mode\":\"{CELL}\",\"rep\":{},\
              \"round\":{},\"stage\":\"{}\",\"seconds\":{:.6}}}",
-            self.mode,
             self.rep,
             round,
             stage.name(),
@@ -101,11 +99,10 @@ impl StageObserver for JsonlTrace {
     fn on_round_end(&mut self, snapshot: &RoundSnapshot) {
         let c = snapshot.counters;
         let record = format!(
-            "{{\"event\":\"round_end\",\"mode\":\"{}\",\"rep\":{},\
+            "{{\"event\":\"round_end\",\"mode\":\"{CELL}\",\"rep\":{},\
              \"round\":{},\"objective\":{:.6},\"improved\":{},\
              \"partitions_solved\":{},\"partitions_reused\":{},\
              \"evaluations\":{},\"gate_accepted\":{},\"gate_rejected\":{}}}",
-            self.mode,
             self.rep,
             snapshot.round,
             snapshot.objective,
@@ -132,8 +129,6 @@ struct Args {
     ratio: f64,
     rounds: usize,
     reps: usize,
-    mode: String,
-    solve_backend: String,
     trace: Option<String>,
     alloc_stats: bool,
     trace_chrome: Option<String>,
@@ -141,10 +136,10 @@ struct Args {
     bench_json: Option<String>,
     /// Scale-generator config name; fixes the design fields.
     preset: Option<String>,
-    /// Also run the first enabled cell at 1 and N threads and record
-    /// the wall ratio.
+    /// Also run the workload at 1 and N threads and record the wall
+    /// ratio.
     compare_threads: Option<usize>,
-    /// Extra `LayerAssigner` backends to row up against the CPLA matrix
+    /// Extra `LayerAssigner` backends to row up against the CPLA run
     /// (`tila`, `lagrange`, `greedy`, `race`). Only the stdout summary
     /// gains an `assigners` object; the baseline-checked
     /// `BENCH_cpla.json` is untouched, so CI diffs stay stable.
@@ -164,8 +159,6 @@ impl Default for Args {
             ratio: 0.05,
             rounds: 8,
             reps: 3,
-            mode: "both".to_string(),
-            solve_backend: "both".to_string(),
             trace: None,
             alloc_stats: false,
             trace_chrome: None,
@@ -176,6 +169,14 @@ impl Default for Args {
             assigners: Vec::new(),
         }
     }
+}
+
+/// Parses `name`'s value, or exits 2 with a message naming the flag.
+fn parse_flag<T: std::str::FromStr>(name: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("{name}: not a valid value: {v}");
+        std::process::exit(2);
+    })
 }
 
 fn parse_args() -> Args {
@@ -189,32 +190,29 @@ fn parse_args() -> Args {
             })
         };
         match flag.as_str() {
-            "--seed" => args.seed = value("--seed").parse().unwrap(),
-            "--nets" => args.nets = value("--nets").parse().unwrap(),
+            "--seed" => args.seed = parse_flag("--seed", &value("--seed")),
+            "--nets" => args.nets = parse_flag("--nets", &value("--nets")),
             "--size" => {
                 let v = value("--size");
                 let (w, h) = v.split_once('x').unwrap_or_else(|| {
                     eprintln!("--size expects WxH, got {v}");
                     std::process::exit(2);
                 });
-                args.width = w.parse().unwrap();
-                args.height = h.parse().unwrap();
+                args.width = parse_flag("--size", w);
+                args.height = parse_flag("--size", h);
             }
-            "--layers" => args.layers = value("--layers").parse().unwrap(),
-            "--capacity" => args.capacity = value("--capacity").parse().unwrap(),
-            "--threads" => args.threads = value("--threads").parse().unwrap(),
-            "--ratio" => args.ratio = value("--ratio").parse().unwrap(),
-            "--rounds" => args.rounds = value("--rounds").parse().unwrap(),
-            "--reps" => args.reps = value("--reps").parse().unwrap(),
-            "--mode" => args.mode = value("--mode"),
-            "--solve-backend" => {
-                let v = value("--solve-backend");
-                if !matches!(v.as_str(), "both" | "per-leaf" | "batched") {
-                    eprintln!("--solve-backend expects both|per-leaf|batched, got {v}");
+            "--layers" => args.layers = parse_flag("--layers", &value("--layers")),
+            "--capacity" => args.capacity = parse_flag("--capacity", &value("--capacity")),
+            "--threads" => args.threads = parse_flag("--threads", &value("--threads")),
+            "--ratio" => {
+                args.ratio = parse_flag("--ratio", &value("--ratio"));
+                if let Err(e) = flow::validate_ratio("--ratio", args.ratio) {
+                    eprintln!("{e}");
                     std::process::exit(2);
                 }
-                args.solve_backend = v;
             }
+            "--rounds" => args.rounds = parse_flag("--rounds", &value("--rounds")),
+            "--reps" => args.reps = parse_flag("--reps", &value("--reps")),
             "--trace" => args.trace = Some(value("--trace")),
             "--alloc-stats" => args.alloc_stats = true,
             "--trace-chrome" => args.trace_chrome = Some(value("--trace-chrome")),
@@ -232,7 +230,8 @@ fn parse_args() -> Args {
                 args.preset = Some(v);
             }
             "--compare-threads" => {
-                args.compare_threads = Some(value("--compare-threads").parse().unwrap())
+                args.compare_threads =
+                    Some(parse_flag("--compare-threads", &value("--compare-threads")))
             }
             "--assigners" => {
                 let v = value("--assigners");
@@ -250,10 +249,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: cpla-bench [--seed N] [--nets N] [--size WxH] \
                      [--layers N] [--capacity N] [--threads N] [--ratio F] \
-                     [--rounds N] [--reps N] \
-                     [--mode both|legacy|incremental] \
-                     [--solve-backend both|per-leaf|batched] \
-                     [--trace file.jsonl] \
+                     [--rounds N] [--reps N] [--trace file.jsonl] \
                      [--alloc-stats] [--trace-chrome file.json] \
                      [--metrics file.txt] [--bench-json file|none] \
                      [--preset scale-100k|scale-1m] [--compare-threads N] \
@@ -282,38 +278,30 @@ struct RunOutcome {
     wire_overflow: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_mode(
+fn run_cpla(
     args: &Args,
-    mode: PipelineMode,
-    solve_backend: SolveBackend,
-    label: &'static str,
     grid: &Grid,
     netlist: &Netlist,
     assignment: &Assignment,
-    trace: Option<&mut JsonlTrace>,
+    mut trace: Option<&mut JsonlTrace>,
 ) -> RunOutcome {
     let config = CplaConfig {
         critical_ratio: args.ratio,
         max_rounds: args.rounds,
         threads: args.threads,
-        mode,
-        solve_backend,
         alloc_stats: args.alloc_stats,
         ..CplaConfig::default()
     };
-    let mut trace = trace;
-    // The engine is deterministic per mode, so repetitions only differ
-    // in scheduler noise: report the minimum wall time.
+    // The engine is deterministic, so repetitions only differ in
+    // scheduler noise: report the minimum wall time.
     let mut best: Option<RunOutcome> = None;
     for rep in 0..args.reps.max(1) {
         let mut grid = grid.clone();
         let mut assignment = assignment.clone();
-        let mut recorder = Recorder::new(label);
+        let mut recorder = Recorder::new(CELL);
         obs::alloc::reset_peak();
         let mut observers: Vec<&mut dyn flow::StageObserver> = Vec::new();
         if let Some(t) = trace.as_deref_mut() {
-            t.mode = label;
             t.rep = rep;
             observers.push(t);
         }
@@ -342,8 +330,8 @@ fn run_mode(
 }
 
 /// One `--assigners` row: the named backend run through the
-/// `LayerAssigner` seam on the same routed workload the CPLA matrix
-/// used; minimum wall time over `--reps` repetitions, like `run_mode`.
+/// `LayerAssigner` seam on the same routed workload the CPLA run used;
+/// minimum wall time over `--reps` repetitions, like `run_cpla`.
 fn run_assigner(
     args: &Args,
     name: &str,
@@ -352,21 +340,12 @@ fn run_assigner(
     assignment: &Assignment,
 ) -> String {
     let make = || -> Box<dyn flow::LayerAssigner> {
-        let solve_backend = if args.solve_backend == "batched" {
-            SolveBackend::Batched
-        } else {
-            SolveBackend::PerLeaf
-        };
         match name {
             "tila" => Box::new(conform::tila_backend(args.ratio)),
             "lagrange" => Box::new(conform::lagrange_backend(args.ratio)),
             "greedy" => Box::new(conform::greedy_backend(args.ratio)),
             // invariant: parse_args rejected every other name.
-            _ => Box::new(conform::race_backend(
-                args.ratio,
-                args.threads,
-                solve_backend,
-            )),
+            _ => Box::new(conform::race_backend(args.ratio, args.threads)),
         }
     };
     let mut best: Option<(f64, flow::FlowReport, u64, u64)> = None;
@@ -408,8 +387,7 @@ fn json_stats(s: &PipelineStats) -> String {
          \"extract_secs\":{:.6},\"solve_secs\":{:.6},\"apply_secs\":{:.6},\
          \"metrics_secs\":{:.6},\"rounds\":{},\"partitions_solved\":{},\
          \"partitions_reused\":{},\"cache_hit_rate\":{:.4},\
-         \"evaluations\":{},\"gate_accepted\":{},\"gate_rejected\":{},\
-         \"batch_sweeps\":{},\"batch_retired_early\":{}}}",
+         \"evaluations\":{},\"gate_accepted\":{},\"gate_rejected\":{}}}",
         s.context_secs,
         s.partition_secs,
         s.extract_secs,
@@ -423,8 +401,6 @@ fn json_stats(s: &PipelineStats) -> String {
         s.evaluations,
         s.gate_accepted,
         s.gate_rejected,
-        s.batch_sweeps,
-        s.batch_retired_early,
     )
 }
 
@@ -443,8 +419,9 @@ fn json_run(o: &RunOutcome) -> String {
     )
 }
 
-/// Per-mode entry of `BENCH_cpla.json`: run-level quality/cost numbers
-/// plus the per-stage p50/p95 wall and allocation rollup.
+/// The run's entry under `modes` in `BENCH_cpla.json`: run-level
+/// quality/cost numbers plus the per-stage p50/p95 wall and allocation
+/// rollup.
 /// `peak_alloc_bytes` is `null` unless `--alloc-stats` actually
 /// measured it — a literal 0 would read as "measured, allocated
 /// nothing", which is never true.
@@ -473,8 +450,7 @@ fn json_bench_mode(o: &RunOutcome, alloc_stats: bool) -> String {
          \"avg_tcp_final\":{:.6},\"max_tcp_final\":{:.6},\
          \"via_overflow\":{},\"via_count\":{},\"wire_overflow\":{},\
          \"rounds\":{},\"released\":{},\"peak_alloc_bytes\":{},\
-         \"solve_secs\":{:.6},\"batch_sweeps\":{},\
-         \"batch_retired_early\":{},\"stages\":{{{}}}}}",
+         \"solve_secs\":{:.6},\"stages\":{{{}}}}}",
         o.wall_secs,
         o.report.initial_metrics.avg_tcp,
         o.report.final_metrics.avg_tcp,
@@ -490,8 +466,6 @@ fn json_bench_mode(o: &RunOutcome, alloc_stats: bool) -> String {
             "null".to_string()
         },
         o.report.stats.solve_secs,
-        o.report.stats.batch_sweeps,
-        o.report.stats.batch_retired_early,
         stages,
     )
 }
@@ -499,18 +473,13 @@ fn json_bench_mode(o: &RunOutcome, alloc_stats: bool) -> String {
 /// The whole `BENCH_cpla.json` document. Stage *keys* are the stable
 /// contract (CI diffs them against the committed baseline); the numeric
 /// values are a trajectory, expected to drift run to run.
-fn json_bench(args: &Args, modes: &[(&str, &RunOutcome)], thread_scaling: Option<&str>) -> String {
-    let mode_objs = modes
-        .iter()
-        .map(|(label, o)| format!("\"{label}\":{}", json_bench_mode(o, args.alloc_stats)))
-        .collect::<Vec<_>>()
-        .join(",");
+fn json_bench(args: &Args, o: &RunOutcome, thread_scaling: Option<&str>) -> String {
     format!(
         "{{\n\"schema\":2,\n\"design\":{{\"seed\":{},\"nets\":{},\"width\":{},\
          \"height\":{},\"layers\":{},\"capacity\":{},\"preset\":{}}},\n\
          \"threads\":{},\"reps\":{},\"ratio\":{},\"rounds\":{},\
-         \"alloc_stats\":{},\"solve_backend\":\"{}\",\
-         \"thread_scaling\":{},\n\"modes\":{{{}}}\n}}\n",
+         \"alloc_stats\":{},\"thread_scaling\":{},\n\
+         \"modes\":{{\"{CELL}\":{}}}\n}}\n",
         args.seed,
         args.nets,
         args.width,
@@ -525,9 +494,8 @@ fn json_bench(args: &Args, modes: &[(&str, &RunOutcome)], thread_scaling: Option
         args.ratio,
         args.rounds,
         args.alloc_stats,
-        args.solve_backend,
         thread_scaling.unwrap_or("null"),
-        mode_objs,
+        json_bench_mode(o, args.alloc_stats),
     )
 }
 
@@ -579,60 +547,7 @@ fn main() {
     );
 
     let mut trace = args.trace.as_deref().map(JsonlTrace::create);
-
-    // The bench matrix: pipeline mode × solve backend. Per-leaf cells
-    // keep their historical labels; batched cells are suffixed so the
-    // baseline diff in CI treats them as distinct entries.
-    let mode_on = |m: &str| args.mode == "both" || args.mode == m;
-    let backend_on = |b: &str| args.solve_backend == "both" || args.solve_backend == b;
-    let cell_on = |mode: PipelineMode, backend: SolveBackend| {
-        let m = match mode {
-            PipelineMode::Legacy => "legacy",
-            PipelineMode::Incremental => "incremental",
-        };
-        mode_on(m) && backend_on(backend.name())
-    };
-    let cells: [(&'static str, PipelineMode, SolveBackend); 4] = [
-        ("legacy", PipelineMode::Legacy, SolveBackend::PerLeaf),
-        (
-            "incremental",
-            PipelineMode::Incremental,
-            SolveBackend::PerLeaf,
-        ),
-        (
-            "legacy+batched",
-            PipelineMode::Legacy,
-            SolveBackend::Batched,
-        ),
-        (
-            "incremental+batched",
-            PipelineMode::Incremental,
-            SolveBackend::Batched,
-        ),
-    ];
-    let outcomes: Vec<(&'static str, RunOutcome)> = cells
-        .into_iter()
-        .filter(|&(_, mode, backend)| cell_on(mode, backend))
-        .map(|(label, mode, backend)| {
-            (
-                label,
-                run_mode(
-                    &args,
-                    mode,
-                    backend,
-                    label,
-                    &grid,
-                    &netlist,
-                    &assignment,
-                    trace.as_mut(),
-                ),
-            )
-        })
-        .collect();
-    let find = |label: &str| outcomes.iter().find(|(l, _)| *l == label).map(|(_, o)| o);
-    let legacy = find("legacy");
-    let incremental = find("incremental");
-
+    let outcome = run_cpla(&args, &grid, &netlist, &assignment, trace.as_mut());
     if let Some(t) = trace.as_mut() {
         t.out.flush().unwrap_or_else(|e| {
             eprintln!("trace flush failed: {e}");
@@ -640,24 +555,19 @@ fn main() {
         });
     }
 
-    // --compare-threads: rerun the first enabled cell at 1 and N
-    // threads (fresh runs so the matrix cells above stay comparable)
-    // and record the wall ratio. This is the shard-scaling evidence the
-    // scale presets exist to collect.
+    // --compare-threads: rerun at 1 and N threads (fresh runs so the
+    // run above stays comparable) and record the wall ratio. This is
+    // the shard-scaling evidence the scale presets exist to collect.
     let thread_scaling = args.compare_threads.map(|n| {
-        let (label, mode, backend) = cells
-            .into_iter()
-            .find(|&(_, mode, backend)| cell_on(mode, backend))
-            .unwrap_or(cells[1]);
         let run_at = |threads: usize| {
             let mut a = args.clone();
             a.threads = threads;
-            run_mode(&a, mode, backend, label, &grid, &netlist, &assignment, None)
+            run_cpla(&a, &grid, &netlist, &assignment, None)
         };
         let base = run_at(1);
         let scaled = run_at(n.max(1));
         format!(
-            "{{\"cell\":\"{label}\",\"threads\":{},\
+            "{{\"cell\":\"{CELL}\",\"threads\":{},\
              \"wall_threads1_secs\":{:.6},\"wall_secs\":{:.6},\
              \"ratio\":{:.4}}}",
             n.max(1),
@@ -667,8 +577,7 @@ fn main() {
         )
     });
 
-    let modes: Vec<(&str, &RunOutcome)> = outcomes.iter().map(|(l, o)| (*l, o)).collect();
-    let recorders: Vec<&Recorder> = modes.iter().map(|(_, o)| &o.recorder).collect();
+    let recorders = [&outcome.recorder];
     if let Some(path) = &args.trace_chrome {
         write_artifact(path, "chrome trace", &obs::chrome::export(&recorders));
     }
@@ -679,24 +588,18 @@ fn main() {
         write_artifact(
             path,
             "bench baseline",
-            &json_bench(&args, &modes, thread_scaling.as_deref()),
+            &json_bench(&args, &outcome, thread_scaling.as_deref()),
         );
     }
 
-    let mut fields = vec![format!(
-        "\"design\":{{\"seed\":{},\"nets\":{},\"width\":{},\"height\":{},\
-         \"layers\":{},\"capacity\":{}}},\"threads\":{}",
-        args.seed, args.nets, args.width, args.height, args.layers, args.capacity, args.threads,
-    )];
-    for (label, o) in &outcomes {
-        fields.push(format!("\"{label}\":{}", json_run(o)));
-    }
-    if let (Some(l), Some(i)) = (legacy, incremental) {
-        fields.push(format!(
-            "\"speedup\":{:.3}",
-            l.wall_secs / i.wall_secs.max(1e-12)
-        ));
-    }
+    let mut fields = vec![
+        format!(
+            "\"design\":{{\"seed\":{},\"nets\":{},\"width\":{},\"height\":{},\
+             \"layers\":{},\"capacity\":{}}},\"threads\":{}",
+            args.seed, args.nets, args.width, args.height, args.layers, args.capacity, args.threads,
+        ),
+        format!("\"{CELL}\":{}", json_run(&outcome)),
+    ];
     if let Some(ts) = &thread_scaling {
         fields.push(format!("\"thread_scaling\":{ts}"));
     }
@@ -710,23 +613,6 @@ fn main() {
             .map(|name| run_assigner(&args, name, &grid, &netlist, &assignment))
             .collect();
         fields.push(format!("\"assigners\":{{{}}}", rows.join(",")));
-    }
-    // The backend comparison the batched path exists for: Solve+PostMap
-    // wall of the batched cell over its per-leaf twin, per mode.
-    for (per_leaf_label, batched_label, key) in [
-        ("legacy", "legacy+batched", "batched_solve_ratio_legacy"),
-        (
-            "incremental",
-            "incremental+batched",
-            "batched_solve_ratio_incremental",
-        ),
-    ] {
-        if let (Some(p), Some(b)) = (find(per_leaf_label), find(batched_label)) {
-            fields.push(format!(
-                "\"{key}\":{:.3}",
-                b.report.stats.solve_secs / p.report.stats.solve_secs.max(1e-12)
-            ));
-        }
     }
     println!("{{{}}}", fields.join(","));
 }

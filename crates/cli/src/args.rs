@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use flow::SolveBackend;
-
 /// Which engine `optimize` runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Engine {
@@ -71,8 +69,8 @@ pub enum Command {
         input: String,
     },
     /// `optimize <file> [--assigner cpla|tila|lagrange|greedy|race] [--ratio R]
-    /// [--engine sdp|ilp|tila] [--solve-backend per-leaf|batched]
-    /// [--neighbors] [--threads N] [--alpha A] [--node-budget N]
+    /// [--engine sdp|ilp|tila] [--neighbors] [--threads N] [--alpha A]
+    /// [--node-budget N]
     /// [--trace-chrome FILE] [--metrics FILE]`: run incremental layer
     /// assignment through the `LayerAssigner` seam.
     Optimize {
@@ -85,8 +83,6 @@ pub enum Command {
         ratio: f64,
         /// CPLA solver selection.
         engine: Engine,
-        /// CPLA Solve-stage execution shape (per-leaf or batched SoA).
-        solve_backend: SolveBackend,
         /// Enable the neighbor-release extension.
         neighbors: bool,
         /// Partition-solver threads.
@@ -134,7 +130,6 @@ USAGE:
   cpla-cli optimize <file.ispd> [--assigner cpla|tila|lagrange|greedy|race]
                                 [--ratio 0.005]
                                 [--engine sdp|ilp|tila]
-                                [--solve-backend per-leaf|batched]
                                 [--neighbors] [--threads N]
                                 [--alpha A] [--node-budget N]
                                 [--trace-chrome out.json] [--metrics out.txt]
@@ -143,6 +138,15 @@ USAGE:
   cpla-cli help
 
 Benchmarks: adaptec1..5, bigblue1..4, newblue1,2,4,5,6,7, small:<seed>.";
+
+/// Parses a `--ratio` value: a critical ratio in `0..=1`.
+fn parse_ratio(v: &str) -> Result<f64, String> {
+    let ratio: f64 = v.parse().map_err(|_| format!("bad ratio `{v}`"))?;
+    if !(0.0..=1.0).contains(&ratio) {
+        return Err(format!("ratio {ratio} outside 0..=1"));
+    }
+    Ok(ratio)
+}
 
 /// Parses the argument vector (without the program name).
 ///
@@ -182,7 +186,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut assigner = None;
             let mut ratio = 0.005f64;
             let mut engine = Engine::Sdp;
-            let mut solve_backend = SolveBackend::PerLeaf;
             let mut neighbors = false;
             let mut threads = 1usize;
             let mut alpha: Option<f64> = None;
@@ -203,11 +206,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         });
                     }
                     "--ratio" => {
-                        let v = it.next().ok_or("--ratio needs a value")?;
-                        ratio = v.parse().map_err(|_| format!("bad ratio `{v}`"))?;
-                        if !(0.0..=1.0).contains(&ratio) {
-                            return Err(format!("ratio {ratio} outside 0..=1"));
-                        }
+                        ratio = parse_ratio(it.next().ok_or("--ratio needs a value")?)?;
                     }
                     "--engine" => {
                         let v = it.next().ok_or("--engine needs a value")?;
@@ -217,11 +216,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                             "tila" => Engine::Tila,
                             other => return Err(format!("unknown engine `{other}`")),
                         };
-                    }
-                    "--solve-backend" => {
-                        let v = it.next().ok_or("--solve-backend needs a value")?;
-                        solve_backend = SolveBackend::parse(v)
-                            .ok_or_else(|| format!("unknown solve backend `{v}`"))?;
                     }
                     "--neighbors" => neighbors = true,
                     "--threads" => {
@@ -261,7 +255,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 assigner,
                 ratio,
                 engine,
-                solve_backend,
                 neighbors,
                 threads,
                 alpha,
@@ -287,8 +280,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         output = Some(it.next().ok_or("svg: -o needs a path")?.clone());
                     }
                     "--ratio" => {
-                        let v = it.next().ok_or("--ratio needs a value")?;
-                        ratio = v.parse().map_err(|_| format!("bad ratio `{v}`"))?;
+                        ratio = parse_ratio(it.next().ok_or("--ratio needs a value")?)?;
                     }
                     other => return Err(format!("svg: unknown argument `{other}`")),
                 }
@@ -342,7 +334,6 @@ mod tests {
                 assigner: Assigner::Cpla,
                 ratio: 0.005,
                 engine: Engine::Sdp,
-                solve_backend: SolveBackend::PerLeaf,
                 neighbors: false,
                 threads: 1,
                 alpha: None,
@@ -370,7 +361,6 @@ mod tests {
                 assigner: Assigner::Tila,
                 ratio: 0.02,
                 engine: Engine::Tila,
-                solve_backend: SolveBackend::PerLeaf,
                 neighbors: true,
                 threads: 4,
                 alpha: None,
@@ -379,20 +369,6 @@ mod tests {
                 metrics: None,
             }
         );
-    }
-
-    #[test]
-    fn optimize_parses_solve_backend() {
-        let c = parse(&v(&["optimize", "d.ispd", "--solve-backend", "batched"])).unwrap();
-        assert!(matches!(
-            c,
-            Command::Optimize {
-                solve_backend: SolveBackend::Batched,
-                ..
-            }
-        ));
-        assert!(parse(&v(&["optimize", "d", "--solve-backend", "magic"])).is_err());
-        assert!(parse(&v(&["optimize", "d", "--solve-backend"])).is_err());
     }
 
     #[test]
@@ -477,6 +453,20 @@ mod tests {
             }
         );
         assert!(parse(&v(&["svg", "d.ispd"])).is_err());
+    }
+
+    #[test]
+    fn both_subcommands_reject_the_same_ratios() {
+        for bad in ["-1", "NaN", "7", "1.0000001", "abc"] {
+            let optimize = parse(&v(&["optimize", "d.ispd", "--ratio", bad]));
+            let svg = parse(&v(&["svg", "d.ispd", "-o", "x.svg", "--ratio", bad]));
+            assert!(optimize.is_err(), "optimize --ratio {bad}");
+            assert!(svg.is_err(), "svg --ratio {bad}");
+        }
+        for good in ["0", "0.25", "1"] {
+            let c = parse(&v(&["svg", "d.ispd", "-o", "x.svg", "--ratio", good])).unwrap();
+            assert!(matches!(c, Command::Svg { ratio, .. } if ratio.to_string() == good));
+        }
     }
 
     #[test]

@@ -260,7 +260,6 @@ fn run(command: Command, out: &mut dyn Write) -> Result<(), CliError> {
             assigner,
             ratio,
             engine,
-            solve_backend,
             neighbors,
             threads,
             alpha,
@@ -287,7 +286,6 @@ fn run(command: Command, out: &mut dyn Write) -> Result<(), CliError> {
                 Box::new(Cpla::new(CplaConfig {
                     critical_ratio: ratio,
                     solver,
-                    solve_backend,
                     release_neighbors: neighbors,
                     threads,
                     alpha: alpha.unwrap_or(defaults.alpha),

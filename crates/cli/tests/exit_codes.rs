@@ -68,6 +68,31 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
+fn bad_ratios_exit_two_on_both_subcommands() {
+    // `svg` once skipped the `0..=1` check: a negative or NaN ratio
+    // panicked in critical-net selection (exit 101) and `--ratio 7`
+    // silently highlighted every net.
+    let f = Scratch::new("ratio.ispd", TINY);
+    let svg = std::env::temp_dir().join(format!("cpla-cli-{}-ratio.svg", std::process::id()));
+    let svg = svg.to_str().unwrap();
+    for bad in ["-1", "NaN", "7"] {
+        for args in [
+            vec!["svg", f.path(), "-o", svg, "--ratio", bad],
+            vec!["optimize", f.path(), "--ratio", bad],
+        ] {
+            let out = bin().args(&args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(exit_of(&out), 2, "{args:?}: stderr: {stderr}");
+            assert!(stderr.contains("ratio"), "{args:?}: {stderr}");
+        }
+    }
+    assert!(
+        !std::path::Path::new(svg).exists(),
+        "a rejected run wrote {svg}"
+    );
+}
+
+#[test]
 fn missing_file_exits_one() {
     let out = bin()
         .args(["optimize", "/nonexistent/nowhere.ispd"])

@@ -1,6 +1,6 @@
 //! `cpla-conform` — the conformance fuzzer binary.
 //!
-//! Drives N seeded trials through both layer-assignment backends,
+//! Drives N seeded trials through every layer-assignment backend,
 //! classifies every outcome, and on failure shrinks the workload and
 //! writes a self-contained JSON reproducer (replayable with
 //! `cpla-cli replay <file>` or [`conform::check_workload`]). Exits
@@ -21,7 +21,7 @@ struct Args {
 
 const USAGE: &str = "usage: cpla-conform [--trials N] [--seed S] [--max-combos M] \
 [--gap-bound G] [--lagrange-gap-bound G] [--greedy-gap-bound G] \
-[--backend per-leaf|batched] [--out DIR] [--verbose]";
+[--out DIR] [--verbose]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -41,28 +41,15 @@ fn parse_args() -> Result<Args, String> {
             "--seed" => args.cfg.seed = parse_num(&value("--seed")?)?,
             "--max-combos" => args.cfg.max_combos = parse_num(&value("--max-combos")?)?,
             "--gap-bound" => {
-                let v = value("--gap-bound")?;
-                args.cfg.cpla_gap_bound = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--gap-bound: not a number: {v}"))?;
+                args.cfg.cpla_gap_bound = parse_bound("--gap-bound", &value("--gap-bound")?)?;
             }
             "--lagrange-gap-bound" => {
                 let v = value("--lagrange-gap-bound")?;
-                args.cfg.lagrange_gap_bound = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--lagrange-gap-bound: not a number: {v}"))?;
+                args.cfg.lagrange_gap_bound = parse_bound("--lagrange-gap-bound", &v)?;
             }
             "--greedy-gap-bound" => {
                 let v = value("--greedy-gap-bound")?;
-                args.cfg.greedy_gap_bound = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--greedy-gap-bound: not a number: {v}"))?;
-            }
-            "--backend" => {
-                let v = value("--backend")?;
-                args.cfg.solve_backend = conform::SolveBackend::parse(&v).ok_or_else(|| {
-                    format!("--backend expects per-leaf|batched, got {v}\n{USAGE}")
-                })?;
+                args.cfg.greedy_gap_bound = parse_bound("--greedy-gap-bound", &v)?;
             }
             "--out" => args.out_dir = PathBuf::from(value("--out")?),
             "--verbose" | "-v" => args.verbose = true,
@@ -78,6 +65,16 @@ fn parse_args() -> Result<Args, String> {
 
 fn parse_num(v: &str) -> Result<u64, String> {
     v.parse::<u64>().map_err(|_| format!("not a number: {v}"))
+}
+
+/// Parses a relative-gap bound. The gates test `gap > bound`, which a
+/// NaN bound never trips, so only finite, non-negative values pass.
+fn parse_bound(flag: &str, v: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(b) if b.is_finite() && b >= 0.0 => Ok(b),
+        Ok(_) => Err(format!("{flag}: must be finite and non-negative, got {v}")),
+        Err(_) => Err(format!("{flag}: not a number: {v}")),
+    }
 }
 
 fn write_reproducer(

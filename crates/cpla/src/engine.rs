@@ -21,7 +21,7 @@ use solver::SdpSolver;
 
 use crate::partition::PartitionStats;
 use crate::Metrics;
-use ::flow::{ConfigError, FlowError, SolveBackend, StageObserver};
+use ::flow::{ConfigError, FlowError, StageObserver};
 
 /// Which mathematical program solves each partition.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -41,29 +41,6 @@ pub enum SolverKind {
     /// [`SolverKind::Sdp`] isolates how much the relaxation's ranking
     /// actually contributes.
     UniformRelaxation,
-}
-
-/// Which evaluation pipeline the engine runs.
-///
-/// The two pipelines share the same eight-stage skeleton; the mode is
-/// applied as *stage composition* when the pipeline is built (cache
-/// on/off, rank-stop on/off, exact gate vs pass-through), not as
-/// branches inside the round loop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PipelineMode {
-    /// The pre-optimization pipeline: every partition is re-extracted
-    /// and re-solved from scratch each round, the ADMM solver always
-    /// cold-starts and runs to its residual tolerance, and mapped
-    /// solutions land without per-net timing verification. Kept as the
-    /// honest baseline `cpla-bench` compares against.
-    Legacy,
-    /// The incremental pipeline: partition results are cached across
-    /// rounds (the alternating division origin makes the same segment
-    /// sets recur), re-solves warm-start ADMM from the cached iterates
-    /// and stop early once the diagonal ranking settles, and every
-    /// touched critical net passes an exact incremental timing gate
-    /// before its changes land.
-    Incremental,
 }
 
 /// Engine configuration.
@@ -117,16 +94,6 @@ pub struct CplaConfig {
     /// sort. `0` (the default) follows [`CplaConfig::threads`]. Results
     /// are identical for every shard count.
     pub partition_shards: usize,
-    /// Evaluation pipeline (see [`PipelineMode`]).
-    pub mode: PipelineMode,
-    /// How the Solve stage executes its SDP relaxations: one solver
-    /// call per partition leaf ([`SolveBackend::PerLeaf`], the
-    /// comparison baseline) or all leaves of a round packed into a flat
-    /// structure-of-arrays arena and advanced in lock-step sweeps
-    /// ([`SolveBackend::Batched`], `solver::solve_batch`). The two
-    /// backends are bit-identical in their results; only wall time and
-    /// allocator traffic differ. Non-SDP solvers ignore the setting.
-    pub solve_backend: SolveBackend,
     /// Re-verify the paper's constraints (4b/4c/4d) and the incremental
     /// Elmore caches against from-scratch recomputation at every gate,
     /// failing the run with [`FlowError::Invariant`](::flow::FlowError)
@@ -153,8 +120,7 @@ impl Default for CplaConfig {
                 max_iterations: 200,
                 tolerance: 1e-4,
                 // Stop once the diagonal ordering has been stable for
-                // two consecutive samples (the incremental pipeline's
-                // default; [`PipelineMode::Legacy`] forces this off).
+                // two consecutive samples.
                 rank_stop_window: 2,
                 ..SdpSolver::default()
             }),
@@ -166,8 +132,6 @@ impl Default for CplaConfig {
             neighbor_weight: 0.2,
             threads: 1,
             partition_shards: 0,
-            mode: PipelineMode::Incremental,
-            solve_backend: SolveBackend::PerLeaf,
             audit_invariants: false,
             alloc_stats: false,
         }
@@ -276,11 +240,6 @@ pub struct PipelineStats {
     pub gate_accepted: usize,
     /// Nets whose proposals the gate rejected.
     pub gate_rejected: usize,
-    /// Lock-step sweeps executed by the batched solve backend (zero
-    /// under [`SolveBackend::PerLeaf`]).
-    pub batch_sweeps: u64,
-    /// Batched-backend lanes that retired before their iteration cap.
-    pub batch_retired_early: u64,
 }
 
 impl PipelineStats {
@@ -518,37 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_backend_matches_per_leaf_bitwise() {
-        // Same fixture, same config, only the solve backend differs:
-        // the final assignments must agree exactly, at one thread and
-        // at four.
-        for threads in [1, 4] {
-            let (mut g1, nl1, mut a1) = fixture(6);
-            let (mut g2, nl2, mut a2) = fixture(6);
-            let per_leaf = CplaConfig {
-                critical_ratio: 0.05,
-                max_rounds: 3,
-                threads,
-                ..CplaConfig::default()
-            };
-            let batched = CplaConfig {
-                solve_backend: SolveBackend::Batched,
-                ..per_leaf
-            };
-            let r1 = Cpla::new(per_leaf).run(&mut g1, &nl1, &mut a1).unwrap();
-            let r2 = Cpla::new(batched).run(&mut g2, &nl2, &mut a2).unwrap();
-            assert_eq!(a1, a2, "backends diverged at threads={threads}");
-            assert_eq!(
-                r1.final_metrics.avg_tcp.to_bits(),
-                r2.final_metrics.avg_tcp.to_bits()
-            );
-            // The batched run actually ran batched (and vice versa).
-            assert!(r2.stats.batch_sweeps > 0);
-            assert_eq!(r1.stats.batch_sweeps, 0);
-        }
-    }
-
-    #[test]
     fn incremental_pipeline_caches_and_instruments() {
         let (mut grid, nl, mut a) = fixture(3);
         // Release enough nets that some partitions sit outside any
@@ -573,41 +501,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mode_reports_no_cache_or_gate_activity() {
-        let (mut grid, nl, mut a) = fixture(3);
+    fn a_run_leaves_a_valid_assignment() {
+        let (mut grid, nl, mut a) = fixture(9);
         let config = CplaConfig {
             critical_ratio: 0.05,
-            max_rounds: 3,
-            mode: PipelineMode::Legacy,
+            max_rounds: 2,
             ..CplaConfig::default()
         };
         let report = Cpla::new(config).run(&mut grid, &nl, &mut a).unwrap();
-        assert_eq!(report.stats.partitions_reused, 0);
-        assert_eq!(report.stats.gate_accepted, 0);
-        assert_eq!(report.stats.gate_rejected, 0);
         assert!(report.final_metrics.avg_tcp <= report.initial_metrics.avg_tcp);
         a.validate(&nl, &grid).unwrap();
-    }
-
-    #[test]
-    fn both_modes_leave_a_valid_assignment() {
-        // The pipelines may accept different (both non-regressing)
-        // states; each must end consistent with the grid.
-        for mode in [PipelineMode::Legacy, PipelineMode::Incremental] {
-            let (mut grid, nl, mut a) = fixture(9);
-            let config = CplaConfig {
-                critical_ratio: 0.05,
-                max_rounds: 2,
-                mode,
-                ..CplaConfig::default()
-            };
-            let report = Cpla::new(config).run(&mut grid, &nl, &mut a).unwrap();
-            assert!(
-                report.final_metrics.avg_tcp <= report.initial_metrics.avg_tcp,
-                "{mode:?}"
-            );
-            a.validate(&nl, &grid).unwrap();
-        }
     }
 
     #[test]

@@ -2,11 +2,8 @@
 //!
 //! One CPLA round is an explicit pipeline of eight [`Stage`]s — Select,
 //! Partition, Extract, Solve, PostMap, Gate, Accept, Measure — each a
-//! small struct with a single `run(&mut FlowContext)` method. The
-//! [`PipelineMode`](crate::PipelineMode) split is *stage composition*:
-//! [`stages_for`] parameterizes the Extract/Solve/PostMap/Gate stages
-//! (cache on/off, rank-stop on/off, exact gate vs pass-through) when the
-//! pipeline is built, so the round loop itself carries no mode branches.
+//! small struct with a single `run(&mut FlowContext)` method, built once
+//! per run by [`stages`].
 //!
 //! [`drive`] owns the round loop: it times every stage, forwards the
 //! boundaries to the attached [`StageObserver`]s, emits a
@@ -19,16 +16,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use ::flow::{
-    FlowCounters, FlowError, LeafSpan, Metrics, RoundSnapshot, SolveBackend, SolveError, Stage,
-    StageObserver,
+    FlowCounters, FlowError, LeafSpan, Metrics, RoundSnapshot, SolveError, Stage, StageObserver,
 };
 use grid::{Grid, UsageSnapshot};
 use net::{Assignment, Netlist, SegmentRef};
-use solver::{solve_batch, BatchArena, BatchItem, SdpProblem, SdpSolver, SolveScratch, SymMatrix};
+use solver::{SdpSolver, SolveScratch, SymMatrix};
 use timing::TimingModel;
 
 use crate::context::{timing_context_into, SegCtx, SegCtxTable};
-use crate::engine::{CplaConfig, CplaReport, PipelineMode, PipelineStats, RoundStats, SolverKind};
+use crate::engine::{CplaConfig, CplaReport, PipelineStats, RoundStats, SolverKind};
 use crate::mapping::{post_map, timing_gate};
 use crate::partition::{partition_segments_sharded, Partition, PartitionStats};
 use crate::problem::PartitionProblem;
@@ -239,31 +235,17 @@ pub(crate) trait FlowStage {
     fn run(&mut self, ctx: &mut FlowContext<'_>) -> Result<(), FlowError>;
 }
 
-/// Composes the stage pipeline for a [`PipelineMode`].
-///
-/// Both pipelines share the same eight-stage skeleton; the mode only
-/// parameterizes the stages that embody the paper's incremental
-/// mechanisms — the cross-round cache (Extract/PostMap), the rank-based
-/// early stop (Solve) and the exact timing gate (Gate).
-pub(crate) fn stages_for(mode: PipelineMode) -> Vec<Box<dyn FlowStage>> {
-    let incremental = mode == PipelineMode::Incremental;
+/// The eight-stage pipeline, in round order.
+pub(crate) fn stages() -> Vec<Box<dyn FlowStage>> {
     vec![
         Box::new(SelectStage),
         Box::new(PartitionStage),
-        Box::new(ExtractStage {
-            use_cache: incremental,
-        }),
+        Box::new(ExtractStage),
         Box::new(SolveStage {
-            rank_stop: incremental,
-            arena: BatchArena::new(),
             scratch: SolveScratch::new(),
         }),
-        Box::new(PostMapStage {
-            use_cache: incremental,
-        }),
-        Box::new(GateStage {
-            exact_timing: incremental,
-        }),
+        Box::new(PostMapStage),
+        Box::new(GateStage),
         Box::new(AcceptStage),
         Box::new(MeasureStage),
     ]
@@ -365,9 +347,7 @@ impl FlowStage for PartitionStage {
 /// Extracts per-partition mathematical programs serially, splitting them
 /// into cache hits (whose stored result is reused verbatim) and misses
 /// (carrying the stale entry's warm-start iterates, if any).
-struct ExtractStage {
-    use_cache: bool,
-}
+struct ExtractStage;
 
 impl FlowStage for ExtractStage {
     fn stage(&self) -> Stage {
@@ -405,18 +385,16 @@ impl FlowStage for ExtractStage {
                 &config.problem,
             );
             let mut warm = None;
-            if self.use_cache {
-                if let Some(entry) = cache.get(&part.segments) {
-                    if entry.problem == problem {
-                        counters.partitions_reused += 1;
-                        // alloc: cache hits hand out owned copies; the
-                        // entry stays resident for later rounds.
-                        results[pi] = entry.result.clone();
-                        continue;
-                    }
-                    // alloc: warm starts are per-leaf owned seeds.
-                    warm = entry.warm.clone();
+            if let Some(entry) = cache.get(&part.segments) {
+                if entry.problem == problem {
+                    counters.partitions_reused += 1;
+                    // alloc: cache hits hand out owned copies; the entry
+                    // stays resident for later rounds.
+                    results[pi] = entry.result.clone();
+                    continue;
                 }
+                // alloc: warm starts are per-leaf owned seeds.
+                warm = entry.warm.clone();
             }
             misses.push((pi, problem, warm));
         }
@@ -432,34 +410,15 @@ impl FlowStage for ExtractStage {
 /// extracted problem and frozen warm start, so the claim order cannot
 /// change any result.
 struct SolveStage {
-    rank_stop: bool,
-    /// Batched-backend arena, kept across rounds so buffers that grew
-    /// in one round are reused (not reallocated) by the next.
-    arena: BatchArena,
-    /// Per-leaf solve scratch for the serial path, likewise kept
-    /// across rounds; parallel workers carry their own.
+    /// Per-leaf solve scratch for the serial path, kept across rounds;
+    /// parallel workers carry their own.
     scratch: SolveScratch,
 }
 
 impl SolveStage {
-    /// Resolves the per-leaf ADMM configuration: the rank-stability
-    /// early stop ranks only the assignment-variable prefix (the slack
-    /// rows behind it never influence post-mapping), and the legacy
-    /// pipeline disables it entirely.
-    fn leaf_solver(rank_stop: bool, base: SdpSolver, problem: &PartitionProblem) -> SdpSolver {
-        let mut cfg = base;
-        if !rank_stop {
-            cfg.rank_stop_window = 0;
-        } else {
-            cfg.rank_stop_vars = problem.num_variables();
-        }
-        cfg
-    }
-
     /// Runs the configured mathematical program on one extracted
     /// problem, without rounding or acceptance (that is PostMap's job).
     fn solve_raw(
-        rank_stop: bool,
         config: &CplaConfig,
         problem: &PartitionProblem,
         warm: Option<&(SymMatrix, SymMatrix)>,
@@ -467,7 +426,13 @@ impl SolveStage {
     ) -> Result<RawSolve, SolveError> {
         match config.solver {
             SolverKind::Sdp(base) => {
-                let sdp_config = Self::leaf_solver(rank_stop, base, problem);
+                // The rank-stability early stop ranks only the
+                // assignment-variable prefix: the slack rows behind it
+                // never influence post-mapping.
+                let sdp_config = SdpSolver {
+                    rank_stop_vars: problem.num_variables(),
+                    ..base
+                };
                 let (sdp, _) = problem.to_sdp();
                 let sol =
                     sdp_config.try_solve_from_with(&sdp, warm.map(|w| (&w.0, &w.1)), scratch)?;
@@ -488,83 +453,6 @@ impl SolveStage {
             }),
         }
     }
-
-    /// The batched Solve backend: packs every miss of the round into
-    /// [`solve_batch`]'s flat structure-of-arrays arena and advances
-    /// all of them in lock-step sweeps. Per lane the floating-point
-    /// sequence is exactly the per-leaf path's, so the two backends
-    /// produce bit-identical raw solutions; only wall time, span shape
-    /// (one [`LeafSpan`] per shard instead of per partition) and
-    /// allocator traffic differ.
-    fn run_batched(&mut self, ctx: &mut FlowContext<'_>, base: SdpSolver) -> Result<(), FlowError> {
-        let round = ctx.round;
-        let rank_stop = self.rank_stop;
-        let anchor = Instant::now();
-        let alloc0 = obs::alloc::thread_stats();
-        if ctx.misses.is_empty() {
-            ctx.raw = Vec::new();
-            return Ok(());
-        }
-
-        // Lane extraction runs serially on the driver: the standard-form
-        // SDPs and per-lane configurations (rank fields depend on each
-        // problem's variable count) are built once, then borrowed by the
-        // batch items.
-        let sdps: Vec<(SdpProblem, SdpSolver)> = ctx
-            .misses
-            .iter()
-            .map(|(_, problem, _)| {
-                let cfg = Self::leaf_solver(rank_stop, base, problem);
-                let (sdp, _) = problem.to_sdp();
-                (sdp, cfg)
-            })
-            .collect();
-        let items: Vec<BatchItem<'_>> = sdps
-            .iter()
-            .zip(ctx.misses.iter())
-            .map(|((sdp, cfg), (_, _, warm))| BatchItem {
-                solver: *cfg,
-                problem: sdp,
-                warm: warm.as_ref().map(|w| (&w.0, &w.1)),
-            })
-            .collect();
-        let setup_secs = anchor.elapsed().as_secs_f64();
-
-        let outcome = solve_batch(&items, ctx.config.threads, &mut self.arena);
-        drop(items);
-        // Shard workers allocate nothing inside their sweeps; the
-        // driver-side delta (lane extraction, arena growth, solution
-        // finalization) is the whole allocator story and is attributed
-        // to the first shard's span.
-        let alloc = obs::alloc::thread_stats().since(alloc0);
-
-        for (si, sh) in outcome.shards.iter().enumerate() {
-            ctx.leaves.push(LeafSpan {
-                round,
-                stage: Stage::Solve,
-                index: si,
-                items: sh.lanes,
-                thread: si,
-                start_secs: setup_secs + sh.start_secs,
-                dur_secs: sh.secs,
-                alloc_bytes: if si == 0 { alloc.bytes } else { 0 },
-                alloc_events: if si == 0 { alloc.events } else { 0 },
-            });
-        }
-        ctx.counters.batch_sweeps += outcome.sweeps;
-        ctx.counters.batch_retired_early += outcome.retired_early;
-        ctx.raw = outcome
-            .results
-            .into_iter()
-            .map(|r| {
-                r.map(|sol| RawSolve::Relaxed {
-                    x: sol.x.diagonal(),
-                    warm: Some((sol.z, sol.u)),
-                })
-            })
-            .collect::<Result<Vec<_>, SolveError>>()?;
-        Ok(())
-    }
 }
 
 impl FlowStage for SolveStage {
@@ -573,15 +461,6 @@ impl FlowStage for SolveStage {
     }
 
     fn run(&mut self, ctx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-        // The batched backend only covers the SDP relaxation; the exact
-        // ILP and the uniform-relaxation ablation keep the per-leaf
-        // execution shape regardless of the configured backend.
-        if ctx.config.solve_backend == SolveBackend::Batched {
-            if let SolverKind::Sdp(base) = ctx.config.solver {
-                return self.run_batched(ctx, base);
-            }
-        }
-        let rank_stop = self.rank_stop;
         let config = &ctx.config;
         let misses = &ctx.misses;
         let round = ctx.round;
@@ -595,7 +474,7 @@ impl FlowStage for SolveStage {
             for (pi, p, w) in misses.iter() {
                 let alloc0 = obs::alloc::thread_stats();
                 let start_secs = anchor.elapsed().as_secs_f64();
-                out.push(Self::solve_raw(rank_stop, config, p, w.as_ref(), scratch));
+                out.push(Self::solve_raw(config, p, w.as_ref(), scratch));
                 let dur_secs = anchor.elapsed().as_secs_f64() - start_secs;
                 let alloc = obs::alloc::thread_stats().since(alloc0);
                 ctx.leaves.push(LeafSpan {
@@ -644,8 +523,7 @@ impl FlowStage for SolveStage {
                             let (pi, p, w) = &misses[mi];
                             let alloc0 = obs::alloc::thread_stats();
                             let start_secs = anchor.elapsed().as_secs_f64();
-                            let out =
-                                Self::solve_raw(rank_stop, config, p, w.as_ref(), &mut scratch);
+                            let out = Self::solve_raw(config, p, w.as_ref(), &mut scratch);
                             let dur_secs = anchor.elapsed().as_secs_f64() - start_secs;
                             let alloc = obs::alloc::thread_stats().since(alloc0);
                             let leaf = LeafSpan {
@@ -686,9 +564,7 @@ impl FlowStage for SolveStage {
 /// Rounds the raw solutions to integral layers (Algorithm 1), judges
 /// acceptance against the partition objective, refreshes the cache, and
 /// merges the accepted per-segment proposals back in partition order.
-struct PostMapStage {
-    use_cache: bool,
-}
+struct PostMapStage;
 
 impl FlowStage for PostMapStage {
     fn stage(&self) -> Stage {
@@ -722,18 +598,16 @@ impl FlowStage for PostMapStage {
             let result: Vec<(SegmentRef, usize)> =
                 problem.segments.iter().copied().zip(layers).collect();
             ctx.counters.partitions_solved += 1;
-            if self.use_cache {
-                // alloc: the cross-round cache owns its key and entry.
-                ctx.cache.insert(
-                    problem.segments.clone(),
-                    CacheEntry {
-                        // alloc: the entry keeps its own copy of the row.
-                        result: result.clone(),
-                        warm: warm_out,
-                        problem,
-                    },
-                );
-            }
+            // alloc: the cross-round cache owns its key and entry.
+            ctx.cache.insert(
+                problem.segments.clone(),
+                CacheEntry {
+                    // alloc: the entry keeps its own copy of the row.
+                    result: result.clone(),
+                    warm: warm_out,
+                    problem,
+                },
+            );
             ctx.results[pi] = result;
         }
         ctx.proposals = ctx.results.drain(..).flatten().collect();
@@ -742,12 +616,9 @@ impl FlowStage for PostMapStage {
 }
 
 /// Groups the proposals per net (in index order, so application is
-/// deterministic), drops no-op changes, and — in the incremental
-/// pipeline — verifies each critical net's proposal against its exact
-/// Elmore delay before letting it land.
-struct GateStage {
-    exact_timing: bool,
-}
+/// deterministic), drops no-op changes, and verifies each critical
+/// net's proposal against its exact Elmore delay before letting it land.
+struct GateStage;
 
 impl FlowStage for GateStage {
     fn stage(&self) -> Stage {
@@ -790,7 +661,7 @@ impl FlowStage for GateStage {
             // so a mapped win can still be an exact-timing loss.
             // Neighbor nets bypass the gate — demoting them off
             // premium layers raises their own delay by design.
-            let layers = if self.exact_timing && ctx.is_released.contains(&ni) {
+            let layers = if ctx.is_released.contains(&ni) {
                 match timing_gate(&ctx.model, net, &current, &real) {
                     Some(layers) => {
                         ctx.counters.gate_accepted += 1;
@@ -971,8 +842,6 @@ impl StageObserver for StatsCollector {
         self.stats.evaluations = c.evaluations;
         self.stats.gate_accepted = c.gate_accepted;
         self.stats.gate_rejected = c.gate_rejected;
-        self.stats.batch_sweeps = c.batch_sweeps;
-        self.stats.batch_retired_early = c.batch_retired_early;
     }
 }
 
@@ -991,7 +860,7 @@ pub(crate) fn drive(
     // Scoped allocation accounting: a no-op unless the hosting binary
     // installed `obs::CountingAlloc`; restored on every exit path.
     let _alloc_scope = config.alloc_stats.then(obs::alloc::ScopedEnable::new);
-    let mut stages = stages_for(config.mode);
+    let mut stages = stages();
     let mut ctx = FlowContext::new(config, grid, netlist, assignment, released, initial_metrics);
 
     for round in 1..=ctx.config.max_rounds {

@@ -4,7 +4,7 @@ use ::flow::{FlowError, FlowReport, LayerAssigner, StageObserver};
 use grid::Grid;
 use net::{Assignment, Netlist};
 
-use crate::engine::{Cpla, PipelineMode, SolverKind};
+use crate::engine::{Cpla, SolverKind};
 
 impl LayerAssigner for Cpla {
     fn name(&self) -> &'static str {
@@ -18,12 +18,8 @@ impl LayerAssigner for Cpla {
             SolverKind::Ilp { .. } => "ilp",
             SolverKind::UniformRelaxation => "uniform",
         };
-        let mode = match c.mode {
-            PipelineMode::Legacy => "legacy",
-            PipelineMode::Incremental => "incremental",
-        };
         format!(
-            "cpla: solver={solver} mode={mode} ratio={} bound={} rounds<={} threads={}",
+            "cpla: solver={solver} ratio={} bound={} rounds<={} threads={}",
             c.critical_ratio, c.max_segments_per_partition, c.max_rounds, c.threads
         )
     }

@@ -49,16 +49,28 @@ impl Cholesky {
     /// matrix is not positive definite.
     pub fn factor(a: &SymMatrix) -> Result<Cholesky, CholeskyError> {
         let n = a.dim();
+        let a = a.as_slice();
         let mut l = vec![0.0f64; n * n];
-        factor_into(a.as_slice(), n, &mut l)?;
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[i * n + j];
+                for k in 0..j {
+                    sum -= l[i * n + k] * l[j * n + k];
+                }
+                if i == j {
+                    if sum <= 0.0 {
+                        return Err(CholeskyError {
+                            pivot: i,
+                            value: sum,
+                        });
+                    }
+                    l[i * n + i] = sum.sqrt();
+                } else {
+                    l[i * n + j] = sum / l[j * n + j];
+                }
+            }
+        }
         Ok(Cholesky { n, l })
-    }
-
-    /// Wraps an already-computed factor (from [`factor_into`]) without
-    /// copying; the batched solver builds its per-lane factors this way.
-    pub(crate) fn from_raw(n: usize, l: Vec<f64>) -> Cholesky {
-        assert_eq!(l.len(), n * n);
-        Cholesky { n, l }
     }
 
     /// Solves `A x = b` using the stored factor.
@@ -111,39 +123,6 @@ impl Cholesky {
     pub fn dim(&self) -> usize {
         self.n
     }
-}
-
-/// Factorizes the flat row-major `n × n` matrix `a` into the
-/// lower-triangular factor written to `l` (which must be zero-filled,
-/// length `n·n`). Shared by [`Cholesky::factor`] and the batched SoA
-/// arena, so the two paths compute identical factors.
-///
-/// # Errors
-///
-/// Returns [`CholeskyError`] if a pivot is non-positive.
-pub(crate) fn factor_into(a: &[f64], n: usize, l: &mut [f64]) -> Result<(), CholeskyError> {
-    assert_eq!(a.len(), n * n);
-    assert_eq!(l.len(), n * n);
-    for i in 0..n {
-        for j in 0..=i {
-            let mut sum = a[i * n + j];
-            for k in 0..j {
-                sum -= l[i * n + k] * l[j * n + k];
-            }
-            if i == j {
-                if sum <= 0.0 {
-                    return Err(CholeskyError {
-                        pivot: i,
-                        value: sum,
-                    });
-                }
-                l[i * n + i] = sum.sqrt();
-            } else {
-                l[i * n + j] = sum / l[j * n + j];
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -67,8 +67,7 @@ pub fn eigen_decompose(m: &SymMatrix) -> Eigen {
 
 /// Householder reduction of a real symmetric matrix to tridiagonal form
 /// (Numerical Recipes `tred2`), operating on flat row-major `n × n`
-/// storage so both [`SymMatrix`] callers and the batched SoA arena can
-/// use it. On exit `a` holds the orthogonal matrix `Q` effecting the
+/// storage. On exit `a` holds the orthogonal matrix `Q` effecting the
 /// reduction, `d` the diagonal and `e` the subdiagonal (with
 /// `e[0] = 0`).
 pub(crate) fn tred2(a: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
@@ -245,10 +244,8 @@ pub fn eigen_decompose_jacobi(m: &SymMatrix) -> Eigen {
 /// Full cyclic-Jacobi diagonalization on flat row-major `n × n` storage:
 /// on exit the diagonal of `a` holds the (unsorted) eigenvalues and `v`
 /// the accumulated rotations (eigenvectors as columns; `v` is
-/// initialized to the identity here). Shared by
-/// [`eigen_decompose_jacobi`] and the batched kernel in
-/// `crate::batch`, so the two paths cannot drift apart.
-pub(crate) fn jacobi_sweeps(a: &mut [f64], v: &mut [f64], n: usize) {
+/// initialized to the identity here).
+fn jacobi_sweeps(a: &mut [f64], v: &mut [f64], n: usize) {
     v.fill(0.0);
     for i in 0..n {
         v[i * n + i] = 1.0;
@@ -312,7 +309,7 @@ pub(crate) fn jacobi_sweeps(a: &mut [f64], v: &mut [f64], n: usize) {
 /// Collects a diagonalized system (`a` diagonal ≈ eigenvalues, `v`
 /// eigenvector columns) into an [`Eigen`] sorted by descending
 /// eigenvalue.
-pub(crate) fn collect_descending(a: &[f64], v: &[f64], n: usize) -> Eigen {
+fn collect_descending(a: &[f64], v: &[f64], n: usize) -> Eigen {
     let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (a[i * n + i], i)).collect();
     pairs.sort_by(|x, y| y.0.total_cmp(&x.0));
     let mut values = Vec::with_capacity(n);

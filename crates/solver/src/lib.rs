@@ -35,18 +35,15 @@
 // rewrites would obscure them.
 #![allow(clippy::needless_range_loop)]
 
-mod batch;
 mod cholesky;
 mod eigen;
 mod error;
 mod ilp;
 mod matrix;
 mod sdp;
+#[cfg(test)]
+mod tests;
 
-pub use batch::{
-    cholesky_factor_batch, jacobi_eigen_batch, solve_batch, BatchArena, BatchItem, BatchOutcome,
-    ShardStats,
-};
 pub use cholesky::{Cholesky, CholeskyError};
 pub use eigen::{eigen_decompose, eigen_decompose_jacobi, Eigen};
 pub use error::SolveError;

@@ -147,13 +147,6 @@ impl SymMatrix {
     pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
-
-    /// Adopts flat row-major storage without copying; the batched
-    /// solver materializes its arena lanes into matrices this way.
-    pub(crate) fn from_raw(n: usize, data: Vec<f64>) -> SymMatrix {
-        assert_eq!(data.len(), n * n);
-        SymMatrix { n, data }
-    }
 }
 
 impl Add for &SymMatrix {

@@ -104,7 +104,8 @@ impl SdpProblem {
         }));
     }
 
-    /// The normalized constraint rows (batch backend input).
+    /// The normalized constraint rows (dense reference input).
+    #[cfg(test)]
     pub(crate) fn constraints_raw(&self) -> &[Constraint] {
         &self.constraints
     }
@@ -113,8 +114,7 @@ impl SdpProblem {
     ///
     /// Coefficients are grouped by matrix entry in a `BTreeMap`, so each
     /// Gram cell accumulates its products in ascending `(i, j)` order:
-    /// the bits are the same on every run, and both solve backends call
-    /// this same function.
+    /// the bits are the same on every run.
     pub(crate) fn gram(&self) -> SymMatrix {
         let m = self.constraints.len();
         let mut g = SymMatrix::zeros(m);
@@ -424,9 +424,8 @@ impl SdpSolver {
     /// infinite entries reach the PSD projection's QL iteration, which
     /// then fails to converge, and a `rho` that is not positive and
     /// finite breaks the penalty. `warm` is the pair the solve will
-    /// use (already filtered by dimension). Both solve backends check
-    /// here, so they reject the same inputs in the same order.
-    pub(crate) fn check_inputs(
+    /// use (already filtered by dimension).
+    fn check_inputs(
         &self,
         problem: &SdpProblem,
         warm: Option<(&SymMatrix, &SymMatrix)>,
@@ -466,9 +465,9 @@ impl SdpSolver {
     /// are small. Every iterate stays zero outside them, and each
     /// iteration updates, projects and measures block by block, in the
     /// dense loop's order. The result is bit-identical to running the
-    /// iteration on dense `n × n` matrices — which is what
-    /// [`crate::solve_batch`] does — once the dense solution, built at
-    /// exit, writes every zero as `+0.0`. All workspaces live in
+    /// iteration on dense `n × n` matrices — the test-only reference in
+    /// `src/tests.rs` does exactly that — once the dense solution, built
+    /// at exit, writes every zero as `+0.0`. All workspaces live in
     /// `scratch`, so no iteration allocates.
     ///
     /// # Errors
@@ -728,7 +727,6 @@ impl SdpSolver {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::{solve_batch, BatchArena, BatchItem};
     use prng::Rng;
 
     /// A dyadic-coefficient assignment-shaped SDP: `rows` two-candidate
@@ -895,29 +893,30 @@ pub(crate) mod tests {
         }
     }
 
-    /// Asserts that both solve backends reject an input, naming it.
+    /// Asserts that the solver rejects an input, naming it.
     fn assert_rejected(
         solver: SdpSolver,
         p: &SdpProblem,
         warm: Option<(&SymMatrix, &SymMatrix)>,
         what: &str,
     ) {
-        let leaf = solver.try_solve_from(p, warm);
-        let items = [BatchItem {
-            solver,
-            problem: p,
-            warm,
-        }];
-        let batched = solve_batch(&items, 1, &mut BatchArena::new());
-        for (backend, got) in [("per-leaf", &leaf), ("batched", &batched.results[0])] {
-            assert!(
-                matches!(got, Err(SolveError::InvalidInput { what: w, .. }) if *w == what),
-                "{backend}: expected {what} rejection, got {got:?}"
-            );
-        }
+        let got = solver.try_solve_from(p, warm);
+        assert!(
+            matches!(got, Err(SolveError::InvalidInput { what: w, .. }) if w == what),
+            "expected {what} rejection, got {got:?}"
+        );
     }
 
     const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    #[test]
+    fn a_zero_dimension_problem_is_a_typed_error() {
+        let empty = SdpProblem::new(SymMatrix::zeros(0));
+        assert!(matches!(
+            SdpSolver::default().try_solve_from(&empty, None),
+            Err(SolveError::Dimension { got: 0, .. })
+        ));
+    }
 
     #[test]
     fn non_finite_cost_entries_are_rejected() {

@@ -53,7 +53,7 @@ echo "==> observability artifacts: cpla-bench + cpla-bench-check"
 # only covers the root package's deps, so build the bench bins
 # explicitly.
 cargo build --release --offline -p cpla-bench
-./target/release/cpla-bench --reps 1 --solve-backend both --alloc-stats \
+./target/release/cpla-bench --reps 1 --alloc-stats \
     --trace-chrome target/obs-trace.json --metrics target/obs-metrics.txt \
     --bench-json target/BENCH_cpla.json >/dev/null
 ./target/release/cpla-bench-check --trace target/obs-trace.json \

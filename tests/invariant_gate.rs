@@ -1,5 +1,4 @@
-//! Runtime invariant-audit gate over the four pinned snapshot
-//! workloads.
+//! Runtime invariant-audit gate over the pinned snapshot workloads.
 //!
 //! With `CplaConfig::audit_invariants` on, every Gate stage and the
 //! final incumbent restore re-verify the paper's constraints — 4b (one
@@ -10,7 +9,7 @@
 //! bit-identical results to the unaudited run (observation must not
 //! perturb the experiment).
 
-use cpla::{Cpla, CplaConfig, PipelineMode};
+use cpla::{Cpla, CplaConfig};
 use ispd::SyntheticConfig;
 use route::{initial_assignment, route_netlist, RouterConfig};
 
@@ -21,7 +20,7 @@ struct Outcome {
     netlist: net::Netlist,
 }
 
-fn run(mode: PipelineMode, seed: u64, audit_invariants: bool) -> Outcome {
+fn run(seed: u64, audit_invariants: bool) -> Outcome {
     let cfg = SyntheticConfig::small(seed);
     let (mut grid, specs) = cfg.generate().expect("valid config");
     let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
@@ -30,7 +29,6 @@ fn run(mode: PipelineMode, seed: u64, audit_invariants: bool) -> Outcome {
         critical_ratio: 0.05,
         max_rounds: 8,
         threads: 1,
-        mode,
         audit_invariants,
         ..CplaConfig::default()
     })
@@ -46,39 +44,37 @@ fn run(mode: PipelineMode, seed: u64, audit_invariants: bool) -> Outcome {
 
 #[test]
 fn audited_runs_match_unaudited_runs_on_all_pinned_workloads() {
-    for mode in [PipelineMode::Legacy, PipelineMode::Incremental] {
-        for seed in [3, 42] {
-            let plain = run(mode, seed, false);
-            let audited = run(mode, seed, true);
-            let label = format!("mode={mode:?} seed={seed}");
-            assert_eq!(
-                plain.report.final_metrics.avg_tcp.to_bits(),
-                audited.report.final_metrics.avg_tcp.to_bits(),
-                "{label}: the audit gate perturbed avg_tcp"
-            );
-            assert_eq!(
-                plain.report.final_metrics.max_tcp.to_bits(),
-                audited.report.final_metrics.max_tcp.to_bits(),
-                "{label}: the audit gate perturbed max_tcp"
-            );
-            assert_eq!(
-                plain.report.final_metrics.via_count, audited.report.final_metrics.via_count,
-                "{label}: the audit gate perturbed via_count"
-            );
-            assert_eq!(
-                plain.report.rounds.len(),
-                audited.report.rounds.len(),
-                "{label}: the audit gate perturbed the round count"
-            );
-            assert_eq!(
-                plain.assignment, audited.assignment,
-                "{label}: the audit gate perturbed the final assignment"
-            );
-            // The final state must also satisfy the invariants when
-            // checked directly (not just when the engine checks it).
-            audit::check_solution(&audited.grid, &audited.netlist, &audited.assignment)
-                .unwrap_or_else(|e| panic!("{label}: final state violates invariants: {e}"));
-        }
+    for seed in [3, 42] {
+        let plain = run(seed, false);
+        let audited = run(seed, true);
+        let label = format!("seed={seed}");
+        assert_eq!(
+            plain.report.final_metrics.avg_tcp.to_bits(),
+            audited.report.final_metrics.avg_tcp.to_bits(),
+            "{label}: the audit gate perturbed avg_tcp"
+        );
+        assert_eq!(
+            plain.report.final_metrics.max_tcp.to_bits(),
+            audited.report.final_metrics.max_tcp.to_bits(),
+            "{label}: the audit gate perturbed max_tcp"
+        );
+        assert_eq!(
+            plain.report.final_metrics.via_count, audited.report.final_metrics.via_count,
+            "{label}: the audit gate perturbed via_count"
+        );
+        assert_eq!(
+            plain.report.rounds.len(),
+            audited.report.rounds.len(),
+            "{label}: the audit gate perturbed the round count"
+        );
+        assert_eq!(
+            plain.assignment, audited.assignment,
+            "{label}: the audit gate perturbed the final assignment"
+        );
+        // The final state must also satisfy the invariants when
+        // checked directly (not just when the engine checks it).
+        audit::check_solution(&audited.grid, &audited.netlist, &audited.assignment)
+            .unwrap_or_else(|e| panic!("{label}: final state violates invariants: {e}"));
     }
 }
 
@@ -86,7 +82,7 @@ fn audited_runs_match_unaudited_runs_on_all_pinned_workloads() {
 fn the_gate_rejects_a_corrupted_solution() {
     // Sanity-check that check_solution actually has teeth on a real
     // workload: sabotage one net's recorded layers after the run.
-    let mut out = run(PipelineMode::Incremental, 3, false);
+    let mut out = run(3, false);
     let layers = out.assignment.net_layers(0).to_vec();
     let seg_dir = out.netlist.net(0).tree().segment(0).dir;
     let wrong = out

@@ -3,12 +3,12 @@
 //! both exporters — must not change a single bit of the engine's
 //! answer, and must cost only a bounded slice of wall-clock.
 //!
-//! The four workloads here are the same pinned snapshots as
-//! `stage_pipeline_snapshot.rs` (Legacy/Incremental × seeds 3/42), so
-//! any observer-induced drift would also be localizable against the
+//! The workloads here are the same pinned snapshots as
+//! `stage_pipeline_snapshot.rs` (seeds 3 and 42), so any
+//! observer-induced drift would also be localizable against the
 //! recorded golden rows.
 
-use cpla::{Cpla, CplaConfig, CplaReport, PipelineMode};
+use cpla::{Cpla, CplaConfig, CplaReport};
 use flow::Stage;
 use ispd::SyntheticConfig;
 use net::Assignment;
@@ -20,24 +20,23 @@ use route::{initial_assignment, route_netlist, RouterConfig};
 #[global_allocator]
 static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
 
-fn config(mode: PipelineMode, threads: usize, alloc_stats: bool) -> CplaConfig {
+fn config(threads: usize, alloc_stats: bool) -> CplaConfig {
     CplaConfig {
         critical_ratio: 0.05,
         max_rounds: 8,
         threads,
-        mode,
         alloc_stats,
         ..CplaConfig::default()
     }
 }
 
 /// Runs one pinned workload without any observer attached.
-fn run_plain(mode: PipelineMode, seed: u64, threads: usize) -> (CplaReport, Assignment) {
+fn run_plain(seed: u64, threads: usize) -> (CplaReport, Assignment) {
     let cfg = SyntheticConfig::small(seed);
     let (mut grid, specs) = cfg.generate().expect("valid config");
     let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
     let mut assignment = initial_assignment(&mut grid, &netlist);
-    let report = Cpla::new(config(mode, threads, false))
+    let report = Cpla::new(config(threads, false))
         .run(&mut grid, &netlist, &mut assignment)
         .expect("snapshot workload is well-formed");
     (report, assignment)
@@ -45,17 +44,13 @@ fn run_plain(mode: PipelineMode, seed: u64, threads: usize) -> (CplaReport, Assi
 
 /// Runs the same workload with the full stack attached: span recorder,
 /// scoped allocation accounting, and both exporters rendered.
-fn run_instrumented(
-    mode: PipelineMode,
-    seed: u64,
-    threads: usize,
-) -> (CplaReport, Assignment, obs::Recorder) {
+fn run_instrumented(seed: u64, threads: usize) -> (CplaReport, Assignment, obs::Recorder) {
     let cfg = SyntheticConfig::small(seed);
     let (mut grid, specs) = cfg.generate().expect("valid config");
     let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
     let mut assignment = initial_assignment(&mut grid, &netlist);
-    let mut recorder = obs::Recorder::new(format!("{mode:?}-{seed}"));
-    let report = Cpla::new(config(mode, threads, true))
+    let mut recorder = obs::Recorder::new(format!("seed-{seed}"));
+    let report = Cpla::new(config(threads, true))
         .run_observed(&mut grid, &netlist, &mut assignment, &mut [&mut recorder])
         .expect("snapshot workload is well-formed");
     recorder.finish();
@@ -115,26 +110,24 @@ fn assert_identical(label: &str, plain: &(CplaReport, Assignment), obs: &(CplaRe
 
 #[test]
 fn instrumentation_is_bit_identical_on_the_pinned_workloads() {
-    for mode in [PipelineMode::Legacy, PipelineMode::Incremental] {
-        for seed in [3u64, 42] {
-            let label = format!("mode={mode:?} seed={seed}");
-            let plain = run_plain(mode, seed, 1);
-            let (report, assignment, recorder) = run_instrumented(mode, seed, 1);
-            assert_identical(&label, &plain, &(report, assignment));
-            // The recorder saw a real run: a run span plus at least one
-            // span per pipeline stage.
-            let run_span = recorder.run_span().expect("run span closed");
-            assert!(run_span.dur_us > 0.0, "{label}: empty run span");
-            for stage in Stage::ALL {
-                assert!(
-                    recorder
-                        .spans()
-                        .iter()
-                        .any(|s| s.kind == obs::SpanKind::Stage && s.stage == Some(stage)),
-                    "{label}: no span recorded for stage {}",
-                    stage.name()
-                );
-            }
+    for seed in [3u64, 42] {
+        let label = format!("seed={seed}");
+        let plain = run_plain(seed, 1);
+        let (report, assignment, recorder) = run_instrumented(seed, 1);
+        assert_identical(&label, &plain, &(report, assignment));
+        // The recorder saw a real run: a run span plus at least one span
+        // per pipeline stage.
+        let run_span = recorder.run_span().expect("run span closed");
+        assert!(run_span.dur_us > 0.0, "{label}: empty run span");
+        for stage in Stage::ALL {
+            assert!(
+                recorder
+                    .spans()
+                    .iter()
+                    .any(|s| s.kind == obs::SpanKind::Stage && s.stage == Some(stage)),
+                "{label}: no span recorded for stage {}",
+                stage.name()
+            );
         }
     }
 }
@@ -144,9 +137,9 @@ fn instrumentation_is_bit_identical_with_work_stealing_threads() {
     // The multi-threaded solve path records leaf spans on the worker
     // threads; that side channel must not alter the merge order of
     // results, and worker attribution must actually appear.
-    let label = "mode=Incremental seed=42 threads=4";
-    let plain = run_plain(PipelineMode::Incremental, 42, 4);
-    let (report, assignment, recorder) = run_instrumented(PipelineMode::Incremental, 42, 4);
+    let label = "seed=42 threads=4";
+    let plain = run_plain(42, 4);
+    let (report, assignment, recorder) = run_instrumented(42, 4);
     assert_identical(label, &plain, &(report, assignment));
     let leaf_threads: Vec<usize> = recorder
         .spans()
@@ -166,7 +159,7 @@ fn instrumentation_is_bit_identical_with_work_stealing_threads() {
 
 #[test]
 fn exporters_agree_with_the_pipeline_stage_set() {
-    let (_, _, recorder) = run_instrumented(PipelineMode::Incremental, 3, 1);
+    let (_, _, recorder) = run_instrumented(3, 1);
     let chrome = obs::chrome::export(&[&recorder]);
     let parsed = conform::json::parse(&chrome).expect("chrome export is valid JSON");
     let events = parsed
@@ -208,17 +201,16 @@ fn observer_overhead_is_bounded() {
     // Best-of-3 on each side to shake scheduler noise out of a debug
     // binary; the absolute slack keeps a loaded CI box from flaking
     // while still catching a pathological per-leaf or per-alloc cost.
-    let mode = PipelineMode::Incremental;
     let seed = 42u64;
-    run_plain(mode, seed, 1); // warm caches/allocator once
+    run_plain(seed, 1); // warm caches/allocator once
     let mut plain_best = f64::INFINITY;
     let mut instr_best = f64::INFINITY;
     for _ in 0..3 {
         let t = std::time::Instant::now();
-        run_plain(mode, seed, 1);
+        run_plain(seed, 1);
         plain_best = plain_best.min(t.elapsed().as_secs_f64());
         let t = std::time::Instant::now();
-        run_instrumented(mode, seed, 1);
+        run_instrumented(seed, 1);
         instr_best = instr_best.min(t.elapsed().as_secs_f64());
     }
     assert!(

@@ -1,20 +1,21 @@
-//! Differential and golden tests pinning the stage-based driver to the
-//! pre-refactor engine, bit for bit.
+//! Golden tests pinning the stage-based driver to the pre-refactor
+//! engine, bit for bit.
 //!
 //! The expected rows below were recorded from the monolithic
 //! `Cpla::run` loop *before* it was decomposed into discrete flow
 //! stages (see `examples/record_snapshot.rs`). Any behavioral drift in
 //! the refactor — a reordered stage, a cache consulted differently, a
 //! float summed in another order — shows up here as a changed bit
-//! pattern, not as an invisible fraction of a picosecond.
+//! pattern, not as an invisible fraction of a picosecond. Every row is
+//! checked on the serial Solve path and on the parallel one, which
+//! must reproduce the same recorded bits.
 
-use cpla::{Cpla, CplaConfig, PipelineMode, SolveBackend};
+use cpla::{Cpla, CplaConfig};
 use ispd::SyntheticConfig;
 use route::{initial_assignment, route_netlist, RouterConfig};
 
 /// One recorded engine outcome on a fixed-seed workload.
 struct Expected {
-    mode: PipelineMode,
     seed: u64,
     /// `f64::to_bits` of the final released-average delay.
     avg_bits: u64,
@@ -40,37 +41,6 @@ struct Expected {
 /// did not pick, so every row moved.
 const SNAPSHOT: &[Expected] = &[
     Expected {
-        mode: PipelineMode::Legacy,
-        seed: 3,
-        avg_bits: 0x4081dcb3521e8fc0,
-        max_bits: 0x4087a09bd0b1666a,
-        via_overflow: 0,
-        via_count: 354,
-        rounds: 4,
-        partitions_solved: 38,
-        partitions_reused: 0,
-        evaluations: 76,
-        gate_accepted: 0,
-        gate_rejected: 0,
-        released: &[63, 72, 118, 51, 62, 24],
-    },
-    Expected {
-        mode: PipelineMode::Legacy,
-        seed: 42,
-        avg_bits: 0x40894b561c57ad6f,
-        max_bits: 0x409eee5ede61f141,
-        via_overflow: 0,
-        via_count: 372,
-        rounds: 5,
-        partitions_solved: 42,
-        partitions_reused: 0,
-        evaluations: 84,
-        gate_accepted: 0,
-        gate_rejected: 0,
-        released: &[46, 48, 85, 19, 64, 0],
-    },
-    Expected {
-        mode: PipelineMode::Incremental,
         seed: 3,
         avg_bits: 0x40815a6112938e9e,
         max_bits: 0x4087a09bd0b1666a,
@@ -85,7 +55,6 @@ const SNAPSHOT: &[Expected] = &[
         released: &[63, 72, 118, 51, 62, 24],
     },
     Expected {
-        mode: PipelineMode::Incremental,
         seed: 42,
         avg_bits: 0x40881471ccf1109d,
         max_bits: 0x409e5631bc4e257a,
@@ -101,11 +70,7 @@ const SNAPSHOT: &[Expected] = &[
     },
 ];
 
-fn run(mode: PipelineMode, seed: u64) -> cpla::CplaReport {
-    run_backend(mode, seed, SolveBackend::PerLeaf)
-}
-
-fn run_backend(mode: PipelineMode, seed: u64, solve_backend: SolveBackend) -> cpla::CplaReport {
+fn run(seed: u64, threads: usize) -> cpla::CplaReport {
     let cfg = SyntheticConfig::small(seed);
     let (mut grid, specs) = cfg.generate().expect("valid config");
     let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
@@ -113,9 +78,7 @@ fn run_backend(mode: PipelineMode, seed: u64, solve_backend: SolveBackend) -> cp
     Cpla::new(CplaConfig {
         critical_ratio: 0.05,
         max_rounds: 8,
-        threads: 1,
-        mode,
-        solve_backend,
+        threads,
         ..CplaConfig::default()
     })
     .run(&mut grid, &netlist, &mut assignment)
@@ -125,114 +88,42 @@ fn run_backend(mode: PipelineMode, seed: u64, solve_backend: SolveBackend) -> cp
 #[test]
 fn stage_driver_matches_the_pre_refactor_engine_bit_for_bit() {
     for e in SNAPSHOT {
-        let r = run(e.mode, e.seed);
-        let label = format!("mode={:?} seed={}", e.mode, e.seed);
-        assert_eq!(
-            r.final_metrics.avg_tcp.to_bits(),
-            e.avg_bits,
-            "{label}: avg_tcp drifted to {}",
-            r.final_metrics.avg_tcp
-        );
-        assert_eq!(
-            r.final_metrics.max_tcp.to_bits(),
-            e.max_bits,
-            "{label}: max_tcp drifted to {}",
-            r.final_metrics.max_tcp
-        );
-        assert_eq!(r.final_metrics.via_overflow, e.via_overflow, "{label}: OV#");
-        assert_eq!(r.final_metrics.via_count, e.via_count, "{label}: via#");
-        assert_eq!(r.rounds.len(), e.rounds, "{label}: rounds");
-        assert_eq!(
-            r.stats.partitions_solved, e.partitions_solved,
-            "{label}: partitions_solved"
-        );
-        assert_eq!(
-            r.stats.partitions_reused, e.partitions_reused,
-            "{label}: partitions_reused"
-        );
-        assert_eq!(r.stats.evaluations, e.evaluations, "{label}: evaluations");
-        assert_eq!(
-            r.stats.gate_accepted, e.gate_accepted,
-            "{label}: gate_accepted"
-        );
-        assert_eq!(
-            r.stats.gate_rejected, e.gate_rejected,
-            "{label}: gate_rejected"
-        );
-        assert_eq!(r.released, e.released, "{label}: released set");
-    }
-}
-
-#[test]
-fn batched_backend_reproduces_every_pinned_snapshot() {
-    // The batched SoA backend claims bit-identity with the per-leaf
-    // path; the strongest check is against the *pre-refactor* recorded
-    // rows themselves — same four workloads, same expected bits, only
-    // the Solve-stage execution shape changed.
-    for e in SNAPSHOT {
-        let r = run_backend(e.mode, e.seed, SolveBackend::Batched);
-        let label = format!("batched mode={:?} seed={}", e.mode, e.seed);
-        assert_eq!(
-            r.final_metrics.avg_tcp.to_bits(),
-            e.avg_bits,
-            "{label}: avg_tcp drifted to {}",
-            r.final_metrics.avg_tcp
-        );
-        assert_eq!(
-            r.final_metrics.max_tcp.to_bits(),
-            e.max_bits,
-            "{label}: max_tcp drifted to {}",
-            r.final_metrics.max_tcp
-        );
-        assert_eq!(r.final_metrics.via_overflow, e.via_overflow, "{label}: OV#");
-        assert_eq!(r.final_metrics.via_count, e.via_count, "{label}: via#");
-        assert_eq!(r.rounds.len(), e.rounds, "{label}: rounds");
-        assert_eq!(
-            r.stats.partitions_solved, e.partitions_solved,
-            "{label}: partitions_solved"
-        );
-        assert_eq!(
-            r.stats.partitions_reused, e.partitions_reused,
-            "{label}: partitions_reused"
-        );
-        assert_eq!(r.stats.evaluations, e.evaluations, "{label}: evaluations");
-        assert_eq!(
-            r.stats.gate_accepted, e.gate_accepted,
-            "{label}: gate_accepted"
-        );
-        assert_eq!(
-            r.stats.gate_rejected, e.gate_rejected,
-            "{label}: gate_rejected"
-        );
-        assert_eq!(r.released, e.released, "{label}: released set");
-        assert!(r.stats.batch_sweeps > 0, "{label}: batched backend unused");
-    }
-}
-
-#[test]
-fn incremental_never_loses_to_legacy() {
-    // The two pipelines intentionally diverge: the incremental mode's
-    // per-net exact-timing gate filters mapped proposals the legacy
-    // mode accepts wholesale. The differential invariant worth pinning
-    // is dominance — the gate exists to reject regressions, so the
-    // incremental answer must be at least as good on every recorded
-    // workload, at no overflow cost.
-    for seed in [3u64, 42] {
-        let legacy = run(PipelineMode::Legacy, seed);
-        let incremental = run(PipelineMode::Incremental, seed);
-        assert!(
-            incremental.final_metrics.avg_tcp <= legacy.final_metrics.avg_tcp,
-            "seed {seed}: Avg(Tcp) {} worse than legacy {}",
-            incremental.final_metrics.avg_tcp,
-            legacy.final_metrics.avg_tcp
-        );
-        assert!(
-            incremental.final_metrics.max_tcp <= legacy.final_metrics.max_tcp,
-            "seed {seed}: Max(Tcp) {} worse than legacy {}",
-            incremental.final_metrics.max_tcp,
-            legacy.final_metrics.max_tcp
-        );
-        assert!(incremental.final_metrics.via_overflow <= legacy.final_metrics.via_overflow);
-        assert_eq!(legacy.released, incremental.released);
+        for threads in [1, 4] {
+            let r = run(e.seed, threads);
+            let label = format!("seed={} threads={threads}", e.seed);
+            assert_eq!(
+                r.final_metrics.avg_tcp.to_bits(),
+                e.avg_bits,
+                "{label}: avg_tcp drifted to {}",
+                r.final_metrics.avg_tcp
+            );
+            assert_eq!(
+                r.final_metrics.max_tcp.to_bits(),
+                e.max_bits,
+                "{label}: max_tcp drifted to {}",
+                r.final_metrics.max_tcp
+            );
+            assert_eq!(r.final_metrics.via_overflow, e.via_overflow, "{label}: OV#");
+            assert_eq!(r.final_metrics.via_count, e.via_count, "{label}: via#");
+            assert_eq!(r.rounds.len(), e.rounds, "{label}: rounds");
+            assert_eq!(
+                r.stats.partitions_solved, e.partitions_solved,
+                "{label}: partitions_solved"
+            );
+            assert_eq!(
+                r.stats.partitions_reused, e.partitions_reused,
+                "{label}: partitions_reused"
+            );
+            assert_eq!(r.stats.evaluations, e.evaluations, "{label}: evaluations");
+            assert_eq!(
+                r.stats.gate_accepted, e.gate_accepted,
+                "{label}: gate_accepted"
+            );
+            assert_eq!(
+                r.stats.gate_rejected, e.gate_rejected,
+                "{label}: gate_rejected"
+            );
+            assert_eq!(r.released, e.released, "{label}: released set");
+        }
     }
 }
