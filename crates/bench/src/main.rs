@@ -387,7 +387,8 @@ fn json_stats(s: &PipelineStats) -> String {
          \"extract_secs\":{:.6},\"solve_secs\":{:.6},\"apply_secs\":{:.6},\
          \"metrics_secs\":{:.6},\"rounds\":{},\"partitions_solved\":{},\
          \"partitions_reused\":{},\"cache_hit_rate\":{:.4},\
-         \"evaluations\":{},\"gate_accepted\":{},\"gate_rejected\":{}}}",
+         \"evaluations\":{},\"gate_accepted\":{},\"gate_rejected\":{},\
+         \"warm_starts\":{}}}",
         s.context_secs,
         s.partition_secs,
         s.extract_secs,
@@ -401,6 +402,7 @@ fn json_stats(s: &PipelineStats) -> String {
         s.evaluations,
         s.gate_accepted,
         s.gate_rejected,
+        s.warm_starts,
     )
 }
 
@@ -470,15 +472,34 @@ fn json_bench_mode(o: &RunOutcome, alloc_stats: bool) -> String {
     )
 }
 
+/// The process's peak resident set so far, in MB: `VmHWM` from
+/// `/proc/self/status`, or `None` where that cannot be read.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
 /// The whole `BENCH_cpla.json` document. Stage *keys* are the stable
 /// contract (CI diffs them against the committed baseline); the numeric
-/// values are a trajectory, expected to drift run to run.
+/// values are a trajectory, expected to drift run to run. The header
+/// names the machine's core count and the process's peak resident set
+/// up to the write; either is `null` where the platform cannot say.
 fn json_bench(args: &Args, o: &RunOutcome, thread_scaling: Option<&str>) -> String {
+    let cores = std::thread::available_parallelism().map_or("null".to_string(), |n| n.to_string());
+    let peak_rss = peak_rss_mb().map_or("null".to_string(), |mb| format!("{mb:.1}"));
     format!(
         "{{\n\"schema\":2,\n\"design\":{{\"seed\":{},\"nets\":{},\"width\":{},\
          \"height\":{},\"layers\":{},\"capacity\":{},\"preset\":{}}},\n\
-         \"threads\":{},\"reps\":{},\"ratio\":{},\"rounds\":{},\
-         \"alloc_stats\":{},\"thread_scaling\":{},\n\
+         \"threads\":{},\"cores\":{cores},\"peak_rss_mb\":{peak_rss},\"reps\":{},\
+         \"ratio\":{},\"rounds\":{},\"alloc_stats\":{},\"thread_scaling\":{},\n\
          \"modes\":{{\"{CELL}\":{}}}\n}}\n",
         args.seed,
         args.nets,

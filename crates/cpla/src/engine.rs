@@ -240,6 +240,9 @@ pub struct PipelineStats {
     pub gate_accepted: usize,
     /// Nets whose proposals the gate rejected.
     pub gate_rejected: usize,
+    /// Partition solves warm-started from a stale cache entry's ADMM
+    /// iterates.
+    pub warm_starts: usize,
 }
 
 impl PipelineStats {

@@ -20,7 +20,7 @@ use ::flow::{
 };
 use grid::{Grid, UsageSnapshot};
 use net::{Assignment, Netlist, SegmentRef};
-use solver::{SdpSolver, SolveScratch, SymMatrix};
+use solver::{BlockMatrix, SdpSolver, SolveScratch};
 use timing::TimingModel;
 
 use crate::context::{timing_context_into, SegCtx, SegCtxTable};
@@ -28,6 +28,10 @@ use crate::engine::{CplaConfig, CplaReport, PipelineStats, RoundStats, SolverKin
 use crate::mapping::{post_map, timing_gate};
 use crate::partition::{partition_segments_sharded, Partition, PartitionStats};
 use crate::problem::PartitionProblem;
+
+/// ADMM iterates `(z, u)` kept for a warm start, in the solver's
+/// interval-block layout.
+type WarmPair = (BlockMatrix, BlockMatrix);
 
 /// Cross-round cache entry for one partition, keyed by its segment set.
 ///
@@ -38,25 +42,40 @@ use crate::problem::PartitionProblem;
 struct CacheEntry {
     problem: PartitionProblem,
     result: Vec<(SegmentRef, usize)>,
-    warm: Option<(SymMatrix, SymMatrix)>,
+    warm: Option<WarmPair>,
 }
 
 /// A cache miss awaiting a solve: partition index, extracted problem,
 /// and the warm-start iterates of a stale cache entry (if any).
-type Miss = (usize, PartitionProblem, Option<(SymMatrix, SymMatrix)>);
+type Miss = (usize, PartitionProblem, Option<WarmPair>);
 
 /// What the Solve stage produces per miss, before post-mapping.
 enum RawSolve {
     /// A relaxation vector to round: the SDP diagonal, or the uniform
     /// 0.5 vector of the ablation control. `warm` carries the ADMM
-    /// iterates for the cross-round warm start (SDP only).
+    /// iterates for the cross-round warm start, and `warm_started`
+    /// says whether the solve used the pair it was given (SDP only).
     Relaxed {
         x: Vec<f64>,
-        warm: Option<(SymMatrix, SymMatrix)>,
+        warm: Option<WarmPair>,
+        warm_started: bool,
     },
     /// An exact ILP solution (`None` when the node budget ran out, in
     /// which case PostMap keeps the current assignment).
     Exact(Option<Vec<usize>>),
+}
+
+impl RawSolve {
+    /// Whether the solve started from the warm pair it was given.
+    fn warm_started(&self) -> bool {
+        matches!(
+            self,
+            RawSolve::Relaxed {
+                warm_started: true,
+                ..
+            }
+        )
+    }
 }
 
 /// All state one flow run threads through its stages.
@@ -421,7 +440,7 @@ impl SolveStage {
     fn solve_raw(
         config: &CplaConfig,
         problem: &PartitionProblem,
-        warm: Option<&(SymMatrix, SymMatrix)>,
+        warm: Option<&WarmPair>,
         scratch: &mut SolveScratch,
     ) -> Result<RawSolve, SolveError> {
         match config.solver {
@@ -439,6 +458,7 @@ impl SolveStage {
                 Ok(RawSolve::Relaxed {
                     x: sol.x.diagonal(),
                     warm: Some((sol.z, sol.u)),
+                    warm_started: sol.warm_started,
                 })
             }
             SolverKind::Ilp { node_budget } => Ok(RawSolve::Exact(
@@ -450,6 +470,7 @@ impl SolveStage {
             SolverKind::UniformRelaxation => Ok(RawSolve::Relaxed {
                 x: vec![0.5; problem.num_variables()],
                 warm: None,
+                warm_started: false,
             }),
         }
     }
@@ -557,6 +578,7 @@ impl FlowStage for SolveStage {
             slots.into_iter().flatten().collect()
         };
         ctx.raw = raw.into_iter().collect::<Result<Vec<_>, SolveError>>()?;
+        ctx.counters.warm_starts += ctx.raw.iter().filter(|r| r.warm_started()).count();
         Ok(())
     }
 }
@@ -575,7 +597,7 @@ impl FlowStage for PostMapStage {
         let alpha = ctx.config.alpha;
         for ((pi, problem, _), raw) in ctx.misses.drain(..).zip(ctx.raw.drain(..)) {
             let (proposed, warm_out): (Option<Vec<usize>>, _) = match raw {
-                RawSolve::Relaxed { x, warm } => (Some(post_map(&problem, &x)), warm),
+                RawSolve::Relaxed { x, warm, .. } => (Some(post_map(&problem, &x)), warm),
                 RawSolve::Exact(choices) => (choices, None),
             };
             // Accept only if the partition objective does not regress.
@@ -842,6 +864,7 @@ impl StageObserver for StatsCollector {
         self.stats.evaluations = c.evaluations;
         self.stats.gate_accepted = c.gate_accepted;
         self.stats.gate_rejected = c.gate_rejected;
+        self.stats.warm_starts = c.warm_starts;
     }
 }
 

@@ -74,6 +74,9 @@ pub struct FlowCounters {
     pub gate_accepted: usize,
     /// Net proposals the gate rejected.
     pub gate_rejected: usize,
+    /// Solve leaves that started from the warm pair of a stale cache
+    /// entry (one whose dimension matched the problem).
+    pub warm_starts: usize,
     /// Always 0: no engine has a batched Solve stage. Kept because the
     /// `perfbench` trace collector reads the field.
     pub batch_sweeps: u64,

@@ -11,7 +11,9 @@
 //!   (matrix dimension ≲ a few hundred).
 //! * [`SdpProblem`] / [`SdpSolver`] — an ADMM (alternating direction
 //!   method of multipliers) solver for standard-form SDPs
-//!   `min ⟨C, X⟩ s.t. ⟨A_k, X⟩ = b_k, X ⪰ 0`.
+//!   `min ⟨C, X⟩ s.t. ⟨A_k, X⟩ = b_k, X ⪰ 0`. It iterates on the
+//!   problem's diagonal blocks and returns its iterates, and takes its
+//!   warm start, as [`BlockMatrix`]es.
 //! * [`ChoiceProblem`] / branch-and-bound — an exact, anytime solver for
 //!   the assignment-structured ILPs the paper sends to GUROBI.
 //!
@@ -26,8 +28,17 @@
 //! c.set(1, 1, 2.0);
 //! let mut p = SdpProblem::new(c);
 //! p.add_constraint(vec![(0, 0, 1.0), (1, 1, 1.0)], 1.0);
-//! let sol = SdpSolver::default().solve(&p);
+//! let solver = SdpSolver::default();
+//! let sol = solver.solve(&p);
 //! assert!((sol.x.get(0, 0) - 1.0).abs() < 1e-3);
+//!
+//! // Nothing couples X00 and X11, so the iterates come back as two
+//! // 1×1 blocks: off them, entries are zero and take no memory.
+//! assert_eq!(sol.x.get(0, 1), 0.0);
+//! // (z, u) warm-starts a re-solve in that form.
+//! let again = solver.solve_from(&p, Some((&sol.z, &sol.u)));
+//! assert!(again.warm_started);
+//! assert!((again.x.get(0, 0) - 1.0).abs() < 1e-3);
 //! ```
 
 // Numerical kernels (Cholesky, tridiagonal QL) are direct
@@ -48,5 +59,5 @@ pub use cholesky::{Cholesky, CholeskyError};
 pub use eigen::{eigen_decompose, eigen_decompose_jacobi, Eigen};
 pub use error::SolveError;
 pub use ilp::{CapacityGroup, ChoiceProblem, IlpSolution, PairCost, SoftGroup};
-pub use matrix::{psd_project, psd_project_in_place, PsdScratch, SymMatrix};
+pub use matrix::{psd_project, psd_project_in_place, BlockMatrix, PsdScratch, SymMatrix};
 pub use sdp::{SdpProblem, SdpSolution, SdpSolver, SolveScratch};

@@ -1,4 +1,4 @@
-//! Dense symmetric matrices.
+//! Symmetric matrices: dense, and block-diagonal over index intervals.
 
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
@@ -100,6 +100,27 @@ impl SymMatrix {
         self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
     }
 
+    /// [`SymMatrix::dot`] with a block matrix, bit for bit what `dot`
+    /// returns on its dense expansion: the sum runs over all `n²`
+    /// entries in row-major order, the ones outside the blocks as
+    /// `+0.0`, so even the sign of a zero result is the dense one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions differ.
+    pub(crate) fn dot_blocks(&self, other: &BlockMatrix) -> f64 {
+        let n = self.n;
+        assert_eq!(n, other.dim());
+        // Each dense row: zeros, the block's row, zeros.
+        let dense = other.blocks().flat_map(|(s, nb, block)| {
+            block.chunks_exact(nb).flat_map(move |row| {
+                let zeros = |k: usize| std::iter::repeat_n(&0.0, k);
+                zeros(s).chain(row).chain(zeros(n - s - nb))
+            })
+        });
+        self.data.iter().zip(dense).map(|(a, b)| a * b).sum()
+    }
+
     /// Frobenius norm.
     pub fn norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -172,6 +193,139 @@ impl Mul<f64> for &SymMatrix {
     fn mul(self, rhs: f64) -> SymMatrix {
         let mut out = self.clone();
         out.scale(rhs);
+        out
+    }
+}
+
+/// A symmetric `n × n` matrix that is zero outside its diagonal blocks
+/// over contiguous index intervals, stored block by block.
+///
+/// Interval `k` covers `bounds[k]..bounds[k + 1]`. Its block is stored
+/// full and row-major, and the blocks sit back to back in interval
+/// order, so the storage order of the entries is their dense row-major
+/// order. Entries outside every block are `+0.0` and take no memory.
+/// This is the layout the ADMM solver iterates in: it returns its
+/// iterates in it and takes its warm start in it, so a warm pair is
+/// always a previous solution's `(z, u)`.
+#[derive(Clone, PartialEq, Debug)]
+pub struct BlockMatrix {
+    /// Interval boundaries, from 0 up to the dimension.
+    bounds: Vec<usize>,
+    /// The blocks back to back, each row-major.
+    data: Vec<f64>,
+}
+
+impl BlockMatrix {
+    /// The zero matrix with the given interval boundaries: `0`, then
+    /// every interval's end, the last being the dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bounds` starts at 0 and strictly increases.
+    #[cfg(test)]
+    pub(crate) fn zeros(bounds: &[usize]) -> BlockMatrix {
+        assert_eq!(bounds.first(), Some(&0), "bounds must start at 0");
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "bounds must strictly increase: {bounds:?}"
+        );
+        let len = bounds.windows(2).map(|w| (w[1] - w[0]).pow(2)).sum();
+        BlockMatrix::from_parts(bounds.to_vec(), vec![0.0; len])
+    }
+
+    /// Wraps blocks laid out by `bounds` (checked by the caller).
+    pub(crate) fn from_parts(bounds: Vec<usize>, data: Vec<f64>) -> BlockMatrix {
+        BlockMatrix { bounds, data }
+    }
+
+    /// Dimension `n`.
+    pub fn dim(&self) -> usize {
+        self.bounds.last().copied().unwrap_or(0)
+    }
+
+    /// The stored entries: the blocks back to back, each row-major.
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Every block as `(start, size, entries)`, in interval order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = (usize, usize, &[f64])> + '_ {
+        let mut rest = &self.data[..];
+        self.bounds.windows(2).map(move |w| {
+            let nb = w[1] - w[0];
+            let (block, tail) = rest.split_at(nb * nb);
+            rest = tail;
+            (w[0], nb, block)
+        })
+    }
+
+    /// The block holding row `i`, with its storage offset.
+    fn block_of(&self, i: usize) -> Option<(usize, usize, usize)> {
+        let mut off = 0;
+        for w in self.bounds.windows(2) {
+            let nb = w[1] - w[0];
+            if i < w[1] {
+                return Some((w[0], nb, off));
+            }
+            off += nb * nb;
+        }
+        None
+    }
+
+    /// Storage position of entry `(i, j)`, or `None` off the blocks.
+    fn entry_pos(&self, i: usize, j: usize) -> Option<usize> {
+        let (s, nb, off) = self.block_of(i)?;
+        (s..s + nb).contains(&j).then(|| off + (i - s) * nb + j - s)
+    }
+
+    /// Entry `(i, j)`: `+0.0` outside the blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub fn get(&self, i: usize, j: usize) -> f64 {
+        let n = self.dim();
+        assert!(i < n && j < n, "entry ({i},{j}) out of range {n}");
+        self.entry_pos(i, j).map_or(0.0, |p| self.data[p])
+    }
+
+    /// Sets entries `(i, j)` and `(j, i)` to `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(i, j)` lies outside the blocks.
+    #[cfg(test)]
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
+        let at = self.entry_pos(i, j).zip(self.entry_pos(j, i));
+        assert!(
+            at.is_some(),
+            "entry ({i},{j}) lies outside the blocks {:?}",
+            self.bounds
+        );
+        if let Some((p, q)) = at {
+            self.data[p] = v;
+            self.data[q] = v;
+        }
+    }
+
+    /// The main diagonal.
+    pub fn diagonal(&self) -> Vec<f64> {
+        self.blocks()
+            .flat_map(|(_, nb, block)| block.iter().step_by(nb + 1).copied())
+            .collect()
+    }
+
+    /// The dense matrix, every entry outside the blocks `+0.0`.
+    #[cfg(test)]
+    pub(crate) fn to_dense(&self) -> SymMatrix {
+        let n = self.dim();
+        let mut out = SymMatrix::zeros(n);
+        for (s, nb, block) in self.blocks() {
+            for (r, row) in block.chunks_exact(nb).enumerate() {
+                let at = (s + r) * n + s;
+                out.data[at..at + nb].copy_from_slice(row);
+            }
+        }
         out
     }
 }

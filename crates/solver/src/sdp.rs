@@ -19,7 +19,7 @@
 
 use crate::eigen::is_zero;
 use crate::matrix::{psd_project_block, PsdScratch};
-use crate::{Cholesky, SolveError, SymMatrix};
+use crate::{BlockMatrix, Cholesky, SolveError, SymMatrix};
 
 /// One linear equality constraint `Σ coeff · X_ij = rhs`.
 ///
@@ -90,18 +90,6 @@ impl SdpProblem {
             }
         }
         self.constraints.push(Constraint { entries: norm, rhs });
-    }
-
-    /// Evaluates `⟨A_k, X⟩` for every constraint into `out` (cleared
-    /// first, so repeated calls reuse its capacity).
-    fn apply_into(&self, x: &SymMatrix, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.constraints.iter().map(|c| {
-            c.entries
-                .iter()
-                .map(|&(i, j, coeff)| coeff * x.get(i, j))
-                .sum::<f64>()
-        }));
     }
 
     /// The normalized constraint rows (dense reference input).
@@ -191,17 +179,24 @@ impl Default for SdpSolver {
 }
 
 /// Result of an ADMM solve.
+///
+/// The iterates come in the solve's interval-block layout (see
+/// [`SdpSolver::try_solve_from_with`]): every entry outside the blocks
+/// is zero, and every stored zero is `+0.0`.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SdpSolution {
     /// The affine-feasible iterate (satisfies the equality constraints to
     /// solver precision); its diagonal holds the relaxed assignment
     /// variables CPLA's post-mapping consumes.
-    pub x: SymMatrix,
+    pub x: BlockMatrix,
     /// The PSD iterate.
-    pub z: SymMatrix,
+    pub z: BlockMatrix,
     /// The scaled dual iterate; pass `(z, u)` to [`SdpSolver::solve_from`]
-    /// to warm-start a re-solve of a similar problem.
-    pub u: SymMatrix,
+    /// to warm-start a re-solve of a problem of the same dimension.
+    pub u: BlockMatrix,
+    /// Whether the solve started from the warm pair it was given: false
+    /// without one, or when its dimension did not match the problem.
+    pub warm_started: bool,
     /// `⟨C, x⟩` at termination.
     pub objective: f64,
     /// Iterations performed.
@@ -282,19 +277,30 @@ struct Intervals {
 
 impl Intervals {
     /// Detects the intervals of `problem` started from `warm` and lays
-    /// their blocks out back to back.
-    fn detect(&mut self, problem: &SdpProblem, warm: Option<(&SymMatrix, &SymMatrix)>) {
+    /// their blocks out back to back. A warm matrix counts its stored
+    /// upper-triangle entries that are not zero, which are exactly the
+    /// off-diagonal nonzeros a scan of its dense expansion finds.
+    fn detect(&mut self, problem: &SdpProblem, warm: Option<(&BlockMatrix, &BlockMatrix)>) {
         let n = problem.dim();
         let reach = &mut self.reach;
         reach.clear();
         reach.extend(0..n);
+        let cost = problem.cost().as_slice();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if !is_zero(cost[i * n + j]) {
+                    reach[i] = reach[i].max(j);
+                }
+            }
+        }
         let (z0, u0) = warm.unzip();
-        for m in [Some(problem.cost()), z0, u0].into_iter().flatten() {
-            let a = m.as_slice();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if !is_zero(a[i * n + j]) {
-                        reach[i] = reach[i].max(j);
+        for m in [z0, u0].into_iter().flatten() {
+            for (s, nb, block) in m.blocks() {
+                for (r, row) in block.chunks_exact(nb).enumerate() {
+                    for c in (r + 1)..nb {
+                        if !is_zero(row[c]) {
+                            reach[s + r] = reach[s + r].max(s + c);
+                        }
                     }
                 }
             }
@@ -360,6 +366,31 @@ impl Intervals {
     fn arena_pos(&self, i: usize, j: usize) -> usize {
         self.diag[i] + j - i
     }
+
+    /// Copies the entries of `m` (of the problem's dimension) that lie
+    /// in these blocks into the zeroed arena section `part`. Stored
+    /// entries are copied as they are; an entry of a block here that
+    /// lies outside every block of `m` keeps its `+0.0`, the value the
+    /// dense expansion of `m` holds there.
+    fn load_warm(&self, m: &BlockMatrix, part: &mut [f64]) {
+        let mut stored = m.blocks().peekable();
+        for k in 0..self.n_blocks() {
+            let (s, nb, off) = self.block(k);
+            for r in 0..nb {
+                let i = s + r;
+                while stored.next_if(|&(ss, snb, _)| ss + snb <= i).is_some() {}
+                // Both layouts split 0..n, so a stored block holds row i.
+                let Some(&(ss, snb, block)) = stored.peek() else {
+                    return;
+                };
+                let (lo, hi) = (s.max(ss), (s + nb).min(ss + snb));
+                let at = off + r * nb;
+                let from = (i - ss) * snb;
+                part[at + lo - s..at + hi - s]
+                    .copy_from_slice(&block[from + lo - ss..from + hi - ss]);
+            }
+        }
+    }
 }
 
 impl SdpSolver {
@@ -376,12 +407,14 @@ impl SdpSolver {
     /// Solves `problem`, optionally warm-starting the splitting iterates
     /// from a previous solution's `(z, u)` pair.
     ///
-    /// ADMM's fixed point is a function of the problem alone; the warm
-    /// start only changes how many iterations reaching it takes, which
-    /// is what makes it safe for caches that re-solve a slightly
-    /// perturbed problem. A warm pair whose dimension does not match
-    /// the problem is ignored (the cached neighbor gained or lost slack
-    /// variables).
+    /// The warm pair is the iteration's starting point, so it is part
+    /// of the input: a solve that converges ends near the problem's
+    /// fixed point from any start, but one stopped by the ranking check
+    /// (`rank_stop_window`) or by `max_iterations` returns the iterate
+    /// it reached, and a different start can change that iterate and
+    /// the ranking of its diagonal. A warm pair whose dimension does
+    /// not match the problem is ignored (the cached neighbor gained or
+    /// lost slack variables).
     ///
     /// # Panics
     ///
@@ -390,7 +423,7 @@ impl SdpSolver {
     pub fn solve_from(
         &self,
         problem: &SdpProblem,
-        warm: Option<(&SymMatrix, &SymMatrix)>,
+        warm: Option<(&BlockMatrix, &BlockMatrix)>,
     ) -> SdpSolution {
         // invariant: CPLA's problems have ≥ 1 variable, finite entries
         // and a ridge-regularized (hence positive-definite) Gram matrix.
@@ -414,7 +447,7 @@ impl SdpSolver {
     pub fn try_solve_from(
         &self,
         problem: &SdpProblem,
-        warm: Option<(&SymMatrix, &SymMatrix)>,
+        warm: Option<(&BlockMatrix, &BlockMatrix)>,
     ) -> Result<SdpSolution, SolveError> {
         let mut scratch = SolveScratch::new();
         self.try_solve_from_with(problem, warm, &mut scratch)
@@ -428,19 +461,21 @@ impl SdpSolver {
     fn check_inputs(
         &self,
         problem: &SdpProblem,
-        warm: Option<(&SymMatrix, &SymMatrix)>,
+        warm: Option<(&BlockMatrix, &BlockMatrix)>,
     ) -> Result<(), SolveError> {
         let invalid = |what: &'static str, value: f64| SolveError::InvalidInput { what, value };
         if !(self.rho.is_finite() && self.rho > 0.0) {
             return Err(invalid("rho", self.rho));
         }
+        // A warm matrix's stored entries come in its dense row-major
+        // order, so the first non-finite one is the dense scan's.
         let (z0, u0) = warm.unzip();
-        for (what, m) in [
-            ("cost entry", Some(problem.cost())),
-            ("warm-start z entry", z0),
-            ("warm-start u entry", u0),
+        for (what, entries) in [
+            ("cost entry", Some(problem.cost().as_slice())),
+            ("warm-start z entry", z0.map(BlockMatrix::as_slice)),
+            ("warm-start u entry", u0.map(BlockMatrix::as_slice)),
         ] {
-            if let Some(&v) = m.and_then(|m| m.as_slice().iter().find(|v| !v.is_finite())) {
+            if let Some(&v) = entries.and_then(|e| e.iter().find(|v| !v.is_finite())) {
                 return Err(invalid(what, v));
             }
         }
@@ -464,11 +499,13 @@ impl SdpSolver {
     /// and its cost couples only tree-adjacent segments, so the blocks
     /// are small. Every iterate stays zero outside them, and each
     /// iteration updates, projects and measures block by block, in the
-    /// dense loop's order. The result is bit-identical to running the
+    /// dense loop's order. At exit the blocks are copied out as the
+    /// solution's [`BlockMatrix`] iterates, every zero written as
+    /// `+0.0`. Their dense expansion is bit-identical to running the
     /// iteration on dense `n × n` matrices — the test-only reference in
-    /// `src/tests.rs` does exactly that — once the dense solution, built
-    /// at exit, writes every zero as `+0.0`. All workspaces live in
-    /// `scratch`, so no iteration allocates.
+    /// `src/tests.rs` does exactly that — and so are the objective and
+    /// the residuals. All workspaces live in `scratch`, so no iteration
+    /// allocates.
     ///
     /// # Errors
     ///
@@ -476,7 +513,7 @@ impl SdpSolver {
     pub fn try_solve_from_with(
         &self,
         problem: &SdpProblem,
-        warm: Option<(&SymMatrix, &SymMatrix)>,
+        warm: Option<(&BlockMatrix, &BlockMatrix)>,
         scratch: &mut SolveScratch,
     ) -> Result<SdpSolution, SolveError> {
         let n = problem.dim();
@@ -539,10 +576,10 @@ impl SdpSolver {
             for (cv, &v) in c[at..at + nb].iter_mut().zip(&cost[row..row + nb]) {
                 *cv = v * inv_scale;
             }
-            if let Some((z0, u0)) = warm {
-                z[at..at + nb].copy_from_slice(&z0.as_slice()[row..row + nb]);
-                u[at..at + nb].copy_from_slice(&u0.as_slice()[row..row + nb]);
-            }
+        }
+        if let Some((z0, u0)) = warm {
+            blocks.load_warm(z0, z);
+            blocks.load_warm(u0, u);
         }
         entries.clear();
         rows.clear();
@@ -689,32 +726,38 @@ impl SdpSolver {
             }
         }
 
-        // Dense iterates, every zero written as +0.0: the dense loop
-        // leaves -0.0 in places, the blocks never hold off-block
-        // entries, and `v + 0.0` is `v` for every other value.
-        let dense = |part: &[f64]| {
-            let mut out = SymMatrix::zeros(n);
-            let data = out.as_mut_slice();
-            for (row, at, nb) in blocks.block_rows(n) {
-                for (d, &v) in data[row..row + nb].iter_mut().zip(&part[at..at + nb]) {
-                    *d = v + 0.0;
-                }
-            }
-            out
+        // The blocks as they are, every zero written as +0.0: the dense
+        // loop leaves -0.0 in places, and `v + 0.0` is `v` for every
+        // other value. Stored warm pairs and the diagonal PostMap ranks
+        // then carry no sign of zero that the dense loop would not.
+        let block_form = |part: &[f64]| {
+            BlockMatrix::from_parts(
+                blocks.bounds.clone(),
+                part.iter().map(|v| v + 0.0).collect(),
+            )
         };
-        let (x, z, u) = (dense(x), dense(z), dense(u));
-        problem.apply_into(&x, ax);
-        let constraint_residual = ax
-            .iter()
+        let (x, z, u) = (block_form(x), block_form(z), block_form(u));
+        // `⟨A_k, X⟩` at the arena positions of the constraint entries,
+        // each row summed in entry order as on the dense `x`.
+        let xs = x.as_slice();
+        let constraint_residual = rows
+            .windows(2)
             .zip(&b)
-            .map(|(a, bi)| (a - bi).powi(2))
+            .map(|(r, bi)| {
+                let a = entries[r[0]..r[1]]
+                    .iter()
+                    .map(|&(ij, _, coeff)| coeff * xs[ij])
+                    .sum::<f64>();
+                (a - bi).powi(2)
+            })
             .sum::<f64>()
             .sqrt();
-        let objective = problem.cost.dot(&x);
+        let objective = problem.cost.dot_blocks(&x);
         Ok(SdpSolution {
             x,
             z,
             u,
+            warm_started: warm.is_some(),
             objective,
             iterations,
             primal_residual,
@@ -806,7 +849,7 @@ pub(crate) mod tests {
     }
 
     /// The interval boundaries `try_solve_from_with` detects.
-    fn bounds(p: &SdpProblem, warm: Option<(&SymMatrix, &SymMatrix)>) -> Vec<usize> {
+    pub(crate) fn bounds(p: &SdpProblem, warm: Option<(&BlockMatrix, &BlockMatrix)>) -> Vec<usize> {
         let mut blocks = Intervals::default();
         blocks.detect(p, warm);
         blocks.bounds
@@ -818,15 +861,31 @@ pub(crate) mod tests {
         assert_eq!(bounds(&assignment_problem(3, 1.5), None), [0, 1, 4, 5, 6]);
     }
 
+    /// A block matrix with the given boundaries, `1.0` on the diagonal
+    /// and `v` at `(i, j)`.
+    fn warm_with(bounds: &[usize], i: usize, j: usize, v: f64) -> BlockMatrix {
+        let mut m = BlockMatrix::zeros(bounds);
+        for k in 0..m.dim() {
+            m.set(k, k, 1.0);
+        }
+        m.set(i, j, v);
+        m
+    }
+
     #[test]
     fn a_wider_warm_pattern_widens_the_interval() {
         let p = assignment_problem(2, 0.0);
         assert_eq!(bounds(&p, None), [0, 1, 2, 3, 4]);
-        let mut z = SymMatrix::identity(4);
-        z.set(0, 2, 0.25);
-        let u = SymMatrix::zeros(4);
+        let z = warm_with(&[0, 3, 4], 0, 2, 0.25);
+        let u = BlockMatrix::zeros(&[0, 1, 2, 3, 4]);
         assert_eq!(bounds(&p, Some((&z, &u))), [0, 3, 4]);
         assert_eq!(bounds(&p, Some((&u, &z))), [0, 3, 4]);
+        // Only stored nonzeros count: a wide stored block whose
+        // off-diagonal entries are zeros of either sign widens nothing.
+        for zero in [0.0, -0.0] {
+            let wide = warm_with(&[0, 4], 0, 3, zero);
+            assert_eq!(bounds(&p, Some((&wide, &wide))), [0, 1, 2, 3, 4]);
+        }
     }
 
     #[test]
@@ -897,7 +956,7 @@ pub(crate) mod tests {
     fn assert_rejected(
         solver: SdpSolver,
         p: &SdpProblem,
-        warm: Option<(&SymMatrix, &SymMatrix)>,
+        warm: Option<(&BlockMatrix, &BlockMatrix)>,
         what: &str,
     ) {
         let got = solver.try_solve_from(p, warm);
@@ -950,16 +1009,25 @@ pub(crate) mod tests {
     #[test]
     fn non_finite_warm_iterates_are_rejected() {
         let p = assignment_problem(1, 0.0);
-        let ok = SymMatrix::zeros(2);
+        let ok = BlockMatrix::zeros(&[0, 1, 2]);
         for v in NON_FINITE {
-            let mut bad = SymMatrix::zeros(2);
-            bad.set(0, 1, v);
+            let bad = warm_with(&[0, 2], 0, 1, v);
             let solver = SdpSolver::default();
             assert_rejected(solver, &p, Some((&bad, &ok)), "warm-start z entry");
             assert_rejected(solver, &p, Some((&ok, &bad)), "warm-start u entry");
+            // z is checked before u, and the first non-finite entry in
+            // dense row-major order is the one reported: (0, 1) before
+            // (1, 1), whose value differs from v in its sign bit.
+            let mut first = warm_with(&[0, 2], 0, 1, v);
+            first.set(1, 1, -v);
+            let got = solver.try_solve_from(&p, Some((&first, &bad)));
+            let reported = match got {
+                Err(SolveError::InvalidInput { what, value }) => Some((what, value.to_bits())),
+                _ => None,
+            };
+            assert_eq!(reported, Some(("warm-start z entry", v.to_bits())));
             // A pair of the wrong dimension is ignored, not checked.
-            let mut stale = SymMatrix::zeros(3);
-            stale.set(0, 0, v);
+            let stale = warm_with(&[0, 1, 3], 0, 0, v);
             assert!(solver.try_solve_from(&p, Some((&stale, &stale))).is_ok());
         }
     }
@@ -1006,7 +1074,8 @@ pub(crate) mod tests {
         // min tr(X) s.t. X ⪰ 0, no constraints → X = 0.
         let p = SdpProblem::new(SymMatrix::identity(3));
         let sol = SdpSolver::default().solve(&p);
-        assert!(sol.x.norm() < 1e-3, "{}", sol.x.norm());
+        let norm = sol.x.to_dense().norm();
+        assert!(norm < 1e-3, "{norm}");
     }
 
     #[test]
@@ -1162,11 +1231,14 @@ pub(crate) mod tests {
         let mut p = SdpProblem::new(c);
         p.add_constraint(vec![(0, 0, 1.0), (1, 1, 1.0)], 1.0);
         let solver = SdpSolver::default();
-        let stale = SymMatrix::identity(5); // wrong dimension
+        let stale = warm_with(&[0, 1, 2, 3, 5], 3, 4, 0.5); // wrong dimension
         let sol = solver.solve_from(&p, Some((&stale, &stale)));
         let cold = solver.solve(&p);
-        assert_eq!(sol.iterations, cold.iterations);
+        assert!(!sol.warm_started);
+        assert_eq!(sol, cold);
         assert!((sol.x.get(0, 0) - 1.0).abs() < 1e-3);
+        let warm = solver.solve_from(&p, Some((&cold.z, &cold.u)));
+        assert!(warm.warm_started);
     }
 
     #[test]

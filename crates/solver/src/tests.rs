@@ -1,15 +1,19 @@
 //! Crate-level tests: the dense reference for the block-wise ADMM loop.
 //!
 //! [`SdpSolver::try_solve_from_with`] runs ADMM on the problem's
-//! interval blocks. [`solve_dense`] runs the same iteration on full
-//! `n × n` matrices — same kernels, same summation orders, same
-//! adaptive-ρ and rank-stop schedule — so the two must agree bit for
-//! bit. It is the oracle for that claim (`DESIGN.md` §6c).
+//! interval blocks and returns its iterates as [`BlockMatrix`]es.
+//! [`solve_dense`] runs the same iteration on full `n × n` matrices —
+//! same kernels, same summation orders, same adaptive-ρ and rank-stop
+//! schedule — from the dense expansion of the same warm pair, so the
+//! two must agree bit for bit. It is the oracle for that claim
+//! (`DESIGN.md` §6c).
 
-use crate::sdp::tests::{assignment_problem, cpla_shaped_problem};
+use prng::Rng;
+
+use crate::sdp::tests::{assignment_problem, bounds, cpla_shaped_problem};
 use crate::{
-    psd_project_in_place, Cholesky, PsdScratch, SdpProblem, SdpSolution, SdpSolver, SolveScratch,
-    SymMatrix,
+    psd_project_in_place, BlockMatrix, Cholesky, PsdScratch, SdpProblem, SdpSolution, SdpSolver,
+    SolveScratch, SymMatrix,
 };
 
 /// Left-fold Frobenius norm. `Iterator::sum::<f64>()` folds from `-0.0`
@@ -23,13 +27,26 @@ fn frob_norm(v: &[f64]) -> f64 {
     acc.sqrt()
 }
 
+/// What [`solve_dense`] returns: [`SdpSolution`]'s fields, with dense
+/// iterates.
+struct DenseSolution {
+    x: SymMatrix,
+    z: SymMatrix,
+    u: SymMatrix,
+    objective: f64,
+    iterations: usize,
+    primal_residual: f64,
+    constraint_residual: f64,
+    converged: bool,
+}
+
 /// Solves `problem` with the dense ADMM loop. The inputs must be ones
 /// the per-leaf solver accepts; the reference does not re-check them.
 fn solve_dense(
     solver: &SdpSolver,
     problem: &SdpProblem,
     warm: Option<(&SymMatrix, &SymMatrix)>,
-) -> SdpSolution {
+) -> DenseSolution {
     let n = problem.dim();
     let nn = n * n;
     let rows = problem.constraints_raw();
@@ -197,7 +214,7 @@ fn solve_dense(
     for (cv, xv) in problem.cost().as_slice().iter().zip(xs) {
         objective += cv * xv;
     }
-    SdpSolution {
+    DenseSolution {
         objective,
         iterations,
         primal_residual: primal,
@@ -209,10 +226,13 @@ fn solve_dense(
     }
 }
 
-fn assert_bitwise(a: &SdpSolution, b: &SdpSolution, label: &str) {
+/// Asserts that the block solution `b` expands to the dense one `a`,
+/// bit for bit.
+fn assert_bitwise(a: &DenseSolution, b: &SdpSolution, label: &str) {
     assert_eq!(a.iterations, b.iterations, "{label}: iterations");
     assert_eq!(a.converged, b.converged, "{label}: converged");
     for (name, ma, mb) in [("x", &a.x, &b.x), ("z", &a.z, &b.z), ("u", &a.u, &b.u)] {
+        let mb = mb.to_dense();
         let pa = ma.as_slice();
         let pb = mb.as_slice();
         assert_eq!(pa.len(), pb.len(), "{label}: {name} dims");
@@ -231,6 +251,70 @@ fn assert_bitwise(a: &SdpSolution, b: &SdpSolution, label: &str) {
     ] {
         assert_eq!(va.to_bits(), vb.to_bits(), "{label}: {name}");
     }
+}
+
+/// Solves `p` block-wise through `scratch` and densely from the dense
+/// expansion of the same warm pair, asserts that the two agree bit for
+/// bit, and returns the block solution.
+fn solve_both(
+    cfg: SdpSolver,
+    p: &SdpProblem,
+    warm: Option<(&BlockMatrix, &BlockMatrix)>,
+    scratch: &mut SolveScratch,
+    label: &str,
+) -> SdpSolution {
+    let leaf = cfg
+        .try_solve_from_with(p, warm, scratch)
+        .expect("per-leaf solve");
+    let dense = warm.map(|(z, u)| (z.to_dense(), u.to_dense()));
+    let reference = solve_dense(&cfg, p, dense.as_ref().map(|(z, u)| (z, u)));
+    assert_bitwise(&reference, &leaf, label);
+    leaf
+}
+
+/// The CPLA engine's solver configuration on a CPLA-shaped problem
+/// with `vars` assignment variables: a 200-iteration cap and the
+/// rank-stop window of 2 over the assignment variables.
+fn engine_config(vars: usize) -> SdpSolver {
+    SdpSolver {
+        max_iterations: 200,
+        tolerance: 1e-4,
+        rank_stop_window: 2,
+        rank_stop_vars: vars,
+        ..SdpSolver::default()
+    }
+}
+
+/// A random split of `segs ≥ 2` segments into at least two nets.
+fn split_nets(rng: &mut Rng, segs: usize) -> Vec<usize> {
+    let mut nets = vec![rng.range_usize(1, segs - 1)];
+    let mut left = segs - nets[0];
+    while left > 0 {
+        let size = rng.range_usize(1, left);
+        nets.push(size);
+        left -= size;
+    }
+    nets
+}
+
+/// `m` laid out as one block over `0..n`, with `-0.0` on about a
+/// quarter of the diagonal and on about half of the zero off-diagonal
+/// entries, most of which lie outside `m`'s blocks.
+fn with_negative_zeros(m: &BlockMatrix, rng: &mut Rng) -> BlockMatrix {
+    let n = m.dim();
+    let mut out = BlockMatrix::zeros(&[0, n]);
+    for i in 0..n {
+        for j in i..n {
+            let v = m.get(i, j);
+            let flip = if i == j {
+                rng.bool(0.25)
+            } else {
+                v == 0.0 && rng.bool(0.5)
+            };
+            out.set(i, j, if flip { -0.0 } else { v });
+        }
+    }
+    out
 }
 
 #[test]
@@ -279,7 +363,7 @@ fn block_loop_matches_the_dense_reference_bitwise() {
     type Run<'a> = (
         SdpSolver,
         &'a SdpProblem,
-        Option<(&'a SymMatrix, &'a SymMatrix)>,
+        Option<(&'a BlockMatrix, &'a BlockMatrix)>,
     );
     let mut runs: Vec<Run> = problems.iter().map(|p| (solver, p, None)).collect();
     for (pi, sol) in &warm_pairs {
@@ -300,14 +384,67 @@ fn block_loop_matches_the_dense_reference_bitwise() {
     let mut scratch = SolveScratch::new();
     let mut outcomes = Vec::new();
     for (i, &(cfg, p, warm)) in runs.iter().enumerate() {
-        let leaf = cfg
-            .try_solve_from_with(p, warm, &mut scratch)
-            .expect("per-leaf solve");
-        assert_bitwise(&solve_dense(&cfg, p, warm), &leaf, &format!("run {i}"));
-        outcomes.push(leaf);
+        outcomes.push(solve_both(cfg, p, warm, &mut scratch, &format!("run {i}")));
     }
     let (capped, converged) = (&outcomes[runs.len() - 2], &outcomes[runs.len() - 1]);
     assert_eq!(capped.iterations, 5);
     assert!(!capped.converged);
     assert!(converged.converged);
+
+    // Warm chains under the engine's configuration: a cold solve, then
+    // three same-dimension problems, each warm-started from the block
+    // pair the link before it returned. The problems' own intervals
+    // widen (one net holds every segment), narrow (split into nets
+    // again) and stay the same (same nets, new costs); the warm pair
+    // keeps the wide blocks of the widening link alive after it.
+    let chains = if cfg!(feature = "proptest") { 96 } else { 8 };
+    for seed in 0..chains {
+        let mut rng = Rng::seed_from_u64(0xC4A1_0000 + seed);
+        let segs = rng.range_usize(2, 7);
+        let layers = rng.range_usize(2, 3);
+        let caps = rng.range_usize(0, 2);
+        let cfg = engine_config(segs * layers);
+        let first = split_nets(&mut rng, segs);
+        let narrow = split_nets(&mut rng, segs);
+        let mut shape = |nets: &[usize]| cpla_shaped_problem(nets, layers, caps, rng.u64());
+        let links = [
+            shape(&first),
+            shape(&[segs]),
+            shape(&narrow),
+            shape(&narrow),
+        ];
+        let own: Vec<Vec<usize>> = links.iter().map(|p| bounds(p, None)).collect();
+        assert!(
+            own[1].len() < own[0].len() && own[2].len() > own[1].len() && own[3] == own[2],
+            "chain {seed}: intervals {own:?}"
+        );
+        let mut pairs: Vec<SdpSolution> = Vec::new();
+        for (k, p) in links.iter().enumerate() {
+            let warm = pairs.last().map(|s| (&s.z, &s.u));
+            let label = format!("chain {seed} link {k}");
+            let leaf = solve_both(cfg, p, warm, &mut scratch, &label);
+            assert_eq!(leaf.warm_started, k > 0, "{label}");
+            pairs.push(leaf);
+        }
+
+        // The cold link's pair stored as one block holding -0.0 entries:
+        // detection finds its narrower intervals, and the -0.0 entries
+        // inside them are loaded as they are.
+        let (z, u) = (&pairs[0].z, &pairs[0].u);
+        let (z, u) = (
+            with_negative_zeros(z, &mut rng),
+            with_negative_zeros(u, &mut rng),
+        );
+        assert!(bounds(&links[0], Some((&z, &u))).len() > 2, "chain {seed}");
+        let label = format!("chain {seed}, -0.0 pair");
+        let leaf = solve_both(cfg, &links[0], Some((&z, &u)), &mut scratch, &label);
+        assert!(leaf.warm_started, "{label}");
+
+        // A pair of another dimension is ignored.
+        let wider = cpla_shaped_problem(&narrow, layers, caps + 1, rng.u64());
+        let label = format!("chain {seed}, mismatched pair");
+        let stale = pairs.last().map(|s| (&s.z, &s.u));
+        let leaf = solve_both(cfg, &wider, stale, &mut scratch, &label);
+        assert!(!leaf.warm_started, "{label}");
+    }
 }

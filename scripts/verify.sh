@@ -42,6 +42,9 @@ cargo test --workspace -q --offline
 echo "==> route/ispd full property sweeps"
 cargo test -q --offline -p route -p ispd --features proptest
 
+echo "==> solver/cpla/timing full property sweeps"
+cargo test -q --offline -p solver -p cpla -p timing --features proptest
+
 echo "==> benchmark package tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
