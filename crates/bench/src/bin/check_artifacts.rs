@@ -15,11 +15,11 @@
 //! 2. every metrics sample line parses as `name{labels} value` with a
 //!    finite value, and the per-stage wall metric is present;
 //! 3. `BENCH_cpla.json` parses, carries `schema` 2, its header names
-//!    the machine's `cores` and the process's `peak_rss_mb` as finite
-//!    positive numbers, every mode's `stages` object has exactly the
-//!    eight pipeline stage keys, and every mode's `peak_alloc_bytes`
-//!    is a number when `alloc_stats` is `true` and `null`/absent when
-//!    it is `false`;
+//!    the machine's `cores`, the process's `peak_rss_mb` and the
+//!    routing wall time `route_secs` as finite positive numbers, every
+//!    mode's `stages` object has exactly the eight pipeline stage keys,
+//!    and every mode's `peak_alloc_bytes` is a number when
+//!    `alloc_stats` is `true` and `null`/absent when it is `false`;
 //! 4. with `--baseline`, the bench report's mode labels and stage keys
 //!    match the committed baseline (values are allowed to drift —
 //!    wall-clock and allocator numbers are machine-dependent).
@@ -209,7 +209,7 @@ fn check_bench(path: &str, baseline: Option<&str>) -> Result<String, String> {
     if schema != 2 {
         return Err(format!("{path}: unsupported schema {schema} (expected 2)"));
     }
-    for key in ["cores", "peak_rss_mb"] {
+    for key in ["cores", "peak_rss_mb", "route_secs"] {
         match root.get(key).and_then(Value::as_num) {
             Some(v) if v.is_finite() && v > 0.0 => {}
             _ => {

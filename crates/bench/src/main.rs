@@ -31,7 +31,7 @@ use grid::Grid;
 use ispd::SyntheticConfig;
 use net::{Assignment, Netlist};
 use obs::Recorder;
-use route::{initial_assignment, route_netlist, RouterConfig};
+use route::{initial_assignment, Router, RouterConfig};
 
 /// Counting allocator so `--alloc-stats` can attribute bytes to spans;
 /// counting stays disabled (one relaxed load per call) without the flag.
@@ -490,15 +490,22 @@ fn peak_rss_mb() -> Option<f64> {
 /// The whole `BENCH_cpla.json` document. Stage *keys* are the stable
 /// contract (CI diffs them against the committed baseline); the numeric
 /// values are a trajectory, expected to drift run to run. The header
-/// names the machine's core count and the process's peak resident set
-/// up to the write; either is `null` where the platform cannot say.
-fn json_bench(args: &Args, o: &RunOutcome, thread_scaling: Option<&str>) -> String {
+/// names the machine's core count, the process's peak resident set up
+/// to the write (either is `null` where the platform cannot say) and
+/// the wall time of routing the design.
+fn json_bench(
+    args: &Args,
+    route_secs: f64,
+    o: &RunOutcome,
+    thread_scaling: Option<&str>,
+) -> String {
     let cores = std::thread::available_parallelism().map_or("null".to_string(), |n| n.to_string());
     let peak_rss = peak_rss_mb().map_or("null".to_string(), |mb| format!("{mb:.1}"));
     format!(
         "{{\n\"schema\":2,\n\"design\":{{\"seed\":{},\"nets\":{},\"width\":{},\
          \"height\":{},\"layers\":{},\"capacity\":{},\"preset\":{}}},\n\
-         \"threads\":{},\"cores\":{cores},\"peak_rss_mb\":{peak_rss},\"reps\":{},\
+         \"threads\":{},\"cores\":{cores},\"peak_rss_mb\":{peak_rss},\
+         \"route_secs\":{route_secs:.6},\"reps\":{},\
          \"ratio\":{},\"rounds\":{},\"alloc_stats\":{},\"thread_scaling\":{},\n\
          \"modes\":{{\"{CELL}\":{}}}\n}}\n",
         args.seed,
@@ -558,13 +565,22 @@ fn main() {
         }
     };
     let (mut grid, specs) = cfg.generate().expect("synthetic design");
-    let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
+    let route_start = Instant::now();
+    let mut router = Router::new(&grid, &RouterConfig::default());
+    let netlist = router.route_all(&specs);
+    let route_secs = route_start.elapsed().as_secs_f64();
+    let routed = router.stats();
     let assignment = initial_assignment(&mut grid, &netlist);
     eprintln!(
-        "design {}: {} nets routed to {} segments",
+        "design {}: {} nets routed to {} segments in {route_secs:.3} s \
+         ({} maze searches, {} maze paths kept, {} cells settled, {} cells labelled)",
         cfg.name,
         netlist.len(),
         netlist.num_segments(),
+        routed.maze_searches,
+        routed.maze_paths_kept,
+        routed.cells_settled,
+        routed.cells_labelled,
     );
 
     let mut trace = args.trace.as_deref().map(JsonlTrace::create);
@@ -609,7 +625,7 @@ fn main() {
         write_artifact(
             path,
             "bench baseline",
-            &json_bench(&args, &outcome, thread_scaling.as_deref()),
+            &json_bench(&args, route_secs, &outcome, thread_scaling.as_deref()),
         );
     }
 

@@ -10,7 +10,8 @@
 //!    congestion-aware L/Z pattern choice and an optional maze
 //!    fallback).
 //! 2. [`maze`] — a congestion-weighted shortest-path router used when
-//!    pattern routes would overflow.
+//!    pattern routes would overflow, steered by a lower bound on the
+//!    full edges still to cross and returning Dijkstra's exact path.
 //! 3. [`initial_assignment`] — the net-by-net dynamic-programming layer
 //!    assignment in the style of congestion-constrained via-minimization
 //!    (Lee & Wang, TCAD'08 — reference \[5\] of the paper), which is the
@@ -43,4 +44,4 @@ pub mod maze;
 mod steiner;
 
 pub use initial::{initial_assignment, initial_assignment_with, InitialConfig};
-pub use steiner::{route_netlist, CongestionMap, Router, RouterConfig};
+pub use steiner::{route_netlist, CongestionMap, Router, RouterConfig, RouterStats};

@@ -24,7 +24,9 @@ use crate::maze;
 pub struct RouterConfig {
     /// Weight of relative usage (`usage / capacity`) in edge costs.
     pub congestion_weight: f64,
-    /// Additive cost charged per unit of overflow on a full edge.
+    /// Additive cost charged per unit of overflow on a full edge. It is
+    /// also the maze search's wall charge: edges costing at least this
+    /// much bound the search from below (see [`maze::Search::find_path`]).
     pub overflow_penalty: f64,
     /// Whether to try a maze route when the best pattern route hits
     /// full edges.
@@ -249,6 +251,21 @@ fn closest_tree_point(tree_cells: &[Cell], target: Cell) -> Cell {
         .expect("tree has at least the root cell")
 }
 
+/// Cumulative work of a [`Router`].
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct RouterStats {
+    /// Maze searches run: connections whose best pattern route crossed
+    /// a full edge.
+    pub maze_searches: u64,
+    /// Maze paths kept because they were strictly cheaper than that
+    /// pattern.
+    pub maze_paths_kept: u64,
+    /// Cells the maze searches settled.
+    pub cells_settled: u64,
+    /// Cells the maze searches' goal-side bound labelled.
+    pub cells_labelled: u64,
+}
+
 /// Routes nets one at a time on one grid, sharing a congestion map.
 ///
 /// The router owns the run's maze buffers and the mask of the current
@@ -265,6 +282,8 @@ pub struct Router<'g> {
     on_tree: Vec<bool>,
     /// Edge indices set in `on_tree`, for clearing it.
     tree_edges: Vec<usize>,
+    /// Maze paths that replaced a pattern route so far.
+    maze_paths_kept: u64,
 }
 
 impl<'g> Router<'g> {
@@ -278,7 +297,35 @@ impl<'g> Router<'g> {
             search: maze::Search::new(w, h),
             on_tree: vec![false; maze::num_edges(w, h)],
             tree_edges: Vec::new(),
+            maze_paths_kept: 0,
         }
+    }
+
+    /// Work done by every route call so far.
+    pub fn stats(&self) -> RouterStats {
+        let search = self.search.stats();
+        RouterStats {
+            maze_searches: search.searches,
+            maze_paths_kept: self.maze_paths_kept,
+            cells_settled: search.settled,
+            cells_labelled: search.labelled,
+        }
+    }
+
+    /// Routes every spec in order, dropping nets that collapse to a
+    /// single cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pin lies outside the grid.
+    pub fn route_all(&mut self, specs: &[NetSpec]) -> Netlist {
+        let mut netlist = Netlist::new();
+        for spec in specs {
+            if let Some(net) = self.route(spec) {
+                netlist.push(net);
+            }
+        }
+        netlist
     }
 
     /// Routes one net spec into a [`Net`], updating the congestion.
@@ -413,13 +460,17 @@ impl<'g> Router<'g> {
             }
         }
         if self.config.maze_fallback && path_overflows(congestion, from, &best) {
-            if let Some(path) = self
-                .search
-                .find_path(from, to, congestion.costs(), &self.on_tree)
-            {
+            if let Some(path) = self.search.find_path(
+                from,
+                to,
+                congestion.costs(),
+                &self.on_tree,
+                self.config.overflow_penalty,
+            ) {
                 let mw = maze::path_waypoints(&path);
                 if path_cost(congestion, from, &mw) < best_cost {
                     best = mw;
+                    self.maze_paths_kept += 1;
                 }
             }
         }
@@ -429,15 +480,12 @@ impl<'g> Router<'g> {
 
 /// Routes every spec in order with one [`Router`]. Nets that collapse to
 /// a single cell are dropped.
+///
+/// # Panics
+///
+/// Panics if a pin lies outside the grid.
 pub fn route_netlist(grid: &Grid, specs: &[NetSpec], config: &RouterConfig) -> Netlist {
-    let mut router = Router::new(grid, config);
-    let mut netlist = Netlist::new();
-    for spec in specs {
-        if let Some(net) = router.route(spec) {
-            netlist.push(net);
-        }
-    }
-    netlist
+    Router::new(grid, config).route_all(specs)
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Pins the router's output on `newblue5`, the Table-2 design that
-//! leans on the maze fallback hardest (404 maze searches), and on
-//! `adaptec5` (176). Each design goes through the ISPD'08 round trip
-//! (write → parse → `to_grid`) exactly as `cpla-cli optimize` reads it,
-//! then through `route_netlist` with the default config. Any change to
-//! a route — a different tie broken in the maze, a different pattern
-//! picked, a different cost — moves the digest.
+//! leans on the maze fallback hardest (404 maze searches), on
+//! `adaptec5` (176), and on the `scale-100k` preset (5,519). Each design
+//! goes through the ISPD'08 round trip (write → parse → `to_grid`)
+//! exactly as `cpla-cli optimize` reads it, then through one `Router`
+//! with the default config. Any change to a route — a different tie
+//! broken in the maze, a different pattern picked, a different cost —
+//! moves the digest. The values were recorded with a plain Dijkstra
+//! maze search, before the goal-side wall bound.
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -12,7 +14,7 @@ use std::io::BufReader;
 use grid::{Edge2d, Grid};
 use ispd::SyntheticConfig;
 use net::Netlist;
-use route::{route_netlist, RouterConfig};
+use route::{Router, RouterConfig, RouterStats};
 
 /// What the pin compares.
 #[derive(PartialEq, Debug)]
@@ -39,17 +41,16 @@ impl Fnv {
     }
 }
 
-fn route_design(name: &str) -> (Grid, Netlist) {
-    let design = SyntheticConfig::named(name)
-        .expect("Table-2 design")
-        .design()
-        .expect("valid config");
+fn route_design(config: SyntheticConfig) -> (Grid, Netlist, RouterStats) {
+    let design = config.design().expect("valid config");
     let mut file = Vec::new();
     ispd::write(&design, &mut file).expect("in-memory write");
     let parsed = ispd::parse(BufReader::new(file.as_slice())).expect("round trip parses");
     let grid = parsed.to_grid().expect("round trip builds a grid");
-    let netlist = route_netlist(&grid, parsed.net_specs(), &RouterConfig::default());
-    (grid, netlist)
+    let mut router = Router::new(&grid, &RouterConfig::default());
+    let netlist = router.route_all(parsed.net_specs());
+    let stats = router.stats();
+    (grid, netlist, stats)
 }
 
 /// Counts, wirelength, 2-D overflow against the projected capacities,
@@ -93,7 +94,8 @@ fn summarize(grid: &Grid, netlist: &Netlist) -> RouteSummary {
 
 #[test]
 fn newblue5_routes_are_pinned() {
-    let (grid, netlist) = route_design("newblue5");
+    let (grid, netlist, _) =
+        route_design(SyntheticConfig::named("newblue5").expect("Table-2 design"));
     assert_eq!(
         summarize(&grid, &netlist),
         RouteSummary {
@@ -107,7 +109,8 @@ fn newblue5_routes_are_pinned() {
 
 #[test]
 fn adaptec5_routes_are_pinned() {
-    let (grid, netlist) = route_design("adaptec5");
+    let (grid, netlist, _) =
+        route_design(SyntheticConfig::named("adaptec5").expect("Table-2 design"));
     assert_eq!(
         summarize(&grid, &netlist),
         RouteSummary {
@@ -115,6 +118,36 @@ fn adaptec5_routes_are_pinned() {
             wirelength: 110_392,
             total_overflow: 224,
             digest: 3_051_110_551_910_038_289,
+        }
+    );
+}
+
+/// The routes, and the maze work that found them: a bound that stops
+/// pruning leaves the routes alone but moves `cells_settled`.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "routes 33,000 nets, ~13 s unoptimized: run with --release"
+)]
+fn scale_100k_routes_are_pinned() {
+    let (grid, netlist, stats) =
+        route_design(SyntheticConfig::scale("scale-100k").expect("scale preset"));
+    assert_eq!(
+        summarize(&grid, &netlist),
+        RouteSummary {
+            segments: 134_468,
+            wirelength: 662_253,
+            total_overflow: 49_736,
+            digest: 8_306_801_367_854_778_856,
+        }
+    );
+    assert_eq!(
+        stats,
+        RouterStats {
+            maze_searches: 5_519,
+            maze_paths_kept: 4_070,
+            cells_settled: 5_344_343,
+            cells_labelled: 26_104_301,
         }
     );
 }
