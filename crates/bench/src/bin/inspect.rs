@@ -94,11 +94,13 @@ fn main() {
         );
         for r in &report.rounds {
             println!(
-                "  round {}: avg {:.1} max {:.1} over {} partitions ({})",
+                "  round {}: avg {:.1} max {:.1} over {} partitions, wire overflow {} via overflow {} ({})",
                 r.round,
                 r.avg_tcp,
                 r.max_tcp,
                 r.partitions,
+                r.wire_overflow,
+                r.via_overflow,
                 if r.improved { "improved" } else { "stop" }
             );
         }

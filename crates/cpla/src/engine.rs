@@ -205,6 +205,10 @@ pub struct RoundStats {
     pub partitions: usize,
     /// Whether the round improved the average.
     pub improved: bool,
+    /// Total wire overflow of the grid after the round.
+    pub wire_overflow: u64,
+    /// Total via overflow (`OV#`) of the grid after the round.
+    pub via_overflow: u64,
 }
 
 /// Wall-time and work counters for one engine run, per pipeline stage.
@@ -439,6 +443,71 @@ mod tests {
         let report = Cpla::new(config).run(&mut grid, &nl, &mut a).unwrap();
         assert!(report.final_metrics.avg_tcp <= report.initial_metrics.avg_tcp);
         a.validate(&nl, &grid).unwrap();
+    }
+
+    /// `SyntheticConfig::small(seed)` at wire capacity `cap`, with every
+    /// net moved to the top (`lift`) or bottom layer of each segment's
+    /// direction so the input carries via or wire overflow.
+    fn congested_fixture(seed: u64, cap: u32, lift: bool) -> (Grid, Netlist, Assignment) {
+        let cfg = ispd::SyntheticConfig {
+            capacity: cap,
+            ..ispd::SyntheticConfig::small(seed)
+        };
+        let (mut grid, specs) = cfg.generate().unwrap();
+        let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
+        let mut assignment = initial_assignment(&mut grid, &netlist);
+        for i in 0..netlist.len() {
+            let moved: Vec<usize> = assignment
+                .net_layers(i)
+                .iter()
+                .map(|&l| {
+                    let mut same_dir = grid.layers_in_direction(grid.layer(l).direction);
+                    if lift {
+                        same_dir.last().unwrap()
+                    } else {
+                        same_dir.next().unwrap()
+                    }
+                })
+                .collect();
+            net::remove_net_from_grid(&mut grid, netlist.net(i), assignment.net_layers(i));
+            net::restore_net_to_grid(&mut grid, netlist.net(i), &moved);
+            assignment.set_net_layers(i, moved);
+        }
+        (grid, netlist, assignment)
+    }
+
+    /// Every round records the grid's overflow totals after it. The run
+    /// ends on the incumbent, so the final grid carries the totals of the
+    /// last improving round, or the input's when no round improved.
+    #[test]
+    fn final_overflow_is_the_last_improving_rounds() {
+        let (mut none_improved, mut moved) = (0, 0);
+        for (seed, cap, lift) in [(3, 3, false), (42, 4, true), (42, 3, true), (6, 3, true)] {
+            let (mut grid, nl, mut a) = congested_fixture(seed, cap, lift);
+            let input = (grid.total_wire_overflow(), grid.total_via_overflow());
+            let config = CplaConfig {
+                critical_ratio: 0.05,
+                max_rounds: 4,
+                ..CplaConfig::default()
+            };
+            let report = Cpla::new(config).run(&mut grid, &nl, &mut a).unwrap();
+            let expected = report
+                .rounds
+                .iter()
+                .rev()
+                .find(|r| r.improved)
+                .map_or(input, |r| (r.wire_overflow, r.via_overflow));
+            let last = (grid.total_wire_overflow(), grid.total_via_overflow());
+            assert_eq!(last, expected, "seed {seed} cap {cap}: {:?}", report.rounds);
+            assert_eq!(report.final_metrics.via_overflow, last.1);
+            none_improved += usize::from(report.rounds.iter().all(|r| !r.improved));
+            moved += usize::from(last != input);
+        }
+        assert!(
+            none_improved > 0 && moved > 0,
+            "fixtures must cover a run with no improving round ({none_improved}) \
+             and one that moves the overflow ({moved})"
+        );
     }
 
     #[test]

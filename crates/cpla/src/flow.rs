@@ -765,13 +765,11 @@ impl FlowStage for MeasureStage {
 
     fn run(&mut self, ctx: &mut FlowContext<'_>) -> Result<(), FlowError> {
         let m = Metrics::measure(ctx.grid, ctx.netlist, ctx.assignment, ctx.released);
+        let wire_overflow = ctx.grid.total_wire_overflow();
         // Price overflow added beyond the input state instead of
         // forbidding it outright — the Measure-stage mirror of the
         // paper's `α·V_o` relaxation (see `CplaConfig::overflow_price`).
-        let excess = ctx
-            .grid
-            .total_wire_overflow()
-            .saturating_sub(ctx.input_wire_overflow)
+        let excess = wire_overflow.saturating_sub(ctx.input_wire_overflow)
             + m.via_overflow.saturating_sub(ctx.input_via_overflow);
         let score = m.avg_tcp + ctx.config.overflow_price * ctx.input_avg * excess as f64;
         let improved = score < ctx.best_score - 1e-12;
@@ -781,6 +779,8 @@ impl FlowStage for MeasureStage {
             max_tcp: m.max_tcp,
             partitions: ctx.partitions.len(),
             improved,
+            wire_overflow,
+            via_overflow: m.via_overflow,
         });
         if improved {
             ctx.best_avg = m.avg_tcp;

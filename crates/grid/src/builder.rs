@@ -178,7 +178,7 @@ impl GridBuilder {
             usage.push(vec![0u32; n]);
             via_usage.push(vec![0u32; n_cells]);
         }
-        Ok(Grid {
+        let mut grid = Grid {
             width: self.width,
             height: self.height,
             tile_width: self.tile_width,
@@ -190,7 +190,15 @@ impl GridBuilder {
             cap,
             usage,
             via_usage,
-        })
+            via_cap: Vec::new(),
+            wire_overflow: 0,
+            via_overflow: 0,
+        };
+        // Usage starts empty, so both overflow totals start at zero.
+        grid.via_cap = (0..grid.num_layers())
+            .map(|l| grid.cells().map(|c| grid.eqn1_via_capacity(c, l)).collect())
+            .collect();
+        Ok(grid)
     }
 }
 

@@ -9,6 +9,14 @@ use crate::{Cell, Direction, Edge2d, Layer};
 /// current wire usage of each routing edge of that layer's direction, plus
 /// the via usage stacked through every tile.
 ///
+/// The grid also keeps every tile's Eqn. (1) via capacity and the running
+/// wire and via overflow totals. The five mutators ([`Grid::add_wire`],
+/// [`Grid::remove_wire`], [`Grid::add_via_stack`],
+/// [`Grid::remove_via_stack`] and [`Grid::set_edge_capacity`]) update them
+/// from the entries they touch, and [`Grid::restore_usage`] recounts the
+/// totals, so [`Grid::via_capacity`], [`Grid::total_wire_overflow`] and
+/// [`Grid::total_via_overflow`] are O(1) reads.
+///
 /// Construct with [`crate::GridBuilder`].
 ///
 /// # Edge addressing
@@ -34,6 +42,13 @@ pub struct Grid {
     pub(crate) usage: Vec<Vec<u32>>,
     /// Per layer: vias currently passing *through* that layer at each cell.
     pub(crate) via_usage: Vec<Vec<u32>>,
+    /// Per layer: the Eqn. (1) via capacity of each cell, computed once by
+    /// the builder and refreshed by [`Grid::set_edge_capacity`].
+    pub(crate) via_cap: Vec<Vec<u32>>,
+    /// Running `Σ max(0, usage − cap)` over all layer edges.
+    pub(crate) wire_overflow: u64,
+    /// Running `Σ max(0, via_usage − via_cap)` over all layer cells.
+    pub(crate) via_overflow: u64,
 }
 
 /// Opaque copy of a grid's usage state, for what-if exploration.
@@ -260,7 +275,15 @@ impl Grid {
     pub fn set_edge_capacity(&mut self, layer: usize, edge: Edge2d, cap: u32) {
         self.check_layer_edge(layer, edge);
         let idx = self.edge_index(edge);
+        let usage = self.usage[layer][idx];
+        self.wire_overflow -= u64::from(usage.saturating_sub(self.cap[layer][idx]));
+        self.wire_overflow += u64::from(usage.saturating_sub(cap));
         self.cap[layer][idx] = cap;
+        // The edge is the "next" edge of its own cell and the "previous"
+        // edge of the far cell; no other cell's Eqn. (1) reads it.
+        let (near, far) = edge.endpoints();
+        self.refresh_via_capacity(near, layer);
+        self.refresh_via_capacity(far, layer);
     }
 
     /// Number of wires currently routed across `edge` on `layer`.
@@ -297,6 +320,9 @@ impl Grid {
         self.check_layer_edge(layer, edge);
         let idx = self.edge_index(edge);
         self.usage[layer][idx] += 1;
+        if self.usage[layer][idx] > self.cap[layer][idx] {
+            self.wire_overflow += 1;
+        }
     }
 
     /// Removes one wire from `edge` on `layer`.
@@ -312,6 +338,9 @@ impl Grid {
             self.usage[layer][idx] > 0,
             "removing wire from empty edge {edge} on layer {layer}"
         );
+        if self.usage[layer][idx] > self.cap[layer][idx] {
+            self.wire_overflow -= 1;
+        }
         self.usage[layer][idx] -= 1;
     }
 
@@ -331,12 +360,21 @@ impl Grid {
     /// contribute zero capacity). If both edges are fully occupied by
     /// wires, no vias can pass through the cell on this layer.
     ///
+    /// O(1): the value is cached when the grid is built and refreshed
+    /// whenever [`Grid::set_edge_capacity`] edits `e0` or `e1`.
+    ///
     /// # Panics
     ///
     /// Panics if the layer index or cell is out of range.
     pub fn via_capacity(&self, cell: Cell, layer: usize) -> u32 {
         assert!(layer < self.num_layers(), "layer {layer} out of range");
         assert!(self.contains(cell), "cell {cell} out of bounds");
+        self.via_cap[layer][self.cell_index(cell)]
+    }
+
+    /// Evaluates Eqn. (1) for `cell` on `layer` from the current edge
+    /// capacities (what [`Grid::via_capacity`] caches).
+    pub(crate) fn eqn1_via_capacity(&self, cell: Cell, layer: usize) -> u32 {
         let lay = &self.layers[layer];
         let dir = lay.direction;
         let mut edge_cap_sum = 0u64;
@@ -369,6 +407,17 @@ impl Grid {
         cap.floor().max(0.0) as u32
     }
 
+    /// Re-evaluates the cached via capacity of `cell` on `layer` and moves
+    /// the running via overflow by the change.
+    fn refresh_via_capacity(&mut self, cell: Cell, layer: usize) {
+        let idx = self.cell_index(cell);
+        let fresh = self.eqn1_via_capacity(cell, layer);
+        let usage = self.via_usage[layer][idx];
+        self.via_overflow -= u64::from(usage.saturating_sub(self.via_cap[layer][idx]));
+        self.via_overflow += u64::from(usage.saturating_sub(fresh));
+        self.via_cap[layer][idx] = fresh;
+    }
+
     /// Number of vias currently passing through `cell` on `layer`.
     ///
     /// # Panics
@@ -394,6 +443,9 @@ impl Grid {
         let idx = self.cell_index(cell);
         for l in (lo + 1)..hi {
             self.via_usage[l][idx] += 1;
+            if self.via_usage[l][idx] > self.via_cap[l][idx] {
+                self.via_overflow += 1;
+            }
         }
     }
 
@@ -412,6 +464,9 @@ impl Grid {
                 self.via_usage[l][idx] > 0,
                 "removing via from empty cell {cell} on layer {l}"
             );
+            if self.via_usage[l][idx] > self.via_cap[l][idx] {
+                self.via_overflow -= 1;
+            }
             self.via_usage[l][idx] -= 1;
         }
     }
@@ -421,28 +476,62 @@ impl Grid {
     // ------------------------------------------------------------------
 
     /// Total wire overflow: `Σ max(0, usage − cap)` over all layer edges.
+    ///
+    /// O(1): a running total kept by the usage and capacity mutators.
     pub fn total_wire_overflow(&self) -> u64 {
-        let mut total = 0u64;
-        for l in 0..self.num_layers() {
-            for (u, c) in self.usage[l].iter().zip(&self.cap[l]) {
-                total += u.saturating_sub(*c) as u64;
-            }
-        }
-        total
+        self.wire_overflow
     }
 
     /// Total via overflow (the paper's `OV#`): `Σ max(0, via_usage −
     /// via_cap)` over all cells and layers.
+    ///
+    /// O(1): a running total kept by the usage and capacity mutators.
     pub fn total_via_overflow(&self) -> u64 {
-        let mut total = 0u64;
-        for l in 0..self.num_layers() {
-            for cell in self.cells() {
-                let u = self.via_usage[l][self.cell_index(cell)];
-                let c = self.via_capacity(cell, l);
-                total += u.saturating_sub(c) as u64;
-            }
-        }
-        total
+        self.via_overflow
+    }
+
+    // ------------------------------------------------------------------
+    // Row views
+    // ------------------------------------------------------------------
+
+    /// Wire usage of every edge of `layer`, in [`Grid::edge_flat_index`]
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer >= self.num_layers()`.
+    pub fn edge_usage_row(&self, layer: usize) -> &[u32] {
+        &self.usage[layer]
+    }
+
+    /// Wire capacity of every edge of `layer`, in
+    /// [`Grid::edge_flat_index`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer >= self.num_layers()`.
+    pub fn edge_capacity_row(&self, layer: usize) -> &[u32] {
+        &self.cap[layer]
+    }
+
+    /// Via usage of every cell on `layer`, in [`Grid::cell_flat_index`]
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer >= self.num_layers()`.
+    pub fn via_usage_row(&self, layer: usize) -> &[u32] {
+        &self.via_usage[layer]
+    }
+
+    /// Via capacity of every cell on `layer`, in
+    /// [`Grid::cell_flat_index`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer >= self.num_layers()`.
+    pub fn via_capacity_row(&self, layer: usize) -> &[u32] {
+        &self.via_cap[layer]
     }
 
     // ------------------------------------------------------------------
@@ -494,12 +583,30 @@ impl Grid {
     /// Panics if the snapshot was taken from a grid of different shape.
     pub fn restore_usage(&mut self, snapshot: UsageSnapshot) {
         assert_eq!(snapshot.usage.len(), self.usage.len());
+        assert_eq!(snapshot.via_usage.len(), self.via_usage.len());
         for (a, b) in snapshot.usage.iter().zip(&self.usage) {
+            assert_eq!(a.len(), b.len(), "snapshot shape mismatch");
+        }
+        for (a, b) in snapshot.via_usage.iter().zip(&self.via_usage) {
             assert_eq!(a.len(), b.len(), "snapshot shape mismatch");
         }
         self.usage = snapshot.usage;
         self.via_usage = snapshot.via_usage;
+        // A snapshot can outlive a capacity edit, so the totals are
+        // recounted against today's capacities rather than stored.
+        self.wire_overflow = excess(&self.usage, &self.cap);
+        self.via_overflow = excess(&self.via_usage, &self.via_cap);
     }
+}
+
+/// `Σ max(0, usage − cap)` over matching per-layer tables.
+fn excess(usage: &[Vec<u32>], cap: &[Vec<u32>]) -> u64 {
+    usage
+        .iter()
+        .zip(cap)
+        .flat_map(|(u, c)| u.iter().zip(c))
+        .map(|(&u, &c)| u64::from(u.saturating_sub(c)))
+        .sum()
 }
 
 #[cfg(test)]
@@ -649,5 +756,231 @@ mod tests {
         let r12 = g.via_resistance(1);
         assert!((g.via_stack_resistance(0, 2) - (r01 + r12)).abs() < 1e-12);
         assert_eq!(g.via_stack_resistance(1, 1), 0.0);
+    }
+
+    mod properties {
+        use super::*;
+
+        /// `Σ max(0, usage − cap)` scanned edge by edge.
+        fn scan_wire_overflow(g: &Grid) -> u64 {
+            let mut total = 0u64;
+            for l in 0..g.num_layers() {
+                for e in g.edges_in_direction(g.layer(l).direction) {
+                    total += u64::from(g.edge_usage(l, e).saturating_sub(g.edge_capacity(l, e)));
+                }
+            }
+            total
+        }
+
+        /// `Σ max(0, via_usage − cap_g)` scanned cell by cell, with
+        /// Eqn. (1) evaluated afresh rather than read from the cache.
+        fn scan_via_overflow(g: &Grid) -> u64 {
+            let mut total = 0u64;
+            for l in 0..g.num_layers() {
+                for cell in g.cells() {
+                    let cap = g.eqn1_via_capacity(cell, l);
+                    total += u64::from(g.via_usage(cell, l).saturating_sub(cap));
+                }
+            }
+            total
+        }
+
+        fn check_books(g: &Grid, what: &str) {
+            assert_eq!(
+                g.total_wire_overflow(),
+                scan_wire_overflow(g),
+                "after {what}: wire total"
+            );
+            assert_eq!(
+                g.total_via_overflow(),
+                scan_via_overflow(g),
+                "after {what}: via total"
+            );
+            for l in 0..g.num_layers() {
+                for cell in g.cells() {
+                    assert_eq!(
+                        g.via_capacity(cell, l),
+                        g.eqn1_via_capacity(cell, l),
+                        "after {what}: via capacity of {cell} on layer {l}"
+                    );
+                }
+            }
+        }
+
+        /// Usage recorded so far, so removals only undo what was added.
+        #[derive(Clone, Default)]
+        struct Ledger {
+            wires: Vec<(usize, Edge2d)>,
+            stacks: Vec<(Cell, usize, usize)>,
+        }
+
+        /// What the sweep reached; every count must end nonzero.
+        #[derive(Default, Debug)]
+        struct Reached {
+            wire_overflow: usize,
+            via_overflow: usize,
+            multi_hop: usize,
+            cap_to_zero: usize,
+            cap_below_usage: usize,
+            boundary_edit: usize,
+            restores: usize,
+        }
+
+        fn random_edge(rng: &mut prng::Rng, g: &Grid, layer: usize) -> Option<Edge2d> {
+            let edges: Vec<Edge2d> = g.edges_in_direction(g.layer(layer).direction).collect();
+            (!edges.is_empty()).then(|| edges[rng.range_usize(0, edges.len() - 1)])
+        }
+
+        fn is_boundary(g: &Grid, e: Edge2d) -> bool {
+            let (near, far) = e.endpoints();
+            match e.dir {
+                Direction::Horizontal => near.x == 0 || far.x + 1 == g.width(),
+                Direction::Vertical => near.y == 0 || far.y + 1 == g.height(),
+            }
+        }
+
+        /// One random mutation, recorded in `ledger` and `reached`.
+        fn mutate(rng: &mut prng::Rng, g: &mut Grid, ledger: &mut Ledger, reached: &mut Reached) {
+            let layers = g.num_layers();
+            match rng.range_usize(0, 5) {
+                0 | 1 => {
+                    let l = rng.range_usize(0, layers - 1);
+                    if let Some(e) = random_edge(rng, g, l) {
+                        g.add_wire(l, e);
+                        ledger.wires.push((l, e));
+                    }
+                }
+                2 => {
+                    if !ledger.wires.is_empty() {
+                        let k = rng.range_usize(0, ledger.wires.len() - 1);
+                        let (l, e) = ledger.wires.swap_remove(k);
+                        g.remove_wire(l, e);
+                    }
+                }
+                3 => {
+                    let cell = Cell::new(
+                        rng.range_u16(0, g.width() - 1),
+                        rng.range_u16(0, g.height() - 1),
+                    );
+                    let lo = rng.range_usize(0, layers - 1);
+                    let hi = rng.range_usize(lo, layers - 1);
+                    if hi > lo + 1 {
+                        reached.multi_hop += 1;
+                    }
+                    g.add_via_stack(cell, lo, hi);
+                    ledger.stacks.push((cell, lo, hi));
+                }
+                4 => {
+                    if !ledger.stacks.is_empty() {
+                        let k = rng.range_usize(0, ledger.stacks.len() - 1);
+                        let (cell, lo, hi) = ledger.stacks.swap_remove(k);
+                        g.remove_via_stack(cell, lo, hi);
+                    }
+                }
+                _ => edit_capacity(rng, g, reached),
+            }
+        }
+
+        /// A capacity edit: to zero, to just below the edge's usage, or
+        /// to a fresh value, half the time on a boundary edge.
+        fn edit_capacity(rng: &mut prng::Rng, g: &mut Grid, reached: &mut Reached) {
+            let l = rng.range_usize(0, g.num_layers() - 1);
+            let mut pick = random_edge(rng, g, l);
+            if rng.bool(0.5) {
+                let boundary: Vec<Edge2d> = g
+                    .edges_in_direction(g.layer(l).direction)
+                    .filter(|&e| is_boundary(g, e))
+                    .collect();
+                if !boundary.is_empty() {
+                    pick = Some(boundary[rng.range_usize(0, boundary.len() - 1)]);
+                }
+            }
+            let Some(e) = pick else { return };
+            let usage = g.edge_usage(l, e);
+            let cap = match rng.range_usize(0, 2) {
+                0 => 0,
+                1 if usage > 0 => usage - 1,
+                _ => rng.range_u32(0, 6),
+            };
+            reached.cap_to_zero += usize::from(cap == 0);
+            reached.cap_below_usage += usize::from(cap < usage);
+            reached.boundary_edit += usize::from(is_boundary(g, e));
+            g.set_edge_capacity(l, e, cap);
+        }
+
+        /// Interleaved wire, via-stack and capacity edits plus snapshot
+        /// / edit / restore rounds on random small grids: after every
+        /// operation both running totals equal a from-scratch recount
+        /// and every cached via capacity equals a fresh Eqn. (1)
+        /// evaluation. Deterministic seed sweep; the off-by-default
+        /// `proptest` feature widens it.
+        #[test]
+        fn running_books_match_a_recount() {
+            let grids = if cfg!(feature = "proptest") { 400 } else { 40 };
+            let mut rng = prng::Rng::seed_from_u64(0x0b00c5);
+            let mut reached = Reached::default();
+            for _ in 0..grids {
+                let (w, h) = loop {
+                    let (w, h) = (rng.range_u16(1, 6), rng.range_u16(1, 6));
+                    if w * h >= 2 {
+                        break (w, h);
+                    }
+                };
+                let first = if rng.bool(0.5) {
+                    Direction::Horizontal
+                } else {
+                    Direction::Vertical
+                };
+                let tile = [10.0, 20.0, 40.0][rng.range_usize(0, 2)];
+                let via = [1.0, 3.0, 7.0][rng.range_usize(0, 2)];
+                let mut g = GridBuilder::new(w, h)
+                    .alternating_layers(rng.range_usize(2, 5), first)
+                    .uniform_capacity(rng.range_u32(0, 4))
+                    .tile_size(tile, tile)
+                    .via_geometry(via, via)
+                    .build()
+                    .unwrap();
+                check_books(&g, "build");
+                let mut ledger = Ledger::default();
+                for _ in 0..60 {
+                    if rng.bool(0.1) {
+                        let snap = g.snapshot_usage();
+                        let kept = ledger.clone();
+                        for _ in 0..rng.range_usize(0, 6) {
+                            mutate(&mut rng, &mut g, &mut ledger, &mut reached);
+                            check_books(&g, "mutation after a snapshot");
+                        }
+                        // At least one edit, so the restored usage meets
+                        // capacities it was not counted against.
+                        edit_capacity(&mut rng, &mut g, &mut reached);
+                        check_books(&g, "set_edge_capacity");
+                        g.restore_usage(snap);
+                        ledger = kept;
+                        reached.restores += 1;
+                        check_books(&g, "restore_usage");
+                    } else {
+                        mutate(&mut rng, &mut g, &mut ledger, &mut reached);
+                        check_books(&g, "mutation");
+                    }
+                    reached.wire_overflow += usize::from(g.total_wire_overflow() > 0);
+                    reached.via_overflow += usize::from(g.total_via_overflow() > 0);
+                }
+            }
+            let r = &reached;
+            assert!(
+                [
+                    r.wire_overflow,
+                    r.via_overflow,
+                    r.multi_hop,
+                    r.cap_to_zero,
+                    r.cap_below_usage,
+                    r.boundary_edit,
+                    r.restores,
+                ]
+                .iter()
+                .all(|&n| n > 0),
+                "sweep missed a case: {r:?}"
+            );
+        }
     }
 }

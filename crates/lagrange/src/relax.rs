@@ -87,19 +87,41 @@ impl Multipliers {
     /// where `g = usage − capacity` is read from `grid` (which must
     /// carry the *full* usage, background plus released nets). Via rows
     /// move at `via_weight · step`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tables were not shaped for `grid`.
     pub fn subgradient_step(&mut self, grid: &Grid, step: f64, via_weight: f64) {
+        self.check_shape(grid);
         for l in 0..grid.num_layers() {
-            let dir = grid.layer(l).direction;
-            for e in grid.edges_in_direction(dir) {
-                let idx = grid.edge_flat_index(e);
-                let violation = grid.edge_usage(l, e) as f64 - grid.edge_capacity(l, e) as f64;
-                self.edge[l][idx] = (self.edge[l][idx] + step * violation).max(0.0);
+            let edges = grid.edge_usage_row(l).iter().zip(grid.edge_capacity_row(l));
+            for (m, (&u, &c)) in self.edge[l].iter_mut().zip(edges) {
+                let violation = u as f64 - c as f64;
+                *m = (*m + step * violation).max(0.0);
             }
-            for cell in grid.cells() {
-                let idx = grid.cell_flat_index(cell);
-                let violation = grid.via_usage(cell, l) as f64 - grid.via_capacity(cell, l) as f64;
-                self.via[l][idx] = (self.via[l][idx] + via_weight * step * violation).max(0.0);
+            let cells = grid.via_usage_row(l).iter().zip(grid.via_capacity_row(l));
+            for (m, (&u, &c)) in self.via[l].iter_mut().zip(cells) {
+                let violation = u as f64 - c as f64;
+                *m = (*m + via_weight * step * violation).max(0.0);
             }
+        }
+    }
+
+    /// Asserts the tables have one row per layer of `grid` and one entry
+    /// per edge or cell, so the zipped row sweeps cover every entry.
+    fn check_shape(&self, grid: &Grid) {
+        assert_eq!(self.edge.len(), grid.num_layers(), "multiplier layer count");
+        for l in 0..grid.num_layers() {
+            assert_eq!(
+                self.edge[l].len(),
+                grid.edge_usage_row(l).len(),
+                "edge row {l}"
+            );
+            assert_eq!(
+                self.via[l].len(),
+                grid.via_usage_row(l).len(),
+                "via row {l}"
+            );
         }
     }
 
@@ -229,22 +251,17 @@ impl<'a> Relaxation<'a> {
                 }
             });
         }
-        for l in 0..grid.num_layers() {
-            let dir = grid.layer(l).direction;
-            for e in grid.edges_in_direction(dir) {
-                let idx = grid.edge_flat_index(e);
-                if grid.edge_usage(l, e) + wire[l][idx] > grid.edge_capacity(l, e) {
-                    return false;
-                }
-            }
-            for cell in grid.cells() {
-                let idx = grid.cell_flat_index(cell);
-                if grid.via_usage(cell, l) + via[l][idx] > grid.via_capacity(cell, l) {
-                    return false;
-                }
-            }
-        }
-        true
+        let fits = |background: &[u32], charge: &[u32], cap: &[u32]| {
+            background
+                .iter()
+                .zip(charge)
+                .zip(cap)
+                .all(|((&b, &q), &c)| b + q <= c)
+        };
+        (0..grid.num_layers()).all(|l| {
+            fits(grid.edge_usage_row(l), &wire[l], grid.edge_capacity_row(l))
+                && fits(grid.via_usage_row(l), &via[l], grid.via_capacity_row(l))
+        })
     }
 
     /// Exact joint minimizer of the Lagrangian: per-net bottom-up tree
@@ -298,20 +315,24 @@ impl<'a> Relaxation<'a> {
 
     /// [`Relaxation::dual_value`] when the minimized Lagrangian value is
     /// already in hand (avoids re-running the DPs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lambda` was not shaped for this context's grid.
     pub fn dual_value_from(&self, lambda: &Multipliers, minimized: f64) -> f64 {
         let grid = self.grid;
+        lambda.check_shape(grid);
+        // The accumulation order (layer, then edges, then cells, each in
+        // flat-index order) fixes the sum's bits; keep it.
         let mut constant = 0.0;
         for l in 0..grid.num_layers() {
-            let dir = grid.layer(l).direction;
-            for e in grid.edges_in_direction(dir) {
-                let idx = grid.edge_flat_index(e);
-                constant += lambda.edge(l, idx)
-                    * (grid.edge_usage(l, e) as f64 - grid.edge_capacity(l, e) as f64);
+            let edges = grid.edge_usage_row(l).iter().zip(grid.edge_capacity_row(l));
+            for (&m, (&u, &c)) in lambda.edge[l].iter().zip(edges) {
+                constant += m * (u as f64 - c as f64);
             }
-            for cell in grid.cells() {
-                let idx = grid.cell_flat_index(cell);
-                constant += lambda.via(l, idx)
-                    * (grid.via_usage(cell, l) as f64 - grid.via_capacity(cell, l) as f64);
+            let cells = grid.via_usage_row(l).iter().zip(grid.via_capacity_row(l));
+            for (&m, (&u, &c)) in lambda.via[l].iter().zip(cells) {
+                constant += m * (u as f64 - c as f64);
             }
         }
         minimized + constant

@@ -205,43 +205,53 @@ impl Net {
     /// Panics if `layers.len() != self.tree().num_segments()`.
     pub fn via_stacks(&self, layers: &[usize]) -> Vec<(Cell, usize, usize)> {
         assert_eq!(layers.len(), self.tree.num_segments());
-        let mut out = Vec::new();
-        for (ni, node) in self.tree.nodes().enumerate() {
-            let mut lo = usize::MAX;
-            let mut hi = 0usize;
-            let mut any = false;
-            let mut touch = |l: usize| {
-                lo = lo.min(l);
-                hi = hi.max(l);
-                any = true;
-            };
-            if let Some(seg) = self.tree.parent_segment(ni) {
-                touch(layers[seg]);
-            }
-            for &child_seg in self.tree.child_segments(ni) {
-                touch(layers[child_seg as usize]);
-            }
-            if let Some(p) = node.pin {
-                touch(self.pins[p as usize].layer);
-            }
-            if any && lo < hi {
-                out.push((node.cell, lo, hi));
-            }
-        }
-        out
+        self.tree
+            .nodes()
+            .enumerate()
+            .filter_map(|(ni, node)| {
+                self.stack_span(ni, node.pin, layers)
+                    .map(|(lo, hi)| (node.cell, lo, hi))
+            })
+            .collect()
     }
 
     /// Total via count of the net under `layers`: the number of
-    /// layer-boundary hops summed over all via stacks.
+    /// layer-boundary hops summed over all via stacks. Walks the nodes
+    /// directly, without building [`Net::via_stacks`].
     ///
     /// # Panics
     ///
     /// Panics if `layers.len() != self.tree().num_segments()`.
     pub fn via_count(&self, layers: &[usize]) -> u64 {
-        self.via_stacks(layers)
-            .iter()
-            .map(|&(_, lo, hi)| (hi - lo) as u64)
+        assert_eq!(layers.len(), self.tree.num_segments());
+        self.tree
+            .nodes()
+            .enumerate()
+            .filter_map(|(ni, node)| self.stack_span(ni, node.pin, layers))
+            .map(|(lo, hi)| (hi - lo) as u64)
             .sum()
+    }
+
+    /// The `(lowest, highest)` layer of the metal meeting at node `ni`
+    /// (its parent segment, child segments and pin), or `None` when it
+    /// all sits on one layer.
+    fn stack_span(&self, ni: usize, pin: Option<u32>, layers: &[usize]) -> Option<(usize, usize)> {
+        let mut lo = usize::MAX;
+        let mut hi = 0usize;
+        let mut touch = |l: usize| {
+            lo = lo.min(l);
+            hi = hi.max(l);
+        };
+        if let Some(seg) = self.tree.parent_segment(ni) {
+            touch(layers[seg]);
+        }
+        for &child_seg in self.tree.child_segments(ni) {
+            touch(layers[child_seg as usize]);
+        }
+        if let Some(p) = pin {
+            touch(self.pins[p as usize].layer);
+        }
+        (lo < hi).then_some((lo, hi))
     }
 }
 
@@ -344,5 +354,59 @@ mod tests {
         // Sink node: pin layer 0 + segment layer 1 -> (0..1).
         assert!(stacks.contains(&(Cell::new(2, 2), 0, 1)));
         assert_eq!(net.via_count(&[2, 1]), 2 + 1 + 1);
+    }
+
+    /// A random tree of up to `max_segments` straight segments grown from
+    /// random nodes, with the source at the root and sinks on random
+    /// other nodes, every pin on a random layer below `layers`.
+    fn random_net(rng: &mut prng::Rng, max_segments: usize, layers: usize) -> Net {
+        let mut b = RouteTreeBuilder::new(Cell::new(32, 32));
+        for _ in 0..rng.range_usize(1, max_segments) {
+            let from = rng.range_usize(0, b.num_nodes() - 1);
+            let at = b.node_cell(from);
+            let len = rng.range_u16(1, 4);
+            // Steps toward the origin clamp at 0; a clamped zero-length
+            // step is skipped below.
+            let to = match rng.range_usize(0, 3) {
+                0 => Cell::new(at.x + len, at.y),
+                1 => Cell::new(at.x.saturating_sub(len), at.y),
+                2 => Cell::new(at.x, at.y + len),
+                _ => Cell::new(at.x, at.y.saturating_sub(len)),
+            };
+            if to != at && b.find_node_at(to).is_none() {
+                b.add_segment(from, to).unwrap();
+            }
+        }
+        let mut pins =
+            vec![Pin::source(Cell::new(32, 32), 1.0).on_layer(rng.range_usize(0, layers - 1))];
+        b.attach_pin(b.root(), 0).unwrap();
+        for n in 1..b.num_nodes() {
+            if rng.bool(0.4) {
+                let cell = b.node_cell(n);
+                b.attach_pin(n, pins.len() as u32).unwrap();
+                pins.push(Pin::sink(cell, 1.0).on_layer(rng.range_usize(0, layers - 1)));
+            }
+        }
+        Net::new("random", pins, b.build().unwrap())
+    }
+
+    /// `via_count` equals the summed spans of `via_stacks` on random
+    /// trees, pin layers and segment layers.
+    #[test]
+    fn via_count_sums_the_stack_spans_on_random_trees() {
+        let mut rng = prng::Rng::seed_from_u64(0x51ac);
+        let mut stacked = 0;
+        for _ in 0..300 {
+            let layers = rng.range_usize(1, 8);
+            let net = random_net(&mut rng, 12, layers);
+            let x: Vec<usize> = (0..net.tree().num_segments())
+                .map(|_| rng.range_usize(0, layers - 1))
+                .collect();
+            let stacks = net.via_stacks(&x);
+            let spans: u64 = stacks.iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum();
+            assert_eq!(net.via_count(&x), spans, "layers {x:?}");
+            stacked += usize::from(stacks.len() > 1);
+        }
+        assert!(stacked > 0, "no tree had two stacks");
     }
 }

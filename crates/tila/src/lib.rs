@@ -305,18 +305,15 @@ impl Tila {
             // Subgradient multiplier update with 1/k decay.
             let step = self.config.step_scale * delay_scale / round as f64;
             for l in 0..grid.num_layers() {
-                let dir = grid.layer(l).direction;
-                for e in grid.edges_in_direction(dir) {
-                    let idx = grid.edge_flat_index(e);
-                    let violation = grid.edge_usage(l, e) as f64 - grid.edge_capacity(l, e) as f64;
-                    lambda_edge[l][idx] = (lambda_edge[l][idx] + step * violation).max(0.0);
+                let edges = grid.edge_usage_row(l).iter().zip(grid.edge_capacity_row(l));
+                for (m, (&u, &c)) in lambda_edge[l].iter_mut().zip(edges) {
+                    let violation = u as f64 - c as f64;
+                    *m = (*m + step * violation).max(0.0);
                 }
-                for cell in grid.cells() {
-                    let idx = grid.cell_flat_index(cell);
-                    let violation =
-                        grid.via_usage(cell, l) as f64 - grid.via_capacity(cell, l) as f64;
-                    lambda_via[l][idx] =
-                        (lambda_via[l][idx] + self.config.via_weight * step * violation).max(0.0);
+                let cells = grid.via_usage_row(l).iter().zip(grid.via_capacity_row(l));
+                for (m, (&u, &c)) in lambda_via[l].iter_mut().zip(cells) {
+                    let violation = u as f64 - c as f64;
+                    *m = (*m + self.config.via_weight * step * violation).max(0.0);
                 }
             }
 

@@ -45,8 +45,8 @@ cargo test -q --offline -p route -p ispd --features proptest
 echo "==> route pins, release (the scale-100k pin is ignored in debug builds)"
 cargo test --release -q --offline -p route --test route_pin
 
-echo "==> solver/cpla/timing full property sweeps"
-cargo test -q --offline -p solver -p cpla -p timing --features proptest
+echo "==> solver/cpla/timing/grid full property sweeps"
+cargo test -q --offline -p solver -p cpla -p timing -p grid --features proptest
 
 echo "==> benchmark package tests"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
