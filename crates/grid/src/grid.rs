@@ -10,8 +10,9 @@ use crate::{Cell, Direction, Edge2d, Layer};
 /// the via usage stacked through every tile.
 ///
 /// The grid also keeps every tile's Eqn. (1) via capacity and the running
-/// wire and via overflow totals. The five mutators ([`Grid::add_wire`],
-/// [`Grid::remove_wire`], [`Grid::add_via_stack`],
+/// wire and via overflow totals. The mutators ([`Grid::add_wire`],
+/// [`Grid::remove_wire`], their run forms [`Grid::add_wire_run`] and
+/// [`Grid::remove_wire_run`], [`Grid::add_via_stack`],
 /// [`Grid::remove_via_stack`] and [`Grid::set_edge_capacity`]) update them
 /// from the entries they touch, and [`Grid::restore_usage`] recounts the
 /// totals, so [`Grid::via_capacity`], [`Grid::total_wire_overflow`] and
@@ -49,6 +50,42 @@ pub struct Grid {
     pub(crate) wire_overflow: u64,
     /// Running `Σ max(0, via_usage − via_cap)` over all layer cells.
     pub(crate) via_overflow: u64,
+}
+
+/// The edges a straight wire between two cells crosses, as a strided run
+/// of its direction's flat edge array ([`Grid::edge_flat_index`] layout):
+/// stride 1 for a horizontal run, stride `width` for a vertical one.
+///
+/// Built by [`Grid::edge_run`]; [`EdgeRun::indices`] walks the run from
+/// the `from` end, the order [`Grid::edge_run`] documents.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct EdgeRun {
+    dir: Direction,
+    /// Flat index of the edge at the `from` end.
+    first: usize,
+    stride: usize,
+    len: usize,
+    /// Whether the walk runs toward lower indices.
+    descending: bool,
+}
+
+impl EdgeRun {
+    /// Flat indices of the run's edges, from the `from` end.
+    pub fn indices(self) -> impl Iterator<Item = usize> {
+        let EdgeRun {
+            first,
+            stride,
+            descending,
+            ..
+        } = self;
+        (0..self.len).map(move |k| {
+            if descending {
+                first - k * stride
+            } else {
+                first + k * stride
+            }
+        })
+    }
 }
 
 /// Opaque copy of a grid's usage state, for what-if exploration.
@@ -224,6 +261,70 @@ impl Grid {
         self.cell_index(cell)
     }
 
+    /// The run of edges a straight wire from `from` to `to` crosses,
+    /// walked from `from`: the [`Edge2d`]s between consecutive cells of
+    /// the wire, in that order.
+    ///
+    /// ```
+    /// use grid::{Cell, Direction, Edge2d, GridBuilder};
+    /// # fn main() -> Result<(), grid::BuildGridError> {
+    /// let g = GridBuilder::new(4, 3)
+    ///     .alternating_layers(2, Direction::Horizontal)
+    ///     .build()?;
+    /// let run = g.edge_run(Cell::new(1, 2), Cell::new(1, 0));
+    /// let walked: Vec<usize> = run.indices().collect();
+    /// let expected = [Edge2d::vertical(1, 1), Edge2d::vertical(1, 0)]
+    ///     .map(|e| g.edge_flat_index(e));
+    /// assert_eq!(walked, expected);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if either cell is off the grid, the cells coincide, or
+    /// they share neither a row nor a column.
+    pub fn edge_run(&self, from: Cell, to: Cell) -> EdgeRun {
+        assert!(self.contains(from), "cell {from} out of bounds");
+        assert!(self.contains(to), "cell {to} out of bounds");
+        assert!(from != to, "zero-length wire at {from}");
+        let w = self.width as usize;
+        // The flat index of the line's edge at coordinate 0, the stride
+        // between neighbours, and the two ends' coordinates along it.
+        let (dir, line, stride, a, b) = if from.y == to.y {
+            let row = from.y as usize * (w - 1);
+            (Direction::Horizontal, row, 1, from.x, to.x)
+        } else {
+            assert!(from.x == to.x, "wire {from}->{to} is not straight");
+            (Direction::Vertical, from.x as usize, w, from.y, to.y)
+        };
+        // Walking down, the first edge is the one below `from`.
+        let descending = b < a;
+        let first_step = if descending { a - 1 } else { a };
+        EdgeRun {
+            dir,
+            first: line + first_step as usize * stride,
+            stride,
+            len: usize::from(a.abs_diff(b)),
+            descending,
+        }
+    }
+
+    /// The edge of orientation `dir` at flat index `idx`: the inverse of
+    /// [`Grid::edge_flat_index`].
+    fn edge_at(&self, dir: Direction, idx: usize) -> Edge2d {
+        let cols = match dir {
+            Direction::Horizontal => self.width as usize - 1,
+            Direction::Vertical => self.width as usize,
+        };
+        Edge2d {
+            // cast: `idx` indexes an edge of this grid, so its column and
+            // row are below `width` and `height`, both `u16`.
+            cell: Cell::new((idx % cols) as u16, (idx / cols) as u16),
+            dir,
+        }
+    }
+
     /// Flat index of `edge` within its direction's edge array.
     pub(crate) fn edge_index(&self, edge: Edge2d) -> usize {
         debug_assert!(self.contains_edge(edge), "edge {edge} out of bounds");
@@ -342,6 +443,59 @@ impl Grid {
             self.wire_overflow -= 1;
         }
         self.usage[layer][idx] -= 1;
+    }
+
+    /// Records one more wire on every edge of `run` on `layer`: the
+    /// same books as [`Grid::add_wire`] edge by edge, with the layer
+    /// checked once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer index is out of range or the layer direction
+    /// does not match the run's. `run` must come from this grid's
+    /// [`Grid::edge_run`].
+    pub fn add_wire_run(&mut self, layer: usize, run: EdgeRun) {
+        self.check_layer_run(layer, run);
+        let usage = &mut self.usage[layer];
+        let cap = &self.cap[layer];
+        let mut over = 0;
+        for i in run.indices() {
+            usage[i] += 1;
+            over += u64::from(usage[i] > cap[i]);
+        }
+        self.wire_overflow += over;
+    }
+
+    /// Removes one wire from every edge of `run` on `layer`, in run
+    /// order: the inverse of [`Grid::add_wire_run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if some edge of the run holds no wire, plus the conditions
+    /// of [`Grid::add_wire_run`].
+    pub fn remove_wire_run(&mut self, layer: usize, run: EdgeRun) {
+        self.check_layer_run(layer, run);
+        for i in run.indices() {
+            let usage = self.usage[layer][i];
+            assert!(
+                usage > 0,
+                "removing wire from empty edge {} on layer {layer}",
+                self.edge_at(run.dir, i)
+            );
+            if usage > self.cap[layer][i] {
+                self.wire_overflow -= 1;
+            }
+            self.usage[layer][i] = usage - 1;
+        }
+    }
+
+    fn check_layer_run(&self, layer: usize, run: EdgeRun) {
+        assert!(layer < self.num_layers(), "layer {layer} out of range");
+        assert!(
+            self.layers[layer].direction == run.dir,
+            "{} run does not match direction of layer {layer}",
+            run.dir
+        );
     }
 
     // ------------------------------------------------------------------
@@ -785,7 +939,43 @@ mod tests {
             total
         }
 
-        fn check_books(g: &Grid, what: &str) {
+        /// The edges between consecutive cells of a straight wire from
+        /// `a` to `b`, walked from `a`.
+        fn walk_edges(a: Cell, b: Cell) -> Vec<Edge2d> {
+            let mut edges = Vec::new();
+            let mut at = a;
+            while at != b {
+                let next = match (at.x.cmp(&b.x), at.y.cmp(&b.y)) {
+                    (std::cmp::Ordering::Less, _) => Cell::new(at.x + 1, at.y),
+                    (std::cmp::Ordering::Greater, _) => Cell::new(at.x - 1, at.y),
+                    (_, std::cmp::Ordering::Less) => Cell::new(at.x, at.y + 1),
+                    _ => Cell::new(at.x, at.y - 1),
+                };
+                edges.push(Edge2d::between(at, next).unwrap());
+                at = next;
+            }
+            edges
+        }
+
+        /// Every edge's usage equals the wires the ledger recorded on it.
+        fn check_usage(g: &Grid, ledger: &Ledger, what: &str) {
+            let mut expected: Vec<Vec<u32>> = (0..g.num_layers())
+                .map(|l| vec![0; g.edge_usage_row(l).len()])
+                .collect();
+            let run_wires = ledger
+                .runs
+                .iter()
+                .flat_map(|&(l, a, b)| walk_edges(a, b).into_iter().map(move |e| (l, e)));
+            for (l, e) in ledger.wires.iter().copied().chain(run_wires) {
+                expected[l][g.edge_flat_index(e)] += 1;
+            }
+            for (l, row) in expected.iter().enumerate() {
+                assert_eq!(g.edge_usage_row(l), row, "after {what}: usage on layer {l}");
+            }
+        }
+
+        fn check_books(g: &Grid, ledger: &Ledger, what: &str) {
+            check_usage(g, ledger, what);
             assert_eq!(
                 g.total_wire_overflow(),
                 scan_wire_overflow(g),
@@ -811,6 +1001,8 @@ mod tests {
         #[derive(Clone, Default)]
         struct Ledger {
             wires: Vec<(usize, Edge2d)>,
+            /// Straight wires `(layer, from, to)`, added and removed whole.
+            runs: Vec<(usize, Cell, Cell)>,
             stacks: Vec<(Cell, usize, usize)>,
         }
 
@@ -824,6 +1016,10 @@ mod tests {
             cap_below_usage: usize,
             boundary_edit: usize,
             restores: usize,
+            /// Runs added or removed by the run calls, and edge by edge.
+            run_calls: usize,
+            run_edgewise: usize,
+            descending_runs: usize,
         }
 
         fn random_edge(rng: &mut prng::Rng, g: &Grid, layer: usize) -> Option<Edge2d> {
@@ -842,7 +1038,7 @@ mod tests {
         /// One random mutation, recorded in `ledger` and `reached`.
         fn mutate(rng: &mut prng::Rng, g: &mut Grid, ledger: &mut Ledger, reached: &mut Reached) {
             let layers = g.num_layers();
-            match rng.range_usize(0, 5) {
+            match rng.range_usize(0, 7) {
                 0 | 1 => {
                     let l = rng.range_usize(0, layers - 1);
                     if let Some(e) = random_edge(rng, g, l) {
@@ -877,8 +1073,57 @@ mod tests {
                         g.remove_via_stack(cell, lo, hi);
                     }
                 }
+                5 => add_run(rng, g, ledger, reached),
+                6 => {
+                    if !ledger.runs.is_empty() {
+                        let k = rng.range_usize(0, ledger.runs.len() - 1);
+                        let (l, a, b) = ledger.runs.swap_remove(k);
+                        if rng.bool(0.5) {
+                            g.remove_wire_run(l, g.edge_run(a, b));
+                            reached.run_calls += 1;
+                        } else {
+                            for e in walk_edges(a, b) {
+                                g.remove_wire(l, e);
+                            }
+                            reached.run_edgewise += 1;
+                        }
+                    }
+                }
                 _ => edit_capacity(rng, g, reached),
             }
+        }
+
+        /// A straight wire between two random cells of one row (or
+        /// column) of a random layer, possibly walked toward the origin,
+        /// added by `add_wire_run` or edge by edge.
+        fn add_run(rng: &mut prng::Rng, g: &mut Grid, ledger: &mut Ledger, reached: &mut Reached) {
+            let l = rng.range_usize(0, g.num_layers() - 1);
+            let a = Cell::new(
+                rng.range_u16(0, g.width() - 1),
+                rng.range_u16(0, g.height() - 1),
+            );
+            let b = match g.layer(l).direction {
+                Direction::Horizontal => Cell::new(rng.range_u16(0, g.width() - 1), a.y),
+                Direction::Vertical => Cell::new(a.x, rng.range_u16(0, g.height() - 1)),
+            };
+            if a == b {
+                return;
+            }
+            let run = g.edge_run(a, b);
+            let edges = walk_edges(a, b);
+            let walked: Vec<usize> = edges.iter().map(|&e| g.edge_flat_index(e)).collect();
+            assert_eq!(run.indices().collect::<Vec<_>>(), walked, "run {a}->{b}");
+            reached.descending_runs += usize::from(b < a);
+            if rng.bool(0.5) {
+                g.add_wire_run(l, run);
+                reached.run_calls += 1;
+            } else {
+                for e in edges {
+                    g.add_wire(l, e);
+                }
+                reached.run_edgewise += 1;
+            }
+            ledger.runs.push((l, a, b));
         }
 
         /// A capacity edit: to zero, to just below the edge's usage, or
@@ -940,27 +1185,27 @@ mod tests {
                     .via_geometry(via, via)
                     .build()
                     .unwrap();
-                check_books(&g, "build");
                 let mut ledger = Ledger::default();
+                check_books(&g, &ledger, "build");
                 for _ in 0..60 {
                     if rng.bool(0.1) {
                         let snap = g.snapshot_usage();
                         let kept = ledger.clone();
                         for _ in 0..rng.range_usize(0, 6) {
                             mutate(&mut rng, &mut g, &mut ledger, &mut reached);
-                            check_books(&g, "mutation after a snapshot");
+                            check_books(&g, &ledger, "mutation after a snapshot");
                         }
                         // At least one edit, so the restored usage meets
                         // capacities it was not counted against.
                         edit_capacity(&mut rng, &mut g, &mut reached);
-                        check_books(&g, "set_edge_capacity");
+                        check_books(&g, &ledger, "set_edge_capacity");
                         g.restore_usage(snap);
                         ledger = kept;
                         reached.restores += 1;
-                        check_books(&g, "restore_usage");
+                        check_books(&g, &ledger, "restore_usage");
                     } else {
                         mutate(&mut rng, &mut g, &mut ledger, &mut reached);
-                        check_books(&g, "mutation");
+                        check_books(&g, &ledger, "mutation");
                     }
                     reached.wire_overflow += usize::from(g.total_wire_overflow() > 0);
                     reached.via_overflow += usize::from(g.total_via_overflow() > 0);
@@ -976,6 +1221,9 @@ mod tests {
                     r.cap_below_usage,
                     r.boundary_edit,
                     r.restores,
+                    r.run_calls,
+                    r.run_edgewise,
+                    r.descending_runs,
                 ]
                 .iter()
                 .all(|&n| n > 0),

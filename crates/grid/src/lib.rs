@@ -39,5 +39,5 @@ mod layer;
 pub use builder::GridBuilder;
 pub use error::{BuildGridError, GridError};
 pub use geom::{Cell, Direction, Edge2d};
-pub use grid::{Grid, UsageSnapshot};
+pub use grid::{EdgeRun, Grid, UsageSnapshot};
 pub use layer::Layer;

@@ -217,21 +217,24 @@ pub type ParseIspdError = ParseError;
 
 /// Incremental whitespace tokenizer over a [`BufRead`].
 ///
-/// Holds at most one input line at a time, so parsing a multi-megabyte
-/// benchmark never materializes the file as a token vector. Error
-/// positions match the old resident tokenizer exactly: the offending
-/// token with its 1-based line, or the file's last line (empty token)
-/// when the input ends early.
+/// Holds one input line at a time, in a buffer reused from line to line,
+/// and hands out tokens as slices of it, so parsing a multi-megabyte
+/// benchmark allocates nothing per token. Error positions match the old
+/// resident tokenizer exactly: the offending token with its 1-based
+/// line, or the file's last line (empty token) when the input ends
+/// early.
 struct Tokens<R> {
     reader: R,
-    /// Tokens of the current line; `at` indexes the next unconsumed one.
-    line: Vec<String>,
+    /// The current line; `at` is the byte offset of its unscanned rest.
+    line: String,
     at: usize,
-    /// 1-based number of the line `line` came from (0 before any read);
-    /// once the reader is drained, the total line count of the input.
+    /// 1-based number of the line in `line` (0 before any read); once the
+    /// reader is drained, the total line count of the input.
     line_no: usize,
-    /// Most recently consumed token and its line, for error positions.
-    last_tok: String,
+    /// Byte span within `line` of the most recently consumed token, and
+    /// its line, for error positions. The span stays valid until the
+    /// next read: errors are raised right after the token is consumed.
+    last: (usize, usize),
     last_line: usize,
     /// Set once the reader returns end of input.
     eof: bool,
@@ -241,54 +244,59 @@ impl<R: BufRead> Tokens<R> {
     fn new(reader: R) -> Tokens<R> {
         Tokens {
             reader,
-            line: Vec::new(),
+            line: String::new(),
             at: 0,
             line_no: 0,
-            last_tok: String::new(),
+            last: (0, 0),
             last_line: 0,
             eof: false,
         }
     }
 
-    /// Reads lines until one holds an unconsumed token; `false` at EOF.
+    /// Reads lines until one holds an unconsumed token, leaving `at` on
+    /// its first byte; `false` at EOF.
     ///
     /// # Errors
     ///
     /// Wraps reader failures as [`ParseErrorKind::Io`] at the line being
     /// read.
     fn fill(&mut self) -> Result<bool, ParseError> {
-        let mut raw = String::new();
-        while self.at >= self.line.len() {
+        loop {
+            let rest = &self.line[self.at..];
+            self.at += rest.len() - rest.trim_start().len();
+            if self.at < self.line.len() {
+                return Ok(true);
+            }
             if self.eof {
                 return Ok(false);
             }
-            raw.clear();
-            let n = self.reader.read_line(&mut raw).map_err(|e| ParseError {
-                line: self.line_no + 1,
-                token: e.to_string(),
-                kind: ParseErrorKind::Io,
-            })?;
+            self.line.clear();
+            self.at = 0;
+            let n = self
+                .reader
+                .read_line(&mut self.line)
+                .map_err(|e| ParseError {
+                    line: self.line_no + 1,
+                    token: e.to_string(),
+                    kind: ParseErrorKind::Io,
+                })?;
             if n == 0 {
                 self.eof = true;
                 return Ok(false);
             }
             self.line_no += 1;
-            self.line.clear();
-            self.line.extend(raw.split_whitespace().map(str::to_string));
-            self.at = 0;
         }
-        Ok(true)
     }
 
     fn err_here(&self, kind: ParseErrorKind) -> ParseError {
         // The failing token is the one just consumed.
         ParseError {
-            line: if self.last_line == 0 {
-                self.line_no.max(1)
-            } else {
-                self.last_line
-            },
-            token: self.last_tok.clone(),
+            line: self.current_line(),
+            token: self
+                .line
+                .get(self.last.0..self.last.1)
+                .unwrap_or_default()
+                .to_string(),
             kind,
         }
     }
@@ -304,12 +312,12 @@ impl<R: BufRead> Tokens<R> {
 
     fn next(&mut self) -> Result<&str, ParseError> {
         if self.fill()? {
-            let t = self.line[self.at].as_str();
-            self.at += 1;
+            let rest = &self.line[self.at..];
+            let len = rest.find(char::is_whitespace).unwrap_or(rest.len());
+            self.last = (self.at, self.at + len);
+            self.at += len;
             self.last_line = self.line_no;
-            self.last_tok.clear();
-            self.last_tok.push_str(t);
-            Ok(t)
+            Ok(&self.line[self.last.0..self.last.1])
         } else {
             Err(ParseError {
                 line: self.line_no.max(1),
@@ -658,16 +666,53 @@ netB 1 3 1
         assert_eq!(shell.adjustments, resident.adjustments);
     }
 
+    /// Both parse paths report the same literal `(line, token, kind)`,
+    /// among others for a bad token that ends its line with more lines
+    /// after it, a bad token that starts a line after blank lines, the
+    /// input ending inside a net, and a net declaring no pins.
     #[test]
     fn streaming_error_positions_match_resident_parse() {
-        for broken in [
-            "grid 4 4 2\nvertical capacity 0".to_string(),
-            SAMPLE.replace("num net 2", "num net banana"),
-            SAMPLE.replace("35 25 1", "35 x 1"),
-        ] {
-            let a = parse(BufReader::new(broken.as_bytes())).unwrap_err();
-            let b = parse_with(BufReader::new(broken.as_bytes()), |_| {}).unwrap_err();
-            assert_eq!(a, b, "diverging errors for {broken:?}");
+        use ParseErrorKind::*;
+        let cases = [
+            (
+                "grid 4 4 2\nvertical capacity 0".to_string(),
+                (2, "", UnexpectedEof),
+            ),
+            (
+                SAMPLE.replace("num net 2", "num net banana"),
+                (8, "banana", ExpectedInteger),
+            ),
+            (
+                SAMPLE.replace("35 25 1", "35 x 1"),
+                (11, "x", ExpectedNumber),
+            ),
+            (
+                SAMPLE.replace("35 25 1", "35 25 x"),
+                (11, "x", ExpectedInteger),
+            ),
+            (
+                SAMPLE.replace("\n15 15 1", "\n\n\t\nq15 15 1"),
+                (15, "q15", ExpectedNumber),
+            ),
+            (
+                SAMPLE[..SAMPLE.find("25 35 1").unwrap()].to_string(),
+                (13, "", UnexpectedEof),
+            ),
+            (
+                SAMPLE.replace("netB 1 3 1\n15 15 1\n25 35 1\n5 35 2\n", "netB 1 0 1\n"),
+                (12, "netB", EmptyNet),
+            ),
+        ];
+        for (broken, (line, token, kind)) in cases {
+            let expected = ParseError {
+                line,
+                token: token.to_string(),
+                kind,
+            };
+            let resident = parse(BufReader::new(broken.as_bytes())).unwrap_err();
+            assert_eq!(resident, expected, "resident parse of {broken:?}");
+            let streamed = parse_with(BufReader::new(broken.as_bytes()), |_| {}).unwrap_err();
+            assert_eq!(streamed, expected, "streaming parse of {broken:?}");
         }
     }
 

@@ -1,7 +1,5 @@
 //! Layer assignments and their reflection into grid usage.
 
-#![allow(clippy::needless_range_loop)] // segment indices are the domain
-
 use grid::Grid;
 
 use crate::{Net, Netlist, SegmentRef};
@@ -167,13 +165,12 @@ pub fn apply_to_grid(grid: &mut Grid, netlist: &Netlist, assignment: &Assignment
 /// Panics if the net's usage was not previously recorded (underflow), or
 /// the layer vector is the wrong length.
 pub fn remove_net_from_grid(grid: &mut Grid, net: &Net, layers: &[usize]) {
-    assert_eq!(layers.len(), net.tree().num_segments());
-    for s in 0..net.tree().num_segments() {
-        for e in net.tree().segment_edges(s) {
-            grid.remove_wire(layers[s], e);
-        }
+    let tree = net.tree();
+    assert_eq!(layers.len(), tree.num_segments());
+    for (s, &l) in layers.iter().enumerate() {
+        grid.remove_wire_run(l, tree.segment_run(s, grid));
     }
-    for (cell, lo, hi) in net.via_stacks(layers) {
+    for (cell, lo, hi) in net.stacks(layers) {
         grid.remove_via_stack(cell, lo, hi);
     }
 }
@@ -186,13 +183,12 @@ pub fn remove_net_from_grid(grid: &mut Grid, net: &Net, layers: &[usize]) {
 /// Panics if the layer vector is the wrong length or a segment leaves the
 /// grid.
 pub fn restore_net_to_grid(grid: &mut Grid, net: &Net, layers: &[usize]) {
-    assert_eq!(layers.len(), net.tree().num_segments());
-    for s in 0..net.tree().num_segments() {
-        for e in net.tree().segment_edges(s) {
-            grid.add_wire(layers[s], e);
-        }
+    let tree = net.tree();
+    assert_eq!(layers.len(), tree.num_segments());
+    for (s, &l) in layers.iter().enumerate() {
+        grid.add_wire_run(l, tree.segment_run(s, grid));
     }
-    for (cell, lo, hi) in net.via_stacks(layers) {
+    for (cell, lo, hi) in net.stacks(layers) {
         grid.add_via_stack(cell, lo, hi);
     }
 }

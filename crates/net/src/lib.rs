@@ -204,15 +204,7 @@ impl Net {
     ///
     /// Panics if `layers.len() != self.tree().num_segments()`.
     pub fn via_stacks(&self, layers: &[usize]) -> Vec<(Cell, usize, usize)> {
-        assert_eq!(layers.len(), self.tree.num_segments());
-        self.tree
-            .nodes()
-            .enumerate()
-            .filter_map(|(ni, node)| {
-                self.stack_span(ni, node.pin, layers)
-                    .map(|(lo, hi)| (node.cell, lo, hi))
-            })
-            .collect()
+        self.stacks(layers).collect()
     }
 
     /// Total via count of the net under `layers`: the number of
@@ -223,13 +215,22 @@ impl Net {
     ///
     /// Panics if `layers.len() != self.tree().num_segments()`.
     pub fn via_count(&self, layers: &[usize]) -> u64 {
-        assert_eq!(layers.len(), self.tree.num_segments());
-        self.tree
-            .nodes()
-            .enumerate()
-            .filter_map(|(ni, node)| self.stack_span(ni, node.pin, layers))
-            .map(|(lo, hi)| (hi - lo) as u64)
+        self.stacks(layers)
+            .map(|(_, lo, hi)| (hi - lo) as u64)
             .sum()
+    }
+
+    /// The via stacks of [`Net::via_stacks`], node by node, without
+    /// collecting them.
+    fn stacks<'a>(
+        &'a self,
+        layers: &'a [usize],
+    ) -> impl Iterator<Item = (Cell, usize, usize)> + 'a {
+        assert_eq!(layers.len(), self.tree.num_segments());
+        self.tree.nodes().enumerate().filter_map(move |(ni, node)| {
+            self.stack_span(ni, node.pin, layers)
+                .map(|(lo, hi)| (node.cell, lo, hi))
+        })
     }
 
     /// The `(lowest, highest)` layer of the metal meeting at node `ni`
@@ -408,5 +409,53 @@ mod tests {
             stacked += usize::from(stacks.len() > 1);
         }
         assert!(stacked > 0, "no tree had two stacks");
+    }
+
+    /// Every segment's edge run walks the flat indices of
+    /// `segment_edges`, in order, on random trees over grids fitted
+    /// tightly (or with a little slack) around them, so segments reach
+    /// the last row and column.
+    #[test]
+    fn segment_runs_walk_segment_edges_on_random_trees() {
+        use grid::{Direction, GridBuilder};
+
+        let mut rng = prng::Rng::seed_from_u64(0x4e75);
+        let (mut descending, mut unit, mut last_col, mut last_row) = (0, 0, 0, 0);
+        for _ in 0..300 {
+            let net = random_net(&mut rng, 12, 2);
+            let tree = net.tree();
+            let max_x = tree.nodes().map(|n| n.cell.x).max().unwrap();
+            let max_y = tree.nodes().map(|n| n.cell.y).max().unwrap();
+            let (w, h) = (
+                max_x + 1 + rng.range_u16(0, 1),
+                max_y + 1 + rng.range_u16(0, 1),
+            );
+            let grid = GridBuilder::new(w, h)
+                .alternating_layers(2, Direction::Horizontal)
+                .build()
+                .unwrap();
+            for s in 0..tree.num_segments() {
+                let edges = tree.segment_edges(s);
+                let flat: Vec<usize> = edges.iter().map(|&e| grid.edge_flat_index(e)).collect();
+                let run = tree.segment_run(s, &grid);
+                assert_eq!(run.indices().collect::<Vec<_>>(), flat, "segment {s}");
+                let seg = tree.segment(s);
+                let (a, b) = (
+                    tree.node(seg.from as usize).cell,
+                    tree.node(seg.to as usize).cell,
+                );
+                descending += usize::from(b < a);
+                unit += usize::from(edges.len() == 1);
+                last_col += usize::from(a.x.max(b.x) + 1 == w);
+                last_row += usize::from(a.y.max(b.y) + 1 == h);
+            }
+        }
+        assert!(
+            [descending, unit, last_col, last_row]
+                .iter()
+                .all(|&n| n > 0),
+            "sweep missed a case: descending {descending}, length 1 {unit}, \
+             last column {last_col}, last row {last_row}"
+        );
     }
 }

@@ -11,7 +11,7 @@
 use std::error::Error;
 use std::fmt;
 
-use grid::{Cell, Direction, Edge2d};
+use grid::{Cell, Direction, Edge2d, EdgeRun, Grid};
 
 /// Sentinel for "no index" in the flat `u32` arrays (`Option<u32>` at
 /// the API surface).
@@ -225,6 +225,18 @@ impl RouteTree {
             }
         }
         out
+    }
+
+    /// The run of `grid`'s flat edge array that segment `s` covers: the
+    /// edges of [`RouteTree::segment_edges`], in the same order, without
+    /// building them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range or the segment leaves the grid.
+    pub fn segment_run(&self, s: usize, grid: &Grid) -> EdgeRun {
+        let seg = self.segments[s];
+        grid.edge_run(self.cells[seg.from as usize], self.cells[seg.to as usize])
     }
 
     /// Segment indices in postorder: every segment appears after all

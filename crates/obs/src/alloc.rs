@@ -223,9 +223,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that toggle the global `ENABLED` flag: the
+    /// test runner runs them on parallel threads.
+    static FLAG: Mutex<()> = Mutex::new(());
+
+    /// Holds the flag for one test; a test that panicked while holding
+    /// it left nothing to repair, so poisoning is ignored.
+    fn hold_flag() -> MutexGuard<'static, ()> {
+        FLAG.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn scoped_enable_restores_previous_state() {
+        let _flag = hold_flag();
         let before = enabled();
         {
             let _g = ScopedEnable::new();
@@ -264,6 +277,7 @@ mod tests {
         // The unit-test binary does not install CountingAlloc, so even
         // with counting enabled nothing ticks — the API must still be
         // callable and self-consistent.
+        let _flag = hold_flag();
         let _g = ScopedEnable::new();
         let t0 = thread_stats();
         let v: Vec<u64> = (0..1024).collect();

@@ -7,7 +7,7 @@
 //! The result is the legal-ish, timing-oblivious assignment that the
 //! incremental engines (TILA, CPLA) then improve.
 
-use grid::{Direction, Grid};
+use grid::{Direction, EdgeRun, Grid};
 use net::{Assignment, Net, Netlist};
 
 /// Tunables of the initial-assignment DP.
@@ -58,111 +58,148 @@ pub fn initial_assignment_with(
     // Longest nets first: they are the least flexible and suffer most
     // from being squeezed onto whatever is left.
     let mut order: Vec<usize> = (0..netlist.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(netlist.net(i).tree().wirelength()));
+    order.sort_by_cached_key(|&i| std::cmp::Reverse(netlist.net(i).tree().wirelength()));
+    let layers = DirLayers {
+        horizontal: grid.layers_in_direction(Direction::Horizontal).collect(),
+        vertical: grid.layers_in_direction(Direction::Vertical).collect(),
+    };
+    let mut tables = DpTables::default();
     for i in order {
-        let layers = assign_net(grid, netlist.net(i), config);
+        let chosen = assign_net(grid, netlist.net(i), config, &layers, &mut tables);
         // Commit usage so later nets see this net's wires.
-        net::restore_net_to_grid(grid, netlist.net(i), &layers);
-        assignment.set_net_layers(i, layers);
+        net::restore_net_to_grid(grid, netlist.net(i), &chosen);
+        assignment.set_net_layers(i, chosen);
     }
     assignment
 }
 
+/// The grid's layers of each direction, bottom up.
+struct DirLayers {
+    horizontal: Vec<usize>,
+    vertical: Vec<usize>,
+}
+
+impl DirLayers {
+    fn of(&self, dir: Direction) -> &[usize] {
+        match dir {
+            Direction::Horizontal => &self.horizontal,
+            Direction::Vertical => &self.vertical,
+        }
+    }
+}
+
+/// The DP's flat tables, reused from net to net; row `s` holds one entry
+/// per grid layer.
+#[derive(Default)]
+struct DpTables {
+    /// `dp[s * L + l]`: best subtree cost with segment `s` on layer `l`.
+    dp: Vec<f64>,
+    /// `pick[cs * L + l]`: the best layer of child segment `cs` when its
+    /// parent segment sits on layer `l`.
+    pick: Vec<usize>,
+}
+
 /// Bottom-up DP over one net's tree. Returns the chosen layer per
 /// segment. Does not touch grid usage.
-fn assign_net(grid: &Grid, net: &Net, config: &InitialConfig) -> Vec<usize> {
+fn assign_net(
+    grid: &Grid,
+    net: &Net,
+    config: &InitialConfig,
+    layers: &DirLayers,
+    tables: &mut DpTables,
+) -> Vec<usize> {
     let tree = net.tree();
-    let num_layers = grid.num_layers();
-    let h_layers: Vec<usize> = grid.layers_in_direction(Direction::Horizontal).collect();
-    let v_layers: Vec<usize> = grid.layers_in_direction(Direction::Vertical).collect();
-    let layers_of = |dir: Direction| -> &[usize] {
-        match dir {
-            Direction::Horizontal => &h_layers,
-            Direction::Vertical => &v_layers,
-        }
-    };
-
-    // Wire cost of placing segment s on layer l, from current usage.
-    let wire_cost = |s: usize, l: usize| -> f64 {
-        let mut cost = 0.0;
-        for e in tree.segment_edges(s) {
-            let u = grid.edge_usage(l, e) as f64;
-            let c = grid.edge_capacity(l, e) as f64;
-            cost += config.congestion_weight * u / (c + 1.0);
-            if u >= c {
-                cost += config.overflow_penalty;
-            }
-        }
-        // Slight bias toward lower layers mirrors the practice of saving
-        // scarce top-layer capacity for the nets that need it.
-        cost + 0.05 * l as f64
-    };
-
-    // dp[s][l] = best subtree cost with segment s on layer l.
-    let mut dp = vec![vec![f64::INFINITY; num_layers]; tree.num_segments()];
-    let mut pick: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); num_layers]; tree.num_segments()];
+    let nl = grid.num_layers();
+    let DpTables { dp, pick } = tables;
+    dp.clear();
+    dp.resize(tree.num_segments() * nl, f64::INFINITY);
+    pick.clear();
+    pick.resize(tree.num_segments() * nl, usize::MAX);
     for s in tree.postorder_segments() {
-        let child_node = tree.segment(s).to as usize;
+        let seg = tree.segment(s);
+        let child_node = seg.to as usize;
         let pin_layer = tree
             .node(child_node)
             .pin
             .map(|p| net.pins()[p as usize].layer);
-        for &l in layers_of(tree.segment(s).dir) {
-            let mut cost = wire_cost(s, l);
-            let mut choices = Vec::new();
+        let run = tree.segment_run(s, grid);
+        for &l in layers.of(seg.dir) {
+            let mut cost = wire_cost(grid, run, l, config);
             // Via to the pin below, if any.
             if let Some(pl) = pin_layer {
                 cost += config.via_cost * l.abs_diff(pl) as f64;
             }
             for &cs in tree.child_segments(child_node) {
                 let cs = cs as usize;
-                let (best_l, best_c) = layers_of(tree.segment(cs).dir)
-                    .iter()
-                    .map(|&cl| (cl, dp[cs][cl] + config.via_cost * l.abs_diff(cl) as f64))
-                    .min_by(|a, b| a.1.total_cmp(&b.1))
-                    // invariant: GridBuilder rejects grids lacking a
-                    // layer in either direction, so layers_of is
-                    // non-empty.
-                    .expect("every direction has at least one layer");
+                let candidates = layers.of(tree.segment(cs).dir);
+                let (best_l, best_c) = best_layer(dp, nl, cs, candidates, l, config.via_cost);
                 cost += best_c;
-                choices.push(best_l);
+                pick[cs * nl + l] = best_l;
             }
-            dp[s][l] = cost;
-            pick[s][l] = choices;
+            dp[s * nl + l] = cost;
         }
     }
 
     // Root choice includes the via from the source pin's layer.
-    let mut layers = vec![usize::MAX; tree.num_segments()];
-    let root = tree.root();
+    let mut chosen = vec![usize::MAX; tree.num_segments()];
     let src_layer = net.source().layer;
     // Choose each root child independently (they only couple through the
     // shared source via stack, approximated pairwise here).
     let mut stack: Vec<(usize, usize)> = Vec::new();
-    for &cs in tree.child_segments(root) {
+    for &cs in tree.child_segments(tree.root()) {
         let cs = cs as usize;
-        let (best_l, _) = layers_of(tree.segment(cs).dir)
-            .iter()
-            .map(|&l| {
-                (
-                    l,
-                    dp[cs][l] + config.via_cost * l.abs_diff(src_layer) as f64,
-                )
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            // invariant: same non-empty layers_of as the DP fill above.
-            .expect("layer exists");
+        let candidates = layers.of(tree.segment(cs).dir);
+        let (best_l, _) = best_layer(dp, nl, cs, candidates, src_layer, config.via_cost);
         stack.push((cs, best_l));
     }
     while let Some((s, l)) = stack.pop() {
-        layers[s] = l;
-        let child_node = net.tree().segment(s).to as usize;
-        for (k, &cs) in tree.child_segments(child_node).iter().enumerate() {
-            stack.push((cs as usize, pick[s][l][k]));
+        chosen[s] = l;
+        let child_node = tree.segment(s).to as usize;
+        for &cs in tree.child_segments(child_node) {
+            let cs = cs as usize;
+            stack.push((cs, pick[cs * nl + l]));
         }
     }
-    debug_assert!(layers.iter().all(|&l| l != usize::MAX));
-    layers
+    debug_assert!(chosen.iter().all(|&l| l != usize::MAX));
+    chosen
+}
+
+/// The best of `candidates` for segment `cs` below metal on layer `l`:
+/// its subtree cost plus the via between the two, first minimum kept.
+fn best_layer(
+    dp: &[f64],
+    nl: usize,
+    cs: usize,
+    candidates: &[usize],
+    l: usize,
+    via_cost: f64,
+) -> (usize, f64) {
+    candidates
+        .iter()
+        .map(|&cl| (cl, dp[cs * nl + cl] + via_cost * l.abs_diff(cl) as f64))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        // invariant: GridBuilder rejects grids lacking a layer in either
+        // direction, so every candidate list is non-empty.
+        .expect("every direction has at least one layer")
+}
+
+/// Wire cost of placing the segment covering `run` on layer `l`, from
+/// current usage, summed edge by edge in run order.
+fn wire_cost(grid: &Grid, run: EdgeRun, l: usize, config: &InitialConfig) -> f64 {
+    let usage = grid.edge_usage_row(l);
+    let capacity = grid.edge_capacity_row(l);
+    let mut cost = 0.0;
+    for i in run.indices() {
+        let u = usage[i] as f64;
+        let c = capacity[i] as f64;
+        cost += config.congestion_weight * u / (c + 1.0);
+        if u >= c {
+            cost += config.overflow_penalty;
+        }
+    }
+    // Slight bias toward lower layers mirrors the practice of saving
+    // scarce top-layer capacity for the nets that need it.
+    cost + 0.05 * l as f64
 }
 
 #[cfg(test)]

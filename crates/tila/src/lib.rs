@@ -223,6 +223,7 @@ impl Tila {
         };
         let initial_objective = objective(grid, assignment);
         let initial_wire_overflow = grid.total_wire_overflow();
+        let initial_via_overflow = grid.total_via_overflow();
         let mut best_objective = initial_objective;
         let mut best_layers: Vec<Vec<usize>> = released
             .iter()
@@ -244,14 +245,16 @@ impl Tila {
         }
         let delay_scale = (initial_objective / released_segments as f64).max(1e-12);
         // Incumbent selection must not reward infeasibility: LR iterates
-        // may transiently overfill edges, and snapshotting purely by
-        // delay would lock such states in. Charge any wire overflow
-        // beyond what the input already had at a prohibitive rate.
+        // may transiently overfill edges or via cells, and snapshotting
+        // purely by delay would lock such states in. Charge any wire or
+        // via overflow beyond what the input already had at a
+        // prohibitive rate.
         let overflow_penalty = 50.0 * delay_scale;
         let penalized = |g: &Grid, obj: f64| -> f64 {
             let extra = g
                 .total_wire_overflow()
-                .saturating_sub(initial_wire_overflow);
+                .saturating_sub(initial_wire_overflow)
+                + g.total_via_overflow().saturating_sub(initial_via_overflow);
             obj + overflow_penalty * extra as f64
         };
         let mut best_penalized = initial_objective;

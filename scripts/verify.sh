@@ -42,8 +42,8 @@ cargo test --workspace -q --offline
 echo "==> route/ispd full property sweeps"
 cargo test -q --offline -p route -p ispd --features proptest
 
-echo "==> route pins, release (the scale-100k pin is ignored in debug builds)"
-cargo test --release -q --offline -p route --test route_pin
+echo "==> route and initial-assignment pins, release (the scale-100k pins are ignored in debug builds)"
+cargo test --release -q --offline -p route --test route_pin --test initial_pin
 
 echo "==> solver/cpla/timing/grid full property sweeps"
 cargo test -q --offline -p solver -p cpla -p timing -p grid --features proptest
