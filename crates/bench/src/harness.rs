@@ -50,6 +50,10 @@ impl Harness {
     }
 
     /// Measures `f`, printing a one-line summary.
+    #[expect(
+        clippy::print_stdout,
+        reason = "the harness owns the bench terminal output"
+    )]
     pub fn bench<T, F: FnMut() -> T>(&mut self, name: &str, mut f: F) {
         // Warmup + calibration: one untimed run tells us the scale.
         let t0 = Instant::now();
@@ -65,7 +69,6 @@ impl Harness {
         times.sort_by(f64::total_cmp);
         let median = times[times.len() / 2];
         let mean = times.iter().sum::<f64>() / times.len() as f64;
-        // audit: allow(A4) -- the harness owns the bench terminal output.
         println!(
             "{name:<40} median {:>12} mean {:>12} ({iters} iters)",
             pretty(median),
@@ -81,6 +84,10 @@ impl Harness {
 
     /// Like [`Harness::bench`] but with a per-iteration untimed setup
     /// (Criterion's `iter_batched`).
+    #[expect(
+        clippy::print_stdout,
+        reason = "the harness owns the bench terminal output"
+    )]
     pub fn bench_batched<S, T, Setup, F>(&mut self, name: &str, mut setup: Setup, mut f: F)
     where
         Setup: FnMut() -> S,
@@ -102,7 +109,6 @@ impl Harness {
         times.sort_by(f64::total_cmp);
         let median = times[times.len() / 2];
         let mean = times.iter().sum::<f64>() / times.len() as f64;
-        // audit: allow(A4) -- the harness owns the bench terminal output.
         println!(
             "{name:<40} median {:>12} mean {:>12} ({iters} iters)",
             pretty(median),

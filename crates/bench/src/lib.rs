@@ -6,6 +6,19 @@
 //! comparisons are apples-to-apples, exactly as the paper releases the
 //! same net set for both TILA and SDP.
 
+// Lint policy: DESIGN.md §8. An exception is `#[expect(clippy::…, reason = "…")]` at its site.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+
 pub mod harness;
 
 use std::time::Instant;
@@ -37,7 +50,10 @@ impl Prepared {
     ///
     /// Panics if the configuration is degenerate.
     pub fn from_config(config: &SyntheticConfig) -> Prepared {
-        // invariant: the named paper benchmark configs all generate.
+        #[expect(
+            clippy::expect_used,
+            reason = "the named paper benchmark configs all generate"
+        )]
         let (mut grid, specs) = config.generate().expect("benchmark configs are valid");
         let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
         let assignment = initial_assignment(&mut grid, &netlist);
@@ -84,10 +100,13 @@ pub fn run_tila(
     let mut grid = prepared.grid.clone();
     let mut assignment = prepared.assignment.clone();
     let start = Instant::now();
+    #[expect(
+        clippy::expect_used,
+        reason = "`Prepared` workloads are well-formed and the paper configs validate; a flow \
+                  error here is an experiment-setup bug"
+    )]
     let result = Tila::new(config)
         .run(&mut grid, &prepared.netlist, &mut assignment, released)
-        // invariant: `Prepared` workloads are well-formed and the paper
-        // configs validate; a flow error here is an experiment-setup bug.
         .expect("benchmark workloads are well-formed");
     let seconds = start.elapsed().as_secs_f64();
     let metrics = Metrics::measure(&grid, &prepared.netlist, &assignment, released);
@@ -116,10 +135,13 @@ pub fn run_cpla(
     let mut grid = prepared.grid.clone();
     let mut assignment = prepared.assignment.clone();
     let start = Instant::now();
+    #[expect(
+        clippy::expect_used,
+        reason = "`Prepared` workloads are well-formed and the paper configs validate; a flow \
+                  error here is an experiment-setup bug"
+    )]
     let report = Cpla::new(config)
         .run_released(&mut grid, &prepared.netlist, &mut assignment, released)
-        // invariant: `Prepared` workloads are well-formed and the paper
-        // configs validate; a flow error here is an experiment-setup bug.
         .expect("benchmark workloads are well-formed");
     let seconds = start.elapsed().as_secs_f64();
     let metrics = Metrics::measure(&grid, &prepared.netlist, &assignment, released);
@@ -159,6 +181,14 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
 /// Parses benchmark names from CLI args; defaults to `fallback` when no
 /// args are given. Unknown names abort with a message listing the valid
 /// set.
+#[expect(
+    clippy::print_stderr,
+    reason = "CLI-arg helper for the bench binaries; usage errors go straight to the terminal"
+)]
+#[expect(
+    clippy::exit,
+    reason = "aborting a bench run on a bad benchmark name is the whole point of this helper"
+)]
 pub fn benchmarks_from_args(fallback: &[&str]) -> Vec<SyntheticConfig> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let names: Vec<String> = if args.is_empty() {
@@ -170,8 +200,6 @@ pub fn benchmarks_from_args(fallback: &[&str]) -> Vec<SyntheticConfig> {
         .iter()
         .map(|n| {
             SyntheticConfig::named(n).unwrap_or_else(|| {
-                // audit: allow(A4) -- CLI-arg helper for the bench
-                // binaries; usage errors go straight to the terminal.
                 eprintln!(
                     "unknown benchmark `{n}`; valid: {}",
                     SyntheticConfig::all_paper_benchmarks()
@@ -180,8 +208,6 @@ pub fn benchmarks_from_args(fallback: &[&str]) -> Vec<SyntheticConfig> {
                         .collect::<Vec<_>>()
                         .join(", ")
                 );
-                // audit: allow(A4) -- aborting a bench run on a bad
-                // benchmark name is the whole point of this helper.
                 std::process::exit(2);
             })
         })

@@ -416,13 +416,21 @@ fn straight_net(params: &GenParams, rng: &mut Rng, index: usize) -> Net {
         (Cell::new(x, y), Cell::new(x, y + len))
     };
     let mut b = RouteTreeBuilder::new(src);
-    // invariant: dst differs from src along exactly one axis, so the
-    // segment is straight with positive length.
+    #[expect(
+        clippy::expect_used,
+        reason = "dst differs from src along exactly one axis, so the segment is straight with \
+                  positive length"
+    )]
     let end = b.add_segment(b.root(), dst).expect("straight segment");
-    b.attach_pin(b.root(), 0).expect("fresh root node"); // invariant: pinned once
-    b.attach_pin(end, 1).expect("fresh leaf node"); // invariant: end != root, pinned once
+    #[expect(clippy::expect_used, reason = "pinned once")]
+    b.attach_pin(b.root(), 0).expect("fresh root node");
+    #[expect(clippy::expect_used, reason = "end != root, pinned once")]
+    b.attach_pin(end, 1).expect("fresh leaf node");
     let pins = vec![Pin::source(src, 10.0), sink(rng, dst)];
-    // invariant: one segment, two pinned nodes — always a valid tree.
+    #[expect(
+        clippy::expect_used,
+        reason = "one segment, two pinned nodes — always a valid tree"
+    )]
     let tree = b.build().expect("non-empty tree");
     finish(format!("n{index}"), rng, pins, tree)
 }
@@ -434,14 +442,23 @@ fn l_net(params: &GenParams, rng: &mut Rng, index: usize) -> Net {
     let bend = Cell::new(x + xlen, y);
     let dst = Cell::new(x + xlen, y + ylen);
     let mut b = RouteTreeBuilder::new(src);
-    // invariant: xlen and ylen are both >= 1, so both legs are straight
-    // segments of positive length with disjoint edges.
+    #[expect(
+        clippy::expect_used,
+        reason = "xlen and ylen are both >= 1, so both legs are straight segments of positive \
+                  length with disjoint edges"
+    )]
     let mid = b.add_segment(b.root(), bend).expect("horizontal leg");
-    let end = b.add_segment(mid, dst).expect("vertical leg"); // invariant: ylen >= 1
-    b.attach_pin(b.root(), 0).expect("fresh root node"); // invariant: pinned once
-    b.attach_pin(end, 1).expect("fresh leaf node"); // invariant: end != root, pinned once
+    #[expect(clippy::expect_used, reason = "ylen >= 1")]
+    let end = b.add_segment(mid, dst).expect("vertical leg");
+    #[expect(clippy::expect_used, reason = "pinned once")]
+    b.attach_pin(b.root(), 0).expect("fresh root node");
+    #[expect(clippy::expect_used, reason = "end != root, pinned once")]
+    b.attach_pin(end, 1).expect("fresh leaf node");
     let pins = vec![Pin::source(src, 10.0), sink(rng, dst)];
-    // invariant: two segments, pinned root and leaf — a valid tree.
+    #[expect(
+        clippy::expect_used,
+        reason = "two segments, pinned root and leaf — a valid tree"
+    )]
     let tree = b.build().expect("non-empty tree");
     finish(format!("n{index}"), rng, pins, tree)
 }
@@ -461,27 +478,49 @@ fn t_net(params: &GenParams, rng: &mut Rng, index: usize) -> Net {
         Cell::new(x, y + up.min(params.height - 1 - y))
     };
     let mut b = RouteTreeBuilder::new(src);
-    // invariant: the trunk is horizontal and the branches vertical on
-    // different columns (xlen >= 1), so no 2-D edge repeats.
+    #[expect(
+        clippy::expect_used,
+        reason = "the trunk is horizontal and the branches vertical on different columns \
+                  (xlen >= 1), so no 2-D edge repeats"
+    )]
     let mid = b.add_segment(b.root(), trunk_end).expect("trunk");
+    #[expect(
+        clippy::expect_used,
+        reason = "the trunk is horizontal and the branches vertical on different columns \
+                  (xlen >= 1), so no 2-D edge repeats"
+    )]
     let end_a = b.add_segment(mid, sink_a).expect("first branch");
     if sink_b == src {
         // No room for the second branch: fall back to a two-pin net.
-        b.attach_pin(b.root(), 0).expect("fresh root node"); // invariant: pinned once
-        b.attach_pin(end_a, 1).expect("fresh leaf node"); // invariant: end_a != root
+        #[expect(clippy::expect_used, reason = "pinned once")]
+        b.attach_pin(b.root(), 0).expect("fresh root node");
+        #[expect(clippy::expect_used, reason = "end_a != root")]
+        b.attach_pin(end_a, 1).expect("fresh leaf node");
         let pins = vec![Pin::source(src, 10.0), sink(rng, sink_a)];
-        // invariant: two segments, pinned root and leaf — valid tree.
+        #[expect(
+            clippy::expect_used,
+            reason = "two segments, pinned root and leaf — valid tree"
+        )]
         let tree = b.build().expect("non-empty tree");
         return finish(format!("n{index}"), rng, pins, tree);
     }
-    // invariant: sink_b != src and sits on the source column, a
-    // straight vertical run disjoint from the trunk and first branch.
+    #[expect(
+        clippy::expect_used,
+        reason = "sink_b != src and sits on the source column, a straight vertical run disjoint \
+                  from the trunk and first branch"
+    )]
     let end_b = b.add_segment(b.root(), sink_b).expect("second branch");
-    b.attach_pin(b.root(), 0).expect("fresh root node"); // invariant: pinned once
-    b.attach_pin(end_a, 1).expect("fresh leaf node"); // invariant: end_a != root
-    b.attach_pin(end_b, 2).expect("fresh leaf node"); // invariant: end_b != end_a, root
+    #[expect(clippy::expect_used, reason = "pinned once")]
+    b.attach_pin(b.root(), 0).expect("fresh root node");
+    #[expect(clippy::expect_used, reason = "end_a != root")]
+    b.attach_pin(end_a, 1).expect("fresh leaf node");
+    #[expect(clippy::expect_used, reason = "end_b != end_a, root")]
+    b.attach_pin(end_b, 2).expect("fresh leaf node");
     let pins = vec![Pin::source(src, 10.0), sink(rng, sink_a), sink(rng, sink_b)];
-    // invariant: three segments, three pinned nodes — a valid tree.
+    #[expect(
+        clippy::expect_used,
+        reason = "three segments, three pinned nodes — a valid tree"
+    )]
     let tree = b.build().expect("non-empty tree");
     finish(format!("n{index}"), rng, pins, tree)
 }

@@ -17,6 +17,19 @@
 //! it sees; the `cpla-conform` binary loops it over a trial budget and
 //! emits serialized reproducers (see [`io`]) for every failure.
 
+// Lint policy: DESIGN.md §8. An exception is `#[expect(clippy::…, reason = "…")]` at its site.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+
 pub mod gen;
 pub mod io;
 pub mod json;

@@ -133,7 +133,7 @@ pub fn solve(inst: &Instance, released: &[usize], max_combos: u64) -> Option<Ora
                 debug_assert_eq!(enumerated, combos);
                 // The input assignment itself is one of the enumerated
                 // combinations, and its overflow equals the bound.
-                // invariant: at least one combo is feasible.
+                #[expect(clippy::expect_used, reason = "at least one combo is feasible")]
                 let (best_avg_tcp, best_layers) =
                     best.expect("input assignment is always feasible");
                 return Some(OracleOutcome {

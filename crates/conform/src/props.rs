@@ -120,8 +120,11 @@ pub fn loosen_capacity(
 pub fn augment_layer(w: &Workload) -> Workload {
     let mut grid_spec = w.grid_spec.clone();
     let l = grid_spec.layers.len();
-    // invariant: generated grids always carry >= 2 layers, so `last`
-    // and the direction flip below are well-defined.
+    #[expect(
+        clippy::expect_used,
+        reason = "generated grids always carry >= 2 layers, so `last` and the direction flip \
+                  below are well-defined"
+    )]
     let last = grid_spec.layers.last().expect("grids have layers");
     let width = 1.0 + 0.5 * (l / 2) as f64;
     let capacity = w.params.capacity.max(4);
@@ -135,7 +138,10 @@ pub fn augment_layer(w: &Workload) -> Workload {
         capacity,
     });
     if let Some(table) = &mut grid_spec.via_resistances {
-        // invariant: an explicit table always has layers-1 >= 1 entries.
+        #[expect(
+            clippy::expect_used,
+            reason = "an explicit table always has layers-1 >= 1 entries"
+        )]
         let r = *table.last().expect("non-empty via table");
         table.push(r);
     }

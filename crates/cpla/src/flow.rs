@@ -387,8 +387,11 @@ impl FlowStage for ExtractStage {
             ref cache,
             ..
         } = *ctx;
-        // invariant: partitioning only groups segments from the released
-        // pool, and Select froze a context for every pooled segment.
+        #[expect(
+            clippy::expect_used,
+            reason = "partitioning only groups segments from the released pool, and Select froze \
+                      a context for every pooled segment"
+        )]
         let lookup = |r: SegmentRef| -> SegCtx {
             *cd.get(r).expect("released segment has a frozen context")
         };
@@ -564,8 +567,11 @@ impl FlowStage for SolveStage {
                     }));
                 }
                 for h in handles {
-                    // invariant: workers run no user code and cannot
-                    // unwind past solve_raw's Result.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "workers run no user code and cannot unwind past solve_raw's \
+                                  Result"
+                    )]
                     for (mi, out, leaf) in h.join().expect("partition worker panicked") {
                         slots[mi] = Some(out);
                         leaf_slots[mi] = Some(leaf);

@@ -114,8 +114,11 @@ pub fn post_map(problem: &PartitionProblem, x: &[f64]) -> Vec<usize> {
             .all(|e| remaining.get(&(layer, *e)).map(|r| *r > 0).unwrap_or(true))
     };
     let consume = |i: usize, layer: usize, remaining: &mut HashMap<(usize, Edge2d), i64>| {
-        // order: each edge decrements an independent counter; integer
-        // subtraction over distinct keys is order-insensitive.
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "each edge decrements an independent counter; integer subtraction over \
+                      distinct keys is order-insensitive"
+        )]
         for e in &edges_of[i] {
             if let Some(r) = remaining.get_mut(&(layer, *e)) {
                 *r -= 1;
@@ -140,7 +143,10 @@ pub fn post_map(problem: &PartitionProblem, x: &[f64]) -> Vec<usize> {
         let Some(seg_set) = segs_of.get(&edge) else {
             continue;
         };
-        // invariant: `segs_of` only maps edges that own a segment.
+        #[expect(
+            clippy::expect_used,
+            reason = "`segs_of` only maps edges that own a segment"
+        )]
         let probe = *seg_set.iter().next().expect("non-empty");
         // alloc: an owned copy is needed to sort; the list is at most
         // the per-direction layer count.
@@ -187,20 +193,26 @@ pub fn post_map(problem: &PartitionProblem, x: &[f64]) -> Vec<usize> {
             // alloc: owned buffer required by the sort below.
             .collect();
         ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+        #[expect(
+            clippy::expect_used,
+            reason = "extraction gives every segment ≥ 1 candidate"
+        )]
         let picked = ranked
             .iter()
             .find(|&&(_, c)| fits(i, problem.candidates[i][c], &remaining))
             .or_else(|| ranked.first())
             .map(|&(_, c)| c)
-            // invariant: extraction gives every segment ≥ 1 candidate.
             .expect("segments always have candidates");
         choice[i] = Some(picked);
         consume(i, problem.candidates[i][picked], &mut remaining);
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the loop above visits every segment once"
+    )]
     choice
         .into_iter()
-        // invariant: the loop above visits every segment once.
         .map(|c| c.expect("all assigned"))
         .collect()
 }

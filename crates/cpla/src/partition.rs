@@ -283,10 +283,13 @@ fn partition_anchored(
             let handles: Vec<_> = (0..shards)
                 .map(|s| scope.spawn(move || run_shard(s)))
                 .collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "shard workers run no user code and cannot unwind past the refinement \
+                          loop"
+            )]
             handles
                 .into_iter()
-                // invariant: shard workers run no user code and cannot
-                // unwind past the refinement loop.
                 .map(|h| h.join().expect("partition shard panicked"))
                 .collect()
         })

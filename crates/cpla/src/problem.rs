@@ -195,11 +195,14 @@ impl PartitionProblem {
                 // alloc: per-segment cost row, retained in the problem.
                 .collect();
             let cur_layer = assignment.layer_of(sref);
+            #[expect(
+                clippy::expect_used,
+                reason = "candidate sets are built around the current layer, so it is always a \
+                          member"
+            )]
             let cur_idx = cands
                 .iter()
                 .position(|&l| l == cur_layer)
-                // invariant: candidate sets are built around the
-                // current layer, so it is always a member.
                 .expect("current layer must be a candidate");
             candidates.push(cands);
             linear_cost.push(costs);

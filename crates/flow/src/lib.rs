@@ -19,13 +19,28 @@
 //! The crate also hosts the engine-neutral pieces every backend shares:
 //! the Table-2 quality [`Metrics`], [`select_critical_nets`], the
 //! cooperative [`Cancel`] flag racing drivers hand to their backends,
-//! and the [`Greedy`] longest-path baseline — the trait's own reference
-//! implementation and the portfolio's latency floor.
+//! the [`Greedy`] longest-path baseline — the trait's own reference
+//! implementation and the portfolio's latency floor — and the
+//! [`legalize`] wire-overflow sweep TILA and Lagrange share.
+
+// Lint policy: DESIGN.md §8. An exception is `#[expect(clippy::…, reason = "…")]` at its site.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
 
 mod cancel;
 mod error;
 mod greedy;
 mod instance;
+mod legalize;
 mod metrics;
 mod observer;
 mod select;
@@ -36,6 +51,7 @@ pub use greedy::{Greedy, GreedyConfig, GreedyResult};
 pub use grid::GridError;
 pub use instance::Instance;
 pub use ispd::ParseError;
+pub use legalize::legalize;
 pub use solver::SolveError;
 
 pub use metrics::Metrics;

@@ -119,13 +119,16 @@ impl SyntheticConfig {
 
     /// All 15 benchmarks of the paper's Table 2, in table order.
     pub fn all_paper_benchmarks() -> Vec<SyntheticConfig> {
+        #[expect(
+            clippy::expect_used,
+            reason = "the list above only holds names `named` knows"
+        )]
         [
             "adaptec1", "adaptec2", "adaptec3", "adaptec4", "adaptec5", "bigblue1", "bigblue2",
             "bigblue3", "bigblue4", "newblue1", "newblue2", "newblue4", "newblue5", "newblue6",
             "newblue7",
         ]
         .iter()
-        // invariant: the list above only holds names `named` knows.
         .map(|n| SyntheticConfig::named(n).expect("known name"))
         .collect()
     }
@@ -133,11 +136,14 @@ impl SyntheticConfig {
     /// The six "small test cases" the paper uses for the ILP-vs-SDP
     /// comparison (Fig. 7).
     pub fn small_paper_benchmarks() -> Vec<SyntheticConfig> {
+        #[expect(
+            clippy::expect_used,
+            reason = "the list above only holds names `named` knows"
+        )]
         [
             "adaptec1", "adaptec2", "bigblue1", "newblue1", "newblue2", "newblue4",
         ]
         .iter()
-        // invariant: the list above only holds names `named` knows.
         .map(|n| SyntheticConfig::named(n).expect("known name"))
         .collect()
     }

@@ -27,6 +27,19 @@
 //! feasibility). The property suite sweeps random lattices and seeds
 //! over these invariants.
 
+// Lint policy: DESIGN.md §8. An exception is `#[expect(clippy::…, reason = "…")]` at its site.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+
 mod relax;
 
 pub use relax::{Multipliers, Relaxation};
@@ -38,7 +51,7 @@ use flow::{
 use grid::Grid;
 use net::{Assignment, Netlist};
 use std::time::Instant;
-use timing::{IncrementalTiming, NetTiming, TimingModel};
+use timing::{NetTiming, TimingModel};
 
 /// Diminishing step-size schedule of the subgradient ascent.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -371,7 +384,7 @@ impl Lagrange {
                 obs.on_stage_start(round, Stage::Accept);
             }
             let accept_t = Instant::now();
-            legalize(grid, netlist, assignment, released, &model);
+            flow::legalize(grid, netlist, assignment, released, &model);
             let accept_secs = accept_t.elapsed().as_secs_f64();
             for obs in observers.iter_mut() {
                 obs.on_stage_end(round, Stage::Accept, accept_secs);
@@ -436,68 +449,6 @@ impl Lagrange {
         result.min_multiplier = lambda.min();
 
         Ok(result)
-    }
-}
-
-/// Greedy repair shared shape with the other relaxation engines: move
-/// released segments off overfilled edges at the least delay cost.
-/// Segments with no legal alternative stay put.
-fn legalize(
-    grid: &mut Grid,
-    netlist: &Netlist,
-    assignment: &mut Assignment,
-    released: &[usize],
-    model: &TimingModel,
-) {
-    for _pass in 0..4 {
-        let mut moved_any = false;
-        for &ni in released {
-            let net = netlist.net(ni);
-            let tree = net.tree();
-            let mut layers = assignment.net_layers(ni).to_vec();
-            if layers.is_empty() {
-                continue;
-            }
-            let mut inc = IncrementalTiming::new(model, net, &layers);
-            let mut net_moved = false;
-            for s in 0..tree.num_segments() {
-                let layer = layers[s];
-                let overflowing = tree
-                    .segment_edges(s)
-                    .iter()
-                    .any(|&e| grid.edge_usage(layer, e) > grid.edge_capacity(layer, e));
-                if !overflowing {
-                    continue;
-                }
-                let dir = tree.segment(s).dir;
-                let cd = inc.downstream_cap(s);
-                let best = grid
-                    .layers_in_direction(dir)
-                    .filter(|&l| l != layer)
-                    .filter(|&l| {
-                        tree.segment_edges(s)
-                            .iter()
-                            .all(|&e| grid.edge_residual(l, e) > 0)
-                    })
-                    .map(|l| (timing::segment_delay_on_layer(grid, net, s, l, cd), l))
-                    .min_by(|a, b| a.0.total_cmp(&b.0));
-                if let Some((_, new_layer)) = best {
-                    net::remove_net_from_grid(grid, net, &layers);
-                    layers[s] = new_layer;
-                    net::restore_net_to_grid(grid, net, &layers);
-                    inc.set_layer(s, new_layer);
-                    net_moved = true;
-                    moved_any = true;
-                }
-            }
-            if net_moved {
-                inc.commit();
-                assignment.set_net_layers(ni, layers);
-            }
-        }
-        if !moved_any {
-            break;
-        }
     }
 }
 

@@ -294,8 +294,11 @@ impl<'a> Relaxation<'a> {
                 handles
                     .into_iter()
                     .flat_map(|h| {
-                        // invariant: the DP bodies touch only immutable
-                        // borrows and cannot panic on validated input.
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "the DP bodies touch only immutable borrows and cannot panic \
+                                      on validated input"
+                        )]
                         h.join().expect("relaxation shard panicked")
                     })
                     .collect()
@@ -453,6 +456,10 @@ impl<'a> Relaxation<'a> {
                 }
                 for &cs in tree.child_segments(child_node) {
                     let cs = cs as usize;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "validated grids route every direction on ≥ 1 layer"
+                    )]
                     let (best_l, best_c) = layers_of(tree.segment(cs).dir)
                         .iter()
                         .map(|&cl| {
@@ -470,8 +477,6 @@ impl<'a> Relaxation<'a> {
                             )
                         })
                         .min_by(|a, b| a.1.total_cmp(&b.1))
-                        // invariant: validated grids route every
-                        // direction on ≥ 1 layer.
                         .expect("layer exists per direction");
                     cost += best_c;
                     choices.push(best_l);
@@ -489,6 +494,10 @@ impl<'a> Relaxation<'a> {
         let mut stack: Vec<(usize, usize)> = Vec::new();
         for &cs in tree.child_segments(root) {
             let cs = cs as usize;
+            #[expect(
+                clippy::expect_used,
+                reason = "validated grids route every direction on ≥ 1 layer"
+            )]
             let (best_l, best_c) = layers_of(tree.segment(cs).dir)
                 .iter()
                 .map(|&l| {
@@ -506,8 +515,6 @@ impl<'a> Relaxation<'a> {
                     )
                 })
                 .min_by(|a, b| a.1.total_cmp(&b.1))
-                // invariant: validated grids route every direction on
-                // ≥ 1 layer.
                 .expect("layer exists");
             total += best_c;
             stack.push((cs, best_l));

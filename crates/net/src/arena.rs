@@ -83,8 +83,11 @@ impl DesignArena {
             self.seg_net.push(ni as u32);
         }
         self.seg_start.push(self.anchor.len() as u32);
-        // invariant: node_start is seeded with a leading 0 at
-        // construction and only ever appended to, so `last()` exists.
+        #[expect(
+            clippy::expect_used,
+            reason = "node_start is seeded with a leading 0 at construction and only ever \
+                      appended to, so `last()` exists"
+        )]
         let nodes =
             *self.node_start.last().expect("CSR starts non-empty") as usize + tree.num_nodes();
         self.node_start.push(nodes as u32);
@@ -113,9 +116,12 @@ impl DesignArena {
     }
 
     /// Total number of tree nodes across all nets.
+    #[expect(
+        clippy::expect_used,
+        reason = "node_start is seeded with a leading 0 at construction and only ever appended \
+                  to, so `last()` exists"
+    )]
     pub fn num_nodes(&self) -> usize {
-        // invariant: node_start is seeded with a leading 0 at
-        // construction and only ever appended to, so `last()` exists.
         *self.node_start.last().expect("CSR starts non-empty") as usize
     }
 

@@ -23,10 +23,10 @@ impl Assignment {
     /// Panics if the grid lacks a layer for some segment direction
     /// (impossible for grids built by `GridBuilder`, which requires both).
     pub fn lowest_layers(netlist: &Netlist, grid: &Grid) -> Assignment {
+        #[expect(clippy::expect_used, reason = "GridBuilder requires both directions")]
         let lowest = |dir| {
             grid.layers_in_direction(dir)
                 .next()
-                // invariant: GridBuilder requires both directions.
                 .expect("grid must have a layer per direction")
         };
         let layers = netlist

@@ -25,6 +25,19 @@
 //! See DESIGN.md §10 for the span model and allocator caveats, and the
 //! README's "Profiling a run" for an end-to-end walkthrough.
 
+// Lint policy: DESIGN.md §8. An exception is `#[expect(clippy::…, reason = "…")]` at its site.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+
 pub mod alloc;
 pub mod chrome;
 pub mod prom;

@@ -78,8 +78,11 @@ impl SpanRecord {
         match self.kind {
             SpanKind::Run => "run",
             SpanKind::Round => "round",
-            // invariant: the recorder only emits Stage/Leaf records with
-            // `stage` populated (see `on_stage_start`/`on_leaf`).
+            #[expect(
+                clippy::expect_used,
+                reason = "the recorder only emits Stage/Leaf records with `stage` populated (see \
+                          `on_stage_start`/`on_leaf`)"
+            )]
             SpanKind::Stage | SpanKind::Leaf => {
                 self.stage.expect("stage span carries its stage").name()
             }
@@ -243,7 +246,10 @@ impl StageObserver for Recorder {
     fn on_round_end(&mut self, snapshot: &RoundSnapshot) {
         if let Some((round, open)) = self.open_round.take() {
             self.close(SpanKind::Round, None, round, open);
-            // invariant: `close` pushed the round span it was given.
+            #[expect(
+                clippy::expect_used,
+                reason = "`close` pushed the round span it was given"
+            )]
             let span = self.spans.last_mut().expect("close() just pushed");
             span.objective = Some(snapshot.objective);
         }

@@ -26,6 +26,19 @@
 //! See DESIGN.md §14 for the race semantics and the cross-assigner
 //! invariants the conformance suite pins over this crate.
 
+// Lint policy: DESIGN.md §8. An exception is `#[expect(clippy::…, reason = "…")]` at its site.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
+
 use flow::{Cancel, FlowError, FlowReport, LayerAssigner, StageObserver};
 use grid::Grid;
 use net::{Assignment, Netlist};

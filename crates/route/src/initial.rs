@@ -174,12 +174,15 @@ fn best_layer(
     l: usize,
     via_cost: f64,
 ) -> (usize, f64) {
+    #[expect(
+        clippy::expect_used,
+        reason = "GridBuilder rejects grids lacking a layer in either direction, so every \
+                  candidate list is non-empty"
+    )]
     candidates
         .iter()
         .map(|&cl| (cl, dp[cs * nl + cl] + via_cost * l.abs_diff(cl) as f64))
         .min_by(|a, b| a.1.total_cmp(&b.1))
-        // invariant: GridBuilder rejects grids lacking a layer in either
-        // direction, so every candidate list is non-empty.
         .expect("every direction has at least one layer")
 }
 

@@ -364,7 +364,10 @@ pub fn path_waypoints(path: &[Cell]) -> Vec<Cell> {
             dir = d;
         }
     }
-    // invariant: the len() < 2 early return leaves path non-empty here.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the len() < 2 early return leaves path non-empty here"
+    )]
     out.push(*path.last().unwrap());
     out
 }

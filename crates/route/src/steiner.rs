@@ -244,10 +244,13 @@ fn path_overflows(cong: &CongestionMap, from: Cell, waypoints: &[Cell]) -> bool 
 fn closest_tree_point(tree_cells: &[Cell], target: Cell) -> Cell {
     // All tree cells (node cells plus segment interiors) are maintained
     // by the caller in `tree_cells`.
+    #[expect(
+        clippy::expect_used,
+        reason = "callers seed `tree_cells` with the source cell"
+    )]
     *tree_cells
         .iter()
         .min_by_key(|c| c.manhattan(target))
-        // invariant: callers seed `tree_cells` with the source cell.
         .expect("tree has at least the root cell")
 }
 
@@ -354,7 +357,10 @@ impl<'g> Router<'g> {
 
         let source = pins[0];
         let mut builder = RouteTreeBuilder::new(source.cell);
-        // invariant: a just-built root node carries no pin yet.
+        #[expect(
+            clippy::expect_used,
+            reason = "a just-built root node carries no pin yet"
+        )]
         builder.attach_pin(0, 0).expect("fresh root has no pin");
 
         // Tree geometry bookkeeping: every covered cell; covered edges
@@ -364,6 +370,10 @@ impl<'g> Router<'g> {
         let mut remaining: Vec<usize> = (1..pins.len()).collect();
         while !remaining.is_empty() {
             // Nearest unrouted sink to the tree.
+            #[expect(
+                clippy::expect_used,
+                reason = "guarded by the loop's !remaining.is_empty()"
+            )]
             let (pos, &pin_idx) = remaining
                 .iter()
                 .enumerate()
@@ -374,7 +384,6 @@ impl<'g> Router<'g> {
                         .min()
                         .unwrap_or(u32::MAX)
                 })
-                // invariant: guarded by the loop's !remaining.is_empty().
                 .expect("remaining is non-empty");
             remaining.swap_remove(pos);
             let target = pins[pin_idx].cell;
@@ -386,16 +395,21 @@ impl<'g> Router<'g> {
             let attach_node = match builder.find_node_at(attach_cell) {
                 Some(n) => n,
                 None => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "attach_cell came from `tree_cells`, all of which are node cells \
+                                  or segment interiors"
+                    )]
                     let seg = builder
                         .find_segment_through(attach_cell)
-                        // invariant: attach_cell came from `tree_cells`,
-                        // all of which are node cells or segment
-                        // interiors.
                         .expect("closest tree cell must lie on the tree");
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "attach_cell is interior to `seg` (it is on the segment but is \
+                                  not a node cell)"
+                    )]
                     builder
                         .split_segment_at(seg, attach_cell)
-                        // invariant: attach_cell is interior to `seg` (it
-                        // is on the segment but is not a node cell).
                         .expect("interior split cannot fail")
                 }
             };
@@ -403,10 +417,13 @@ impl<'g> Router<'g> {
             let end_node = if waypoints.is_empty() {
                 attach_node
             } else {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "pattern_candidates and path_waypoints only emit axis-aligned \
+                              waypoint sequences"
+                )]
                 let end = builder
                     .add_path(attach_node, &waypoints)
-                    // invariant: pattern_candidates and path_waypoints
-                    // only emit axis-aligned waypoint sequences.
                     .expect("waypoints are rectilinear by construction");
                 // Record new geometry.
                 let (w, h) = (self.grid.width(), self.grid.height());
@@ -419,19 +436,25 @@ impl<'g> Router<'g> {
                 }
                 end
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "dedup above leaves one pin per cell, so no node is asked to carry a \
+                          second pin"
+            )]
             builder
                 // cast: pin ordinals come from the u32-indexed arena.
                 .attach_pin(end_node, pin_idx as u32)
-                // invariant: dedup above leaves one pin per cell, so no
-                // node is asked to carry a second pin.
                 .expect("pin cells are deduplicated");
         }
         for i in self.tree_edges.drain(..) {
             self.on_tree[i] = false;
         }
 
-        // invariant: pins.len() >= 2 above guarantees at least one path
-        // was added, so the builder holds a segment.
+        #[expect(
+            clippy::expect_used,
+            reason = "pins.len() >= 2 above guarantees at least one path was added, so the \
+                      builder holds a segment"
+        )]
         let tree = builder.build().expect("two distinct pins imply a segment");
         let mut net = Net::new(spec.name.clone(), pins, tree);
         net.driver_resistance = spec.driver_resistance;

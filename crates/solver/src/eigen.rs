@@ -7,7 +7,7 @@ use crate::SymMatrix;
 /// NaN-safe exact-zero test: true for `±0.0`, false for everything else
 /// including NaN — bit-identical to the bare `== 0.0` it replaces, but
 /// expressed through the IEEE total order so the comparison cannot be
-/// silently NaN-poisoned (audit rule A2).
+/// silently NaN-poisoned.
 pub(crate) fn is_zero(x: f64) -> bool {
     x.abs().total_cmp(&0.0).is_eq()
 }

@@ -345,13 +345,19 @@ impl ChoiceProblem {
                         }
                     }
                 }
-                // invariant: the greedy pass above assigned every item.
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "the greedy pass above assigned every item"
+                )]
                 let choices: Vec<usize> = self.assigned.iter().map(|c| c.unwrap()).collect();
                 self.best = Some((acc, choices));
                 // Roll back state for the exact search.
                 for &it in &order {
-                    // invariant: the greedy pass assigned every item in
-                    // `order`; take() restores the pre-search state.
+                    #[expect(
+                        clippy::unwrap_used,
+                        reason = "the greedy pass assigned every item in `order`; take() restores \
+                                  the pre-search state"
+                    )]
                     let c = self.assigned[it].take().unwrap();
                     if let Some(gs) = self.hard_of.get(&(it, c)) {
                         for &g in gs {
@@ -372,7 +378,10 @@ impl ChoiceProblem {
                 }
                 self.nodes += 1;
                 if depth == self.order.len() {
-                    // invariant: at full depth every item holds a choice.
+                    #[expect(
+                        clippy::unwrap_used,
+                        reason = "at full depth every item holds a choice"
+                    )]
                     let choices: Vec<usize> = self.assigned.iter().map(|c| c.unwrap()).collect();
                     if self.best.as_ref().map(|(b, _)| acc < *b).unwrap_or(true) {
                         self.best = Some((acc, choices));

@@ -6,7 +6,7 @@
 //! implements both from scratch (see `DESIGN.md` §2 for the substitution
 //! rationale):
 //!
-//! * [`SymMatrix`], [`eigen_decompose`], [`psd_project`], [`Cholesky`] —
+//! * [`SymMatrix`], [`eigen_decompose`], [`Cholesky`] —
 //!   dense symmetric linear algebra sized for per-partition problems
 //!   (matrix dimension ≲ a few hundred).
 //! * [`SdpProblem`] / [`SdpSolver`] — an ADMM (alternating direction
@@ -41,6 +41,18 @@
 //! assert!((again.x.get(0, 0) - 1.0).abs() < 1e-3);
 //! ```
 
+// Lint policy: DESIGN.md §8. An exception is `#[expect(clippy::…, reason = "…")]` at its site.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::iter_over_hash_type))]
 // Numerical kernels (Cholesky, tridiagonal QL) are direct
 // transcriptions of the textbook index-based algorithms; iterator
 // rewrites would obscure them.
@@ -59,5 +71,5 @@ pub use cholesky::{Cholesky, CholeskyError};
 pub use eigen::{eigen_decompose, eigen_decompose_jacobi, Eigen};
 pub use error::SolveError;
 pub use ilp::{CapacityGroup, ChoiceProblem, IlpSolution, PairCost, SoftGroup};
-pub use matrix::{psd_project, psd_project_in_place, BlockMatrix, PsdScratch, SymMatrix};
+pub use matrix::{BlockMatrix, SymMatrix};
 pub use sdp::{SdpProblem, SdpSolution, SdpSolver, SolveScratch};

@@ -346,21 +346,23 @@ impl fmt::Display for SymMatrix {
 /// matrices by clamping negative eigenvalues to zero.
 ///
 /// This is the Euclidean (Frobenius-norm) projection used by the ADMM
-/// SDP solver's `Z`-update.
-pub fn psd_project(m: &SymMatrix) -> SymMatrix {
+/// SDP solver's `Z`-update; the solver itself projects block by block
+/// through `psd_project_block`.
+#[cfg(test)]
+pub(crate) fn psd_project(m: &SymMatrix) -> SymMatrix {
     let mut out = m.clone();
     let mut scratch = PsdScratch::default();
     psd_project_in_place(out.as_mut_slice(), m.dim(), &mut scratch);
     out
 }
 
-/// Reusable workspace for [`psd_project_in_place`]: the tridiagonal
+/// Reusable workspace for the PSD projection: the tridiagonal
 /// eigendecomposition buffers plus the positive-spectrum factor. One
 /// scratch serves matrices of any dimension — buffers grow on demand
 /// and keep their capacity across calls, which is what keeps the ADMM
 /// `Z`-update (one projection per iteration) off the allocator.
 #[derive(Clone, Debug, Default)]
-pub struct PsdScratch {
+pub(crate) struct PsdScratch {
     /// Copy of the input, overwritten with the eigenvector matrix.
     work: Vec<f64>,
     /// Eigenvalues (diagonal after QL).
@@ -373,13 +375,6 @@ pub struct PsdScratch {
     bmat: Vec<f64>,
 }
 
-impl PsdScratch {
-    /// An empty scratch; buffers are sized on first use.
-    pub fn new() -> PsdScratch {
-        PsdScratch::default()
-    }
-}
-
 /// In-place [`psd_project`]: overwrites the flat row-major symmetric
 /// matrix in `a` with its Euclidean projection onto the PSD cone,
 /// reusing the workspaces in `scratch`. Bit-identical to
@@ -388,11 +383,12 @@ impl PsdScratch {
 /// # Panics
 ///
 /// Panics if `n == 0` or `a.len() != n * n`.
-pub fn psd_project_in_place(a: &mut [f64], n: usize, scratch: &mut PsdScratch) {
+#[cfg(test)]
+pub(crate) fn psd_project_in_place(a: &mut [f64], n: usize, scratch: &mut PsdScratch) {
     psd_project_block(a, n, false, scratch);
 }
 
-/// [`psd_project_in_place`] on one diagonal block of a larger
+/// The PSD projection of one diagonal block of a larger
 /// block-diagonal matrix whose off-block entries are zero. `offset`
 /// says whether the block starts after row 0 of the larger matrix (see
 /// `eigen::tred2_block`). The projected block then equals, bit for bit
@@ -558,7 +554,7 @@ mod tests {
 
     #[test]
     fn block_projection_matches_the_dense_projection_bitwise() {
-        let mut scratch = PsdScratch::new();
+        let mut scratch = PsdScratch::default();
         // A block after row 0 whose QL pass meets a shift tie (equal
         // diagonal entries): the dense reduction's extra reflection
         // flips the tie's outcome, so this block is bit-identical only

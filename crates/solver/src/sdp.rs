@@ -425,8 +425,11 @@ impl SdpSolver {
         problem: &SdpProblem,
         warm: Option<(&BlockMatrix, &BlockMatrix)>,
     ) -> SdpSolution {
-        // invariant: CPLA's problems have ≥ 1 variable, finite entries
-        // and a ridge-regularized (hence positive-definite) Gram matrix.
+        #[expect(
+            clippy::expect_used,
+            reason = "CPLA's problems have ≥ 1 variable, finite entries and a ridge-regularized \
+                      (hence positive-definite) Gram matrix"
+        )]
         self.try_solve_from(problem, warm)
             .expect("well-formed SDP problem")
     }

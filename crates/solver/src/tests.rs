@@ -10,11 +10,9 @@
 
 use prng::Rng;
 
+use crate::matrix::{psd_project_in_place, PsdScratch};
 use crate::sdp::tests::{assignment_problem, bounds, cpla_shaped_problem};
-use crate::{
-    psd_project_in_place, BlockMatrix, Cholesky, PsdScratch, SdpProblem, SdpSolution, SdpSolver,
-    SolveScratch, SymMatrix,
-};
+use crate::{BlockMatrix, Cholesky, SdpProblem, SdpSolution, SdpSolver, SolveScratch, SymMatrix};
 
 /// Left-fold Frobenius norm. `Iterator::sum::<f64>()` folds from `-0.0`
 /// (the IEEE additive identity), so every accumulator mirroring a
@@ -76,7 +74,7 @@ fn solve_dense(
     let mut adj = vec![0.0; nn];
     let mut zprev = vec![0.0; nn];
     let mut diff = vec![0.0; nn];
-    let mut psd = PsdScratch::new();
+    let mut psd = PsdScratch::default();
     let (mut ax, mut rhs, mut y, mut nu) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let rank_k = if solver.rank_stop_vars == 0 {
         n

@@ -43,6 +43,18 @@
 //! # }
 //! ```
 
+// Lint policy: DESIGN.md §8. An exception is `#[expect(clippy::…, reason = "…")]` at its site.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
+#![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
 // Index-based loops over segments mirror the DP recurrences.
 #![allow(clippy::needless_range_loop)]
 
@@ -53,7 +65,7 @@ use flow::{
 use grid::{Direction, Grid};
 use net::{Assignment, Net, Netlist};
 use std::time::Instant;
-use timing::{IncrementalTiming, NetTiming, TimingModel};
+use timing::{NetTiming, TimingModel};
 
 /// Tunables of the Lagrangian-relaxation loop.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -332,7 +344,7 @@ impl Tila {
                 obs.on_stage_start(round, Stage::Accept);
             }
             let accept_t = Instant::now();
-            self.legalize(grid, netlist, assignment, released, &model);
+            flow::legalize(grid, netlist, assignment, released, &model);
             let accept_secs = accept_t.elapsed().as_secs_f64();
             for obs in observers.iter_mut() {
                 obs.on_stage_end(round, Stage::Accept, accept_secs);
@@ -382,75 +394,6 @@ impl Tila {
             final_objective: best_objective,
             rounds_run,
         })
-    }
-
-    /// Greedy repair: move released segments off edges whose wire
-    /// capacity is exceeded, choosing for each offending segment the
-    /// least-delay alternative layer with residual capacity on *all* its
-    /// edges. Segments with no legal alternative stay put (and keep
-    /// counting as overflow).
-    fn legalize(
-        &self,
-        grid: &mut Grid,
-        netlist: &Netlist,
-        assignment: &mut Assignment,
-        released: &[usize],
-        model: &TimingModel,
-    ) {
-        for _pass in 0..4 {
-            let mut moved_any = false;
-            for &ni in released {
-                let net = netlist.net(ni);
-                let tree = net.tree();
-                // Track this net's downstream capacitances incrementally:
-                // each accepted move is an O(path-to-root) update instead
-                // of the O(net) recompute the sweep used to pay per
-                // overflowing segment.
-                let mut layers = assignment.net_layers(ni).to_vec();
-                let mut inc = IncrementalTiming::new(model, net, &layers);
-                let mut net_moved = false;
-                for s in 0..tree.num_segments() {
-                    let layer = layers[s];
-                    let overflowing = tree
-                        .segment_edges(s)
-                        .iter()
-                        .any(|&e| grid.edge_usage(layer, e) > grid.edge_capacity(layer, e));
-                    if !overflowing {
-                        continue;
-                    }
-                    // Candidate layers with room everywhere, cheapest
-                    // delay first.
-                    let dir = tree.segment(s).dir;
-                    let cd = inc.downstream_cap(s);
-                    let mut options: Vec<(f64, usize)> = grid
-                        .layers_in_direction(dir)
-                        .filter(|&l| l != layer)
-                        .filter(|&l| {
-                            tree.segment_edges(s)
-                                .iter()
-                                .all(|&e| grid.edge_residual(l, e) > 0)
-                        })
-                        .map(|l| (timing::segment_delay_on_layer(grid, net, s, l, cd), l))
-                        .collect();
-                    options.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    if let Some(&(_, new_layer)) = options.first() {
-                        net::remove_net_from_grid(grid, net, &layers);
-                        layers[s] = new_layer;
-                        net::restore_net_to_grid(grid, net, &layers);
-                        inc.set_layer(s, new_layer);
-                        net_moved = true;
-                        moved_any = true;
-                    }
-                }
-                if net_moved {
-                    inc.commit();
-                    assignment.set_net_layers(ni, layers);
-                }
-            }
-            if !moved_any {
-                break;
-            }
-        }
     }
 
     /// Exact DP over one net's tree under fixed multipliers and frozen
@@ -504,6 +447,10 @@ impl Tila {
                 }
                 for &cs in tree.child_segments(child_node) {
                     let cs = cs as usize;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "validated grids route every direction on ≥ 1 layer"
+                    )]
                     let (best_l, best_c) = layers_of(tree.segment(cs).dir)
                         .iter()
                         .map(|&cl| {
@@ -513,8 +460,6 @@ impl Tila {
                             )
                         })
                         .min_by(|a, b| a.1.total_cmp(&b.1))
-                        // invariant: validated grids route every
-                        // direction on ≥ 1 layer.
                         .expect("layer exists per direction");
                     cost += best_c;
                     choices.push(best_l);
@@ -531,6 +476,10 @@ impl Tila {
         let mut stack: Vec<(usize, usize)> = Vec::new();
         for &cs in tree.child_segments(root) {
             let cs = cs as usize;
+            #[expect(
+                clippy::expect_used,
+                reason = "validated grids route every direction on ≥ 1 layer"
+            )]
             let (best_l, _) = layers_of(tree.segment(cs).dir)
                 .iter()
                 .map(|&l| {
@@ -540,8 +489,6 @@ impl Tila {
                     )
                 })
                 .min_by(|a, b| a.1.total_cmp(&b.1))
-                // invariant: validated grids route every direction on
-                // ≥ 1 layer.
                 .expect("layer exists");
             stack.push((cs, best_l));
         }
@@ -599,6 +546,7 @@ mod tests {
     use grid::{Cell, GridBuilder};
     use net::{NetSpec, Pin};
     use route::{initial_assignment, route_netlist, RouterConfig};
+    use timing::IncrementalTiming;
 
     fn fixture() -> (Grid, Netlist, Assignment) {
         let mut grid = GridBuilder::new(24, 24)

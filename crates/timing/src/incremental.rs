@@ -67,12 +67,12 @@ use net::Net;
 /// NaN-safe exact-zero test: true for `±0.0`, false for everything else
 /// including NaN — bit-identical to the bare `== 0.0` it replaces, but
 /// expressed through the IEEE total order so the comparison cannot be
-/// silently NaN-poisoned (audit rule A2).
+/// silently NaN-poisoned.
 fn is_zero(x: f64) -> bool {
     x.abs().total_cmp(&0.0).is_eq()
 }
 
-/// Exact `-∞` sentinel test via the IEEE total order (audit rule A2):
+/// Exact `-∞` sentinel test via the IEEE total order:
 /// the aggregates below use `NEG_INFINITY` as the "no sink in this
 /// subtree" marker, and only the exact sentinel may match.
 fn is_neg_infinity(x: f64) -> bool {

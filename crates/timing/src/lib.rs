@@ -41,16 +41,27 @@
 //! # }
 //! ```
 
+// Lint policy: DESIGN.md §8. An exception is `#[expect(clippy::…, reason = "…")]` at its site.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::exit
+)]
+#![cfg_attr(not(test), warn(clippy::float_cmp, clippy::iter_over_hash_type))]
+
 mod elmore;
 mod histogram;
 mod incremental;
 mod report;
-mod slack;
 mod soa;
 
 pub use elmore::{segment_delay_on_layer, NetTiming};
 pub use histogram::DelayHistogram;
 pub use incremental::{IncrementalTiming, TimingModel};
 pub use report::{analyze, analyze_nets, TimingReport};
-pub use slack::{RequiredTimes, SlackReport};
 pub use soa::DesignTiming;

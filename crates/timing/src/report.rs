@@ -22,6 +22,10 @@ impl TimingReport {
     ///
     /// Panics if the net was not part of the analysis.
     pub fn net(&self, net_index: usize) -> &NetTiming {
+        #[expect(
+            clippy::panic,
+            reason = "documented panic; `try_net` is the fallible form"
+        )]
         self.try_net(net_index)
             .unwrap_or_else(|| panic!("net {net_index} not analyzed"))
     }

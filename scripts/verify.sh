@@ -17,19 +17,6 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> audit: workspace lint"
-cargo run -p audit --offline
-
-echo "==> audit: analyzer self-test"
-cargo run -p audit --offline -- --fixture
-
-echo "==> audit: panic-reachability baseline diff"
-cargo run -q -p audit --offline -- --panic-report > target/panic_report.txt
-diff -u crates/audit/panic_baseline.txt target/panic_report.txt
-
-echo "==> audit: findings JSON artifact"
-cargo run -q -p audit --offline -- --json > target/audit_findings.json
-
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline
 
