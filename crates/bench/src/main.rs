@@ -386,7 +386,7 @@ fn json_stats(s: &PipelineStats) -> String {
         "{{\"context_secs\":{:.6},\"partition_secs\":{:.6},\
          \"extract_secs\":{:.6},\"solve_secs\":{:.6},\"apply_secs\":{:.6},\
          \"metrics_secs\":{:.6},\"rounds\":{},\"partitions_solved\":{},\
-         \"partitions_reused\":{},\"cache_hit_rate\":{:.4},\
+         \"partitions_reused\":{},\"cache_entries\":{},\"cache_hit_rate\":{:.4},\
          \"evaluations\":{},\"gate_accepted\":{},\"gate_rejected\":{},\
          \"warm_starts\":{}}}",
         s.context_secs,
@@ -398,6 +398,7 @@ fn json_stats(s: &PipelineStats) -> String {
         s.rounds,
         s.partitions_solved,
         s.partitions_reused,
+        s.cache_entries,
         s.cache_hit_rate(),
         s.evaluations,
         s.gate_accepted,

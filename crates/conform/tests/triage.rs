@@ -76,25 +76,27 @@ fn triage_reproducer() {
                 &|s| ctxmap[&s],
                 &cpla::problem::ProblemConfig::default(),
             );
-            for (i, (cands, costs)) in problem
-                .candidates
-                .iter()
-                .zip(problem.linear_cost.iter())
-                .enumerate()
-            {
-                println!("  seg {i} current={} cands={cands:?}", problem.current[i]);
-                println!("    linear {costs:?}");
+            for i in 0..problem.segments.len() {
+                println!(
+                    "  seg {i} current={} cands={:?}",
+                    problem.current[i],
+                    problem.candidates(i)
+                );
+                println!("    linear {:?}", problem.linear_cost(i));
             }
-            for p in &problem.pairs {
+            for p in problem.pairs() {
                 println!("  pair ({},{}) costs {:?}", p.a, p.b, p.costs);
             }
-            for ec in &problem.edge_constraints {
-                if ec.limit == 0 {
-                    println!(
-                        "  edge layer={} edge={:?} limit=0 members={:?}",
-                        ec.layer, ec.edge, ec.members
-                    );
-                }
+            for g in problem.groups().filter(|g| g.limit == 0) {
+                let members: Vec<(usize, usize)> = g
+                    .members
+                    .iter()
+                    .map(|&v| problem.variable(v as usize))
+                    .collect();
+                println!(
+                    "  edge layer={} edge={:?} limit=0 members={members:?}",
+                    g.layer, g.edge
+                );
             }
         }
         for &ni in &released {

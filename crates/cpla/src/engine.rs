@@ -238,6 +238,9 @@ pub struct PipelineStats {
     pub partitions_solved: usize,
     /// Partitions whose cached result was reused (cache hits).
     pub partitions_reused: usize,
+    /// Entries resident in the cross-round partition cache at the end
+    /// of the last round (one per partition solved in the run).
+    pub cache_entries: usize,
     /// Partition-objective evaluations performed.
     pub evaluations: u64,
     /// Nets whose proposals passed the incremental timing gate.
@@ -332,11 +335,14 @@ impl Cpla {
         self.config.validate()?;
         // Whole-design analysis goes through the flat SoA cache: same
         // per-net arithmetic as `timing::analyze`, but three design-wide
-        // arrays instead of three vectors per net.
+        // arrays instead of three vectors per net. The timing is dropped
+        // once the released set is chosen; the arena serves the flow.
         let arena = net::DesignArena::from_netlist(netlist);
-        let full = timing::DesignTiming::compute(grid, netlist, &arena, assignment);
-        let released = ::flow::select_critical_nets_flat(&full, self.config.critical_ratio);
-        self.run_released_observed(grid, netlist, assignment, &released, observers)
+        let released = {
+            let full = timing::DesignTiming::compute(grid, netlist, &arena, assignment);
+            ::flow::select_critical_nets_flat(&full, self.config.critical_ratio)
+        };
+        self.run_with_arena(grid, netlist, assignment, &released, Some(arena), observers)
     }
 
     /// [`Cpla::run`] with an explicit released set (used for
@@ -369,10 +375,25 @@ impl Cpla {
         released: &[usize],
         observers: &mut [&mut dyn StageObserver],
     ) -> Result<CplaReport, FlowError> {
+        self.run_with_arena(grid, netlist, assignment, released, None, observers)
+    }
+
+    /// Validates, then drives the stage pipeline over `released`,
+    /// reusing `arena` (the design's flat id layout) when the caller
+    /// already built one.
+    fn run_with_arena(
+        &self,
+        grid: &mut Grid,
+        netlist: &Netlist,
+        assignment: &mut Assignment,
+        released: &[usize],
+        arena: Option<net::DesignArena>,
+        observers: &mut [&mut dyn StageObserver],
+    ) -> Result<CplaReport, FlowError> {
         self.config.validate()?;
         ::flow::validate_input(netlist, assignment, released)?;
-        let initial_metrics = Metrics::measure(grid, netlist, assignment, released);
         if released.is_empty() {
+            let initial_metrics = Metrics::measure(grid, netlist, assignment, released);
             return Ok(CplaReport {
                 released: Vec::new(),
                 initial_metrics,
@@ -382,13 +403,14 @@ impl Cpla {
                 stats: PipelineStats::default(),
             });
         }
+        let arena = arena.unwrap_or_else(|| net::DesignArena::from_netlist(netlist));
         crate::flow::drive(
             self.config,
             grid,
             netlist,
             assignment,
             released,
-            initial_metrics,
+            arena,
             observers,
         )
     }

@@ -18,7 +18,7 @@ use std::time::Instant;
 use ::flow::{
     FlowCounters, FlowError, LeafSpan, Metrics, RoundSnapshot, SolveError, Stage, StageObserver,
 };
-use grid::{Grid, UsageSnapshot};
+use grid::Grid;
 use net::{Assignment, Netlist, SegmentRef};
 use solver::{BlockMatrix, SdpSolver, SolveScratch};
 use timing::TimingModel;
@@ -122,10 +122,17 @@ pub(crate) struct FlowContext<'a> {
     // itself, and the input state — score `input_avg`, excess 0 — is
     // the seed incumbent, so the answer is never worse than the input
     // under that score.
+    //
+    // Only released and neighbor nets ever change, so the incumbent is
+    // held as their layers alone; `drive` restores it by re-committing
+    // the nets that differ.
     best_avg: f64,
     best_score: f64,
-    best_assignment: Assignment,
-    best_usage: UsageSnapshot,
+    /// The nets a round may change: released, then neighbor nets.
+    movable: Vec<usize>,
+    /// The incumbent's layers of every movable net, back to back in
+    /// `movable` order.
+    best_layers: Vec<usize>,
     input_avg: f64,
     input_wire_overflow: u64,
     input_via_overflow: u64,
@@ -143,6 +150,7 @@ impl<'a> FlowContext<'a> {
         netlist: &'a Netlist,
         assignment: &'a mut Assignment,
         released: &'a [usize],
+        arena: net::DesignArena,
         initial_metrics: Metrics,
     ) -> FlowContext<'a> {
         let is_released: HashSet<usize> = released.iter().copied().collect();
@@ -197,12 +205,11 @@ impl<'a> FlowContext<'a> {
 
         // One arena + slot map for the whole run: the pool is fixed
         // across rounds, so Select only rewrites pooled slots.
-        let arena = net::DesignArena::from_netlist(netlist);
         let cd = SegCtxTable::new(&arena, &segments);
 
         let best_avg = initial_metrics.avg_tcp;
-        let best_assignment = assignment.clone();
-        let best_usage = grid.snapshot_usage();
+        let movable: Vec<usize> = released.iter().chain(&neighbor_nets).copied().collect();
+        let best_layers = movable_layers(assignment, &movable);
         let input_wire_overflow = grid.total_wire_overflow();
         let input_via_overflow = grid.total_via_overflow();
         FlowContext {
@@ -230,8 +237,8 @@ impl<'a> FlowContext<'a> {
             leaves: Vec::new(),
             best_avg,
             best_score: best_avg,
-            best_assignment,
-            best_usage,
+            movable,
+            best_layers,
             input_avg: best_avg,
             input_wire_overflow,
             input_via_overflow,
@@ -242,6 +249,13 @@ impl<'a> FlowContext<'a> {
             stop: false,
         }
     }
+}
+
+/// The layers of `nets`, back to back.
+fn movable_layers(assignment: &Assignment, nets: &[usize]) -> Vec<usize> {
+    nets.iter()
+        .flat_map(|&ni| assignment.net_layers(ni).iter().copied())
+        .collect()
 }
 
 /// One pipeline stage: a pure step over the shared [`FlowContext`].
@@ -365,7 +379,8 @@ impl FlowStage for PartitionStage {
 
 /// Extracts per-partition mathematical programs serially, splitting them
 /// into cache hits (whose stored result is reused verbatim) and misses
-/// (carrying the stale entry's warm-start iterates, if any).
+/// (carrying the warm-start iterates of the stale entry they take out of
+/// the cache, if any).
 struct ExtractStage;
 
 impl FlowStage for ExtractStage {
@@ -384,7 +399,7 @@ impl FlowStage for ExtractStage {
             ref mut results,
             ref mut misses,
             ref mut counters,
-            ref cache,
+            ref mut cache,
             ..
         } = *ctx;
         #[expect(
@@ -406,7 +421,6 @@ impl FlowStage for ExtractStage {
                 &lookup,
                 &config.problem,
             );
-            let mut warm = None;
             if let Some(entry) = cache.get(&part.segments) {
                 if entry.problem == problem {
                     counters.partitions_reused += 1;
@@ -415,9 +429,13 @@ impl FlowStage for ExtractStage {
                     results[pi] = entry.result.clone();
                     continue;
                 }
-                // alloc: warm starts are per-leaf owned seeds.
-                warm = entry.warm.clone();
             }
+            // A miss takes its stale entry out of the cache, warm pair
+            // and all: PostMap re-inserts the key with the fresh problem,
+            // so at most one problem per partition is ever alive.
+            // Partitions are disjoint, so no other leaf of this round
+            // reads the key, and a failed Solve aborts the run.
+            let warm = cache.remove(&part.segments).and_then(|entry| entry.warm);
             misses.push((pi, problem, warm));
         }
         Ok(())
@@ -638,6 +656,7 @@ impl FlowStage for PostMapStage {
             );
             ctx.results[pi] = result;
         }
+        ctx.counters.cache_entries = ctx.cache.len();
         ctx.proposals = ctx.results.drain(..).flatten().collect();
         Ok(())
     }
@@ -791,8 +810,7 @@ impl FlowStage for MeasureStage {
         if improved {
             ctx.best_avg = m.avg_tcp;
             ctx.best_score = score;
-            ctx.best_assignment = ctx.assignment.clone();
-            ctx.best_usage = ctx.grid.snapshot_usage();
+            ctx.best_layers = movable_layers(ctx.assignment, &ctx.movable);
             ctx.stagnant = 0;
         } else {
             // One stagnant round is tolerated: the partition origin
@@ -812,28 +830,7 @@ impl FlowStage for MeasureStage {
 /// Partition objective with soft overflow: linear + pair costs plus
 /// α·(mean linear cost)·overflow units.
 fn soft_cost(alpha: f64, problem: &PartitionProblem, choices: &[usize]) -> f64 {
-    let mut cost = 0.0;
-    for (i, &c) in choices.iter().enumerate() {
-        cost += problem.linear_cost[i][c];
-    }
-    for pair in &problem.pairs {
-        cost += pair.costs[choices[pair.a]][choices[pair.b]];
-    }
-    let mean_linear = {
-        let total: f64 = problem.linear_cost.iter().flat_map(|c| c.iter()).sum();
-        let count: usize = problem.linear_cost.iter().map(|c| c.len()).sum();
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        }
-    };
-    let mut overflow = 0u32;
-    for ec in &problem.edge_constraints {
-        let used = ec.members.iter().filter(|&&(i, c)| choices[i] == c).count() as u32;
-        overflow += used.saturating_sub(ec.limit);
-    }
-    cost + alpha * mean_linear * overflow as f64
+    problem.cost(choices) + alpha * problem.mean_linear_cost() * problem.overflow(choices) as f64
 }
 
 /// Reassembles [`PipelineStats`] from observer callbacks — the wall-time
@@ -867,6 +864,7 @@ impl StageObserver for StatsCollector {
         let c = snapshot.counters;
         self.stats.partitions_solved = c.partitions_solved;
         self.stats.partitions_reused = c.partitions_reused;
+        self.stats.cache_entries = c.cache_entries;
         self.stats.evaluations = c.evaluations;
         self.stats.gate_accepted = c.gate_accepted;
         self.stats.gate_rejected = c.gate_rejected;
@@ -882,15 +880,24 @@ pub(crate) fn drive(
     netlist: &Netlist,
     assignment: &mut Assignment,
     released: &[usize],
-    initial_metrics: Metrics,
+    arena: net::DesignArena,
     observers: &mut [&mut dyn StageObserver],
 ) -> Result<CplaReport, FlowError> {
+    let initial_metrics = Metrics::measure(grid, netlist, assignment, released);
     let mut stats = StatsCollector::default();
     // Scoped allocation accounting: a no-op unless the hosting binary
     // installed `obs::CountingAlloc`; restored on every exit path.
     let _alloc_scope = config.alloc_stats.then(obs::alloc::ScopedEnable::new);
     let mut stages = stages();
-    let mut ctx = FlowContext::new(config, grid, netlist, assignment, released, initial_metrics);
+    let mut ctx = FlowContext::new(
+        config,
+        grid,
+        netlist,
+        assignment,
+        released,
+        arena,
+        initial_metrics,
+    );
 
     for round in 1..=ctx.config.max_rounds {
         ctx.round = round;
@@ -932,9 +939,21 @@ pub(crate) fn drive(
         }
     }
 
-    // Restore the best accepted state.
-    *ctx.assignment = ctx.best_assignment;
-    ctx.grid.restore_usage(ctx.best_usage);
+    // Restore the best accepted state: re-commit every movable net
+    // whose layers moved since the incumbent was recorded.
+    let mut at = 0;
+    for &ni in &ctx.movable {
+        let net = ctx.netlist.net(ni);
+        let best = &ctx.best_layers[at..at + net.tree().num_segments()];
+        at += best.len();
+        let now = ctx.assignment.net_layers(ni);
+        if now != best {
+            net::remove_net_from_grid(ctx.grid, net, now);
+            net::restore_net_to_grid(ctx.grid, net, best);
+            // alloc: the assignment owns each net's layer vector.
+            ctx.assignment.set_net_layers(ni, best.to_vec());
+        }
+    }
     // The restored incumbent is what callers keep: audit it too.
     if ctx.config.audit_invariants {
         audit::check_solution(ctx.grid, ctx.netlist, ctx.assignment)?;
@@ -948,4 +967,79 @@ pub(crate) fn drive(
         partition_stats: ctx.first_round_pstats,
         stats: stats.into_stats(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use route::{initial_assignment, route_netlist, RouterConfig};
+
+    /// A miss takes its stale entry out of the cache at Extract, and
+    /// PostMap leaves exactly one entry per partition solved so far.
+    #[test]
+    fn the_cache_holds_one_entry_per_solved_partition() {
+        let (mut grid, specs) = ispd::SyntheticConfig::small(3).generate().unwrap();
+        let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
+        let mut assignment = initial_assignment(&mut grid, &netlist);
+        // The engine test's workload whose partitions recur across rounds.
+        let config = CplaConfig {
+            critical_ratio: 0.2,
+            max_rounds: 10,
+            ..CplaConfig::default()
+        };
+        let report = timing::analyze(&grid, &netlist, &assignment);
+        let released = crate::select_critical_nets(&report, config.critical_ratio);
+        let initial = Metrics::measure(&grid, &netlist, &assignment, &released);
+        let arena = net::DesignArena::from_netlist(&netlist);
+        let mut ctx = FlowContext::new(
+            config,
+            &mut grid,
+            &netlist,
+            &mut assignment,
+            &released,
+            arena,
+            initial,
+        );
+        let mut stages = stages();
+        let mut solved: HashSet<Vec<SegmentRef>> = HashSet::new();
+        let mut cached_before: HashSet<Vec<SegmentRef>> = HashSet::new();
+        let (mut stale_misses, mut hits) = (0, 0);
+        for round in 1..=config.max_rounds {
+            ctx.round = round;
+            for stage in stages.iter_mut() {
+                if stage.stage() == Stage::Extract {
+                    cached_before = ctx.cache.keys().cloned().collect();
+                }
+                stage.run(&mut ctx).unwrap();
+                ctx.leaves.clear();
+                match stage.stage() {
+                    Stage::Extract => {
+                        for (_, problem, _) in &ctx.misses {
+                            assert!(
+                                !ctx.cache.contains_key(&problem.segments),
+                                "round {round}: a pending miss left its entry cached"
+                            );
+                            stale_misses += usize::from(cached_before.contains(&problem.segments));
+                            solved.insert(problem.segments.clone());
+                        }
+                        hits += ctx.partitions.len() - ctx.misses.len();
+                    }
+                    Stage::PostMap => {
+                        assert_eq!(ctx.cache.len(), solved.len(), "round {round}");
+                        assert!(solved.iter().all(|key| ctx.cache.contains_key(key)));
+                        assert_eq!(ctx.counters.cache_entries, ctx.cache.len());
+                    }
+                    _ => {}
+                }
+            }
+            if ctx.stop {
+                break;
+            }
+        }
+        assert!(
+            stale_misses > 0 && hits > 0,
+            "the run must both re-solve stale partitions ({stale_misses}) and reuse cached \
+             ones ({hits})"
+        );
+    }
 }

@@ -16,9 +16,6 @@
 
 #![allow(clippy::needless_range_loop)] // segment indices are the domain
 
-use std::collections::{HashMap, HashSet};
-
-use grid::Edge2d;
 use net::Net;
 use timing::{IncrementalTiming, TimingModel};
 
@@ -75,107 +72,86 @@ pub fn timing_gate(
 /// the variables are permitted and ignored).
 pub fn post_map(problem: &PartitionProblem, x: &[f64]) -> Vec<usize> {
     let n = problem.segments.len();
-    assert!(
-        x.len() >= problem.num_variables(),
-        "solution vector too short"
-    );
-    let mut offsets = Vec::with_capacity(n);
-    {
-        let mut acc = 0;
-        for c in &problem.candidates {
-            offsets.push(acc);
-            acc += c.len();
+    let num_vars = problem.num_variables();
+    assert!(x.len() >= num_vars, "solution vector too short");
+
+    // Residual capacity per group, from the extracted limits, and the
+    // groups each variable would occupy (the transpose of the groups'
+    // member rows). Every segment on an edge shares one candidate set,
+    // so variable (i, c) sits in group (layer of c, e) for each edge e
+    // of segment i.
+    let groups: Vec<_> = problem.groups().collect();
+    let mut remaining: Vec<i64> = groups.iter().map(|g| i64::from(g.limit)).collect();
+    let mut var_groups_start = vec![0usize; num_vars + 1];
+    for g in &groups {
+        for &v in g.members {
+            var_groups_start[v as usize + 1] += 1;
         }
     }
-    let value = |i: usize, c: usize| x[offsets[i] + c];
-
-    // Residual capacity per (layer, edge), from the extracted limits.
-    let mut remaining: HashMap<(usize, Edge2d), i64> = HashMap::new();
-    // Edges covered by each segment, and segments covering each edge.
-    let mut edges_of: Vec<HashSet<Edge2d>> = vec![HashSet::new(); n];
-    let mut segs_of: HashMap<Edge2d, HashSet<usize>> = HashMap::new();
-    for ec in &problem.edge_constraints {
-        remaining.insert((ec.layer, ec.edge), ec.limit as i64);
-        for &(i, _) in &ec.members {
-            edges_of[i].insert(ec.edge);
-            segs_of.entry(ec.edge).or_default().insert(i);
+    for v in 0..num_vars {
+        var_groups_start[v + 1] += var_groups_start[v];
+    }
+    let mut fill = var_groups_start.clone();
+    let mut var_groups = vec![0usize; var_groups_start[num_vars]];
+    for (gi, g) in groups.iter().enumerate() {
+        for &v in g.members {
+            var_groups[fill[v as usize]] = gi;
+            fill[v as usize] += 1;
         }
     }
+    let groups_of = |v: usize| &var_groups[var_groups_start[v]..var_groups_start[v + 1]];
 
-    let mut choice: Vec<Option<usize>> = vec![None; n];
-
-    // Candidate layers are stored bottom-up; sweep them top-down.
-    let mut edges: Vec<Edge2d> = segs_of.keys().copied().collect();
-    edges.sort();
-
-    let fits = |i: usize, layer: usize, remaining: &HashMap<(usize, Edge2d), i64>| -> bool {
-        edges_of[i]
-            .iter()
-            .all(|e| remaining.get(&(layer, *e)).map(|r| *r > 0).unwrap_or(true))
-    };
-    let consume = |i: usize, layer: usize, remaining: &mut HashMap<(usize, Edge2d), i64>| {
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "each edge decrements an independent counter; integer subtraction over \
-                      distinct keys is order-insensitive"
-        )]
-        for e in &edges_of[i] {
-            if let Some(r) = remaining.get_mut(&(layer, *e)) {
-                *r -= 1;
-            }
+    let fits =
+        |v: usize, remaining: &[i64]| -> bool { groups_of(v).iter().all(|&g| remaining[g] > 0) };
+    let consume = |v: usize, remaining: &mut [i64]| {
+        for &g in groups_of(v) {
+            remaining[g] -= 1;
         }
     };
     // Best relaxed value among the segment's candidates that still fit:
     // the sweep only lets a segment claim a layer it actually prefers.
-    let best_fitting = |i: usize, remaining: &HashMap<(usize, Edge2d), i64>| -> f64 {
-        problem.candidates[i]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| fits(i, l, remaining))
-            .map(|(c, _)| value(i, c))
+    let best_fitting = |i: usize, remaining: &[i64]| -> f64 {
+        problem
+            .variables(i)
+            .filter(|&v| fits(v, remaining))
+            .map(|v| x[v])
             .fold(f64::NEG_INFINITY, f64::max)
     };
 
-    for &edge in &edges {
-        // Layers available on this edge, highest first: take them from
-        // any member segment's candidate list (all segments on an edge
-        // share a direction and hence a candidate set).
-        let Some(seg_set) = segs_of.get(&edge) else {
-            continue;
-        };
-        #[expect(
-            clippy::expect_used,
-            reason = "`segs_of` only maps edges that own a segment"
-        )]
-        let probe = *seg_set.iter().next().expect("non-empty");
-        // alloc: an owned copy is needed to sort; the list is at most
-        // the per-direction layer count.
-        let mut layers: Vec<usize> = problem.candidates[probe].clone();
-        layers.sort_unstable_by(|a, b| b.cmp(a));
-        for layer in layers {
-            // Unassigned segments on this edge that may take this layer,
-            // best value first.
-            let mut cands: Vec<(f64, usize, usize)> = seg_set
+    let mut choice: Vec<Option<usize>> = vec![None; n];
+
+    // Edges in order; on each edge its layers top-down (candidate
+    // layers are stored bottom-up).
+    let mut order: Vec<usize> = (0..groups.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        groups[a]
+            .edge
+            .cmp(&groups[b].edge)
+            .then(groups[b].layer.cmp(&groups[a].layer))
+    });
+    // alloc: one ranking buffer, reused for every (edge, layer).
+    let mut cands: Vec<(f64, usize)> = Vec::new();
+    for g in order {
+        // Unassigned segments on this edge that may take this layer,
+        // best value first. A group holds one variable per segment, in
+        // segment order, so ties break by segment index.
+        cands.clear();
+        cands.extend(
+            groups[g]
+                .members
                 .iter()
-                .filter(|&&i| choice[i].is_none())
-                .filter_map(|&i| {
-                    problem.candidates[i]
-                        .iter()
-                        .position(|&l| l == layer)
-                        .map(|c| (value(i, c), i, c))
-                })
-                // alloc: owned buffer required by the sort below.
-                .collect();
-            cands.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-            for (v, i, c) in cands {
-                let slots = remaining.get(&(layer, edge)).copied().unwrap_or(i64::MAX);
-                if slots <= 0 {
-                    break;
-                }
-                if fits(i, layer, &remaining) && v + 1e-12 >= best_fitting(i, &remaining) {
-                    choice[i] = Some(c);
-                    consume(i, layer, &mut remaining);
-                }
+                .map(|&v| (x[v as usize], v as usize))
+                .filter(|&(_, v)| choice[problem.variable(v).0].is_none()),
+        );
+        cands.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        for &(value, v) in &cands {
+            if remaining[g] <= 0 {
+                break;
+            }
+            let (i, c) = problem.variable(v);
+            if fits(v, &remaining) && value + 1e-12 >= best_fitting(i, &remaining) {
+                choice[i] = Some(c);
+                consume(v, &mut remaining);
             }
         }
     }
@@ -186,10 +162,10 @@ pub fn post_map(problem: &PartitionProblem, x: &[f64]) -> Vec<usize> {
         if choice[i].is_some() {
             continue;
         }
-        let mut ranked: Vec<(f64, usize)> = problem.candidates[i]
-            .iter()
-            .enumerate()
-            .map(|(c, _)| (value(i, c), c))
+        let vars = problem.variables(i);
+        let mut ranked: Vec<(f64, usize)> = vars
+            .clone()
+            .map(|v| (x[v], v))
             // alloc: owned buffer required by the sort below.
             .collect();
         ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
@@ -199,12 +175,12 @@ pub fn post_map(problem: &PartitionProblem, x: &[f64]) -> Vec<usize> {
         )]
         let picked = ranked
             .iter()
-            .find(|&&(_, c)| fits(i, problem.candidates[i][c], &remaining))
+            .find(|&&(_, v)| fits(v, &remaining))
             .or_else(|| ranked.first())
-            .map(|&(_, c)| c)
+            .map(|&(_, v)| v)
             .expect("segments always have candidates");
-        choice[i] = Some(picked);
-        consume(i, problem.candidates[i][picked], &mut remaining);
+        choice[i] = Some(picked - vars.start);
+        consume(picked, &mut remaining);
     }
 
     #[expect(
@@ -220,37 +196,18 @@ pub fn post_map(problem: &PartitionProblem, x: &[f64]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{EdgeConstraint, SegmentPair};
-    use net::SegmentRef;
+    use grid::Edge2d;
 
     /// Hand-built problem: `n` segments all covering one horizontal
     /// edge, two candidate layers (0 = low, 2 = high), per-layer limits.
     fn shared_edge_problem(n: usize, limit_high: u32, limit_low: u32) -> PartitionProblem {
         let edge = Edge2d::horizontal(0, 0);
-        let members: Vec<(usize, usize)> = (0..n).map(|i| (i, 1)).collect();
-        let members_low: Vec<(usize, usize)> = (0..n).map(|i| (i, 0)).collect();
-        PartitionProblem {
-            segments: (0..n).map(|i| SegmentRef::new(i as u32, 0)).collect(),
-            candidates: vec![vec![0, 2]; n],
-            linear_cost: vec![vec![2.0, 1.0]; n],
-            pairs: Vec::<SegmentPair>::new(),
-            edge_constraints: vec![
-                EdgeConstraint {
-                    members: members_low,
-                    limit: limit_low,
-                    edge,
-                    layer: 0,
-                },
-                EdgeConstraint {
-                    members,
-                    limit: limit_high,
-                    edge,
-                    layer: 2,
-                },
-            ],
-            current: vec![0; n],
-            choice: Default::default(),
-        }
+        PartitionProblem::from_parts(
+            vec![vec![0, 2]; n],
+            vec![vec![2.0, 1.0]; n],
+            vec![(0, edge, limit_low), (2, edge, limit_high)],
+            vec![0; n],
+        )
     }
 
     mod gate {

@@ -22,6 +22,7 @@
 //! on extra diagonal entries).
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use grid::{Direction, Edge2d, Grid};
 use net::{Assignment, Netlist, SegmentRef};
@@ -29,30 +30,73 @@ use solver::{CapacityGroup, ChoiceProblem, PairCost, SdpProblem, SymMatrix};
 
 use crate::context::SegCtx;
 
-/// Via coupling between two in-partition segments.
-#[derive(Clone, PartialEq, Debug)]
-pub struct SegmentPair {
+/// Via coupling between two in-partition segments, read out of the
+/// problem's pair-cost array.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct SegmentPair<'a> {
     /// Local index of the parent-side segment.
     pub a: usize,
     /// Local index of the child-side segment.
     pub b: usize,
-    /// `costs[ca][cb]`: via delay + capacity penalty when `a` takes its
-    /// candidate `ca` and `b` takes `cb`.
-    pub costs: Vec<Vec<f64>>,
+    /// Via delay + capacity penalty per candidate combination, row-major:
+    /// one row per candidate of `a`, one column per candidate of `b`.
+    pub costs: &'a [f64],
+    /// Candidates of `b` (the row length of `costs`).
+    pub cols: usize,
 }
 
-/// One edge-capacity constraint: the members are (segment, candidate)
-/// pairs that would occupy `(layer, edge)`.
-#[derive(Clone, PartialEq, Debug)]
-pub struct EdgeConstraint {
-    /// `(local segment index, candidate index)` members.
-    pub members: Vec<(usize, usize)>,
-    /// Residual capacity available to the partition's segments.
-    pub limit: u32,
-    /// The 2-D edge.
-    pub edge: Edge2d,
+impl SegmentPair<'_> {
+    /// Cost when `a` takes its candidate `ca` and `b` takes `cb`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ca` or `cb` is out of range.
+    pub fn cost(&self, ca: usize, cb: usize) -> f64 {
+        assert!(
+            cb < self.cols,
+            "candidate {cb} out of range for segment {}",
+            self.b
+        );
+        self.costs[ca * self.cols + cb]
+    }
+}
+
+/// One edge-capacity group (4c): the variables that would occupy
+/// `(layer, edge)`.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct EdgeGroup<'a> {
     /// The layer.
     pub layer: usize,
+    /// The 2-D edge.
+    pub edge: Edge2d,
+    /// Residual capacity available to the partition's segments.
+    pub limit: u32,
+    /// Member variables in ascending order, as indices into the
+    /// segment-major variable order ([`PartitionProblem::variables`]).
+    pub members: &'a [u32],
+}
+
+impl EdgeGroup<'_> {
+    /// Whether the group can bind: a limit of at least its member count
+    /// holds whatever the segments choose.
+    pub fn binds(&self) -> bool {
+        (self.limit as usize) < self.members.len()
+    }
+}
+
+/// Sort key of a capacity group: layer first, then edge.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct GroupKey {
+    layer: u16,
+    edge: Edge2d,
+}
+
+/// Where one in-partition pair sits in the pair-cost array.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct PairSpan {
+    a: u32,
+    b: u32,
+    start: u32,
 }
 
 /// Tunables of problem extraction.
@@ -84,41 +128,64 @@ impl Default for ProblemConfig {
 }
 
 /// A partition's extracted assignment problem.
+///
+/// Stored flat, so a problem costs memory in proportion to its own
+/// variables and groups: one variable per (segment, candidate layer) in
+/// segment-major order, one linear-cost array, one pair-cost array, and
+/// the (layer, edge) capacity groups in compressed sparse rows (sorted
+/// keys, limits, member offsets, members).
 #[derive(Debug, Default)]
 pub struct PartitionProblem {
     /// The segments being re-assigned.
     pub segments: Vec<SegmentRef>,
-    /// Candidate layers per segment (all layers of its direction,
-    /// bottom-up).
-    pub candidates: Vec<Vec<usize>>,
-    /// `linear_cost[i][c]`: delay of segment `i` on its candidate `c`,
-    /// including couplings to fixed neighbors.
-    pub linear_cost: Vec<Vec<f64>>,
-    /// Via couplings between in-partition segment pairs.
-    pub pairs: Vec<SegmentPair>,
-    /// Edge-capacity constraints.
-    pub edge_constraints: Vec<EdgeConstraint>,
     /// Candidate index of each segment's current layer.
     pub current: Vec<usize>,
+    /// Segment `i` owns variables `var_start[i]..var_start[i + 1]`.
+    var_start: Vec<u32>,
+    /// Candidate layer of each variable (all layers of the segment's
+    /// direction, bottom-up).
+    var_layer: Vec<usize>,
+    /// Delay of each variable's segment on its layer, including
+    /// couplings to fixed neighbors.
+    linear: Vec<f64>,
+    /// In-partition pairs, in extraction order.
+    pairs: Vec<PairSpan>,
+    /// Every pair's cost table, back to back, row-major.
+    pair_costs: Vec<f64>,
+    /// Capacity-group keys, ascending.
+    group_keys: Vec<GroupKey>,
+    /// Capacity-group limits.
+    group_limit: Vec<u32>,
+    /// Group `g` owns `group_members[group_start[g]..group_start[g + 1]]`.
+    group_start: Vec<u32>,
+    /// Member variables of every group, back to back.
+    group_members: Vec<u32>,
     /// Lazily built ILP lowering, shared by every
-    /// [`PartitionProblem::choice_problem`] caller (the pre-memoization
-    /// code rebuilt the full dense problem on *every* `evaluate` call).
+    /// [`PartitionProblem::choice_problem`] caller.
     pub(crate) choice: std::sync::OnceLock<ChoiceProblem>,
 }
 
 // Clone and PartialEq deliberately exclude the memo cell: a freshly
 // extracted problem and a cached one with a populated memo must compare
 // equal (the engine's partition cache keys on problem equality), and a
-// clone can rebuild the lowering on demand.
+// clone can rebuild the lowering on demand. Equality covers every
+// candidate list, cost, current choice and group (members and limit,
+// binding or not): a group that cannot bind today still tells two
+// states apart.
 impl Clone for PartitionProblem {
     fn clone(&self) -> PartitionProblem {
         PartitionProblem {
             segments: self.segments.clone(),
-            candidates: self.candidates.clone(),
-            linear_cost: self.linear_cost.clone(),
-            pairs: self.pairs.clone(),
-            edge_constraints: self.edge_constraints.clone(),
             current: self.current.clone(),
+            var_start: self.var_start.clone(),
+            var_layer: self.var_layer.clone(),
+            linear: self.linear.clone(),
+            pairs: self.pairs.clone(),
+            pair_costs: self.pair_costs.clone(),
+            group_keys: self.group_keys.clone(),
+            group_limit: self.group_limit.clone(),
+            group_start: self.group_start.clone(),
+            group_members: self.group_members.clone(),
             choice: std::sync::OnceLock::new(),
         }
     }
@@ -127,11 +194,50 @@ impl Clone for PartitionProblem {
 impl PartialEq for PartitionProblem {
     fn eq(&self, other: &PartitionProblem) -> bool {
         self.segments == other.segments
-            && self.candidates == other.candidates
-            && self.linear_cost == other.linear_cost
-            && self.pairs == other.pairs
-            && self.edge_constraints == other.edge_constraints
             && self.current == other.current
+            && self.var_start == other.var_start
+            && self.var_layer == other.var_layer
+            && self.linear == other.linear
+            && self.pairs == other.pairs
+            && self.pair_costs == other.pair_costs
+            && self.group_keys == other.group_keys
+            && self.group_limit == other.group_limit
+            && self.group_start == other.group_start
+            && self.group_members == other.group_members
+    }
+}
+
+/// `n` as a position in a problem's flat arrays, which are indexed by
+/// `u32` to halve their offsets and members.
+///
+/// # Panics
+///
+/// Panics if `n` does not fit (a single partition with billions of
+/// variables or group members).
+fn flat_index(n: usize) -> u32 {
+    assert!(
+        u32::try_from(n).is_ok(),
+        "partition problem exceeds u32 indexing"
+    );
+    n as u32
+}
+
+/// `layer` as a capacity-group key.
+///
+/// # Panics
+///
+/// Panics if the layer index does not fit in 16 bits.
+fn layer_key(layer: usize) -> u16 {
+    assert!(u16::try_from(layer).is_ok(), "layer {layer} exceeds u16");
+    layer as u16
+}
+
+/// Arithmetic mean of `values`, 0 when empty.
+fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        0.0
+    } else {
+        values.iter().sum::<f64>() / values.len() as f64
     }
 }
 
@@ -146,7 +252,9 @@ impl PartitionProblem {
     ///
     /// # Panics
     ///
-    /// Panics if a segment reference is out of range.
+    /// Panics if a segment reference is out of range, a layer index
+    /// exceeds 16 bits, or the problem would need more than 2^32
+    /// variables or group members.
     pub fn extract(
         grid: &Grid,
         netlist: &Netlist,
@@ -159,9 +267,26 @@ impl PartitionProblem {
             segments.iter().enumerate().map(|(i, &s)| (s, i)).collect();
         let h_layers: Vec<usize> = grid.layers_in_direction(Direction::Horizontal).collect();
         let v_layers: Vec<usize> = grid.layers_in_direction(Direction::Vertical).collect();
+        let candidates_of = |sref: SegmentRef| -> &[usize] {
+            let tree = netlist.net(sref.net as usize).tree();
+            match tree.segment(sref.seg as usize).dir {
+                Direction::Horizontal => &h_layers,
+                Direction::Vertical => &v_layers,
+            }
+        };
 
-        let mut candidates = Vec::with_capacity(segments.len());
-        let mut linear_cost = Vec::with_capacity(segments.len());
+        // Variable ranges first, so every per-variable array is
+        // allocated once at its final size.
+        let mut var_start = Vec::with_capacity(segments.len() + 1);
+        var_start.push(0u32);
+        let mut num_vars = 0usize;
+        for &sref in segments {
+            num_vars += candidates_of(sref).len();
+            var_start.push(flat_index(num_vars));
+        }
+        let vars = |i: usize| var_start[i] as usize..var_start[i + 1] as usize;
+        let mut var_layer = Vec::with_capacity(num_vars);
+        let mut linear = Vec::with_capacity(num_vars);
         let mut current = Vec::with_capacity(segments.len());
 
         let via_delay = |la: usize, lb: usize, cap: f64| -> f64 {
@@ -176,24 +301,17 @@ impl PartitionProblem {
         for &sref in segments {
             let net = netlist.net(sref.net as usize);
             let tree = net.tree();
-            let seg = tree.segment(sref.seg as usize);
-            // alloc: each segment owns its candidate list; it is
-            // retained in `candidates` past the loop.
-            let cands: Vec<usize> = match seg.dir {
-                // alloc: each arm hands the segment its own copy.
-                Direction::Horizontal => h_layers.clone(),
-                Direction::Vertical => v_layers.clone(),
-            };
+            let cands = candidates_of(sref);
             let c = ctx(sref);
             let len = tree.segment_length(sref.seg as usize) as f64;
-            let costs: Vec<f64> = cands
-                .iter()
-                .map(|&l| {
-                    c.weight * timing::segment_delay_on_layer(grid, net, sref.seg as usize, l, c.cd)
-                        + c.upstream * grid.layer(l).unit_capacitance * len
-                })
-                // alloc: per-segment cost row, retained in the problem.
-                .collect();
+            for &l in cands {
+                var_layer.push(l);
+                linear.push(
+                    c.weight
+                        * timing::segment_delay_on_layer(grid, net, sref.seg as usize, l, c.cd)
+                        + c.upstream * grid.layer(l).unit_capacitance * len,
+                );
+            }
             let cur_layer = assignment.layer_of(sref);
             #[expect(
                 clippy::expect_used,
@@ -204,21 +322,11 @@ impl PartitionProblem {
                 .iter()
                 .position(|&l| l == cur_layer)
                 .expect("current layer must be a candidate");
-            candidates.push(cands);
-            linear_cost.push(costs);
             current.push(cur_idx);
         }
 
         // Delay scale for the via-capacity penalty.
-        let mean_linear = {
-            let total: f64 = linear_cost.iter().flat_map(|c| c.iter()).sum();
-            let count: usize = linear_cost.iter().map(|c| c.len()).sum();
-            if count == 0 {
-                0.0
-            } else {
-                total / count as f64
-            }
-        };
+        let mean_linear = mean(&linear);
         let penalty_scale = config.via_penalty_weight * mean_linear;
         let overflow_scale = config.overflow_penalty_weight * mean_linear;
 
@@ -249,6 +357,7 @@ impl PartitionProblem {
         // so its delay term carries the child's criticality weight W_i
         // (Eqn. 3's min rule picks the child-side downstream cap).
         let mut pairs = Vec::new();
+        let mut pair_costs = Vec::new();
         for (i, &sref) in segments.iter().enumerate() {
             let net = netlist.net(sref.net as usize);
             let tree = net.tree();
@@ -258,6 +367,7 @@ impl PartitionProblem {
             let from_cell = tree.node(from_node).cell;
             let to_cell = tree.node(to_node).cell;
             let ci = ctx(sref);
+            let own = vars(i);
 
             // Coupling toward the parent side (entry at from_node).
             match tree.parent_segment(from_node) {
@@ -270,28 +380,26 @@ impl PartitionProblem {
                         Some(&pi) => {
                             // In-partition pair; emit once (from the
                             // child side, so each tree edge appears one
-                            // time).
-                            let costs: Vec<Vec<f64>> = candidates[pi]
-                                .iter()
-                                .map(|&lp| {
-                                    candidates[i]
-                                        .iter()
-                                        .map(|&lc| {
-                                            via_delay(lp, lc, drive)
-                                                + via_penalty(from_cell, lp, lc)
-                                        })
-                                        // alloc: pair cost matrix row.
-                                        .collect()
-                                })
-                                // alloc: retained in `pairs`.
-                                .collect();
-                            pairs.push(SegmentPair { a: pi, b: i, costs });
+                            // time), its table row-major.
+                            pairs.push(PairSpan {
+                                a: flat_index(pi),
+                                b: flat_index(i),
+                                start: flat_index(pair_costs.len()),
+                            });
+                            for &lp in &var_layer[vars(pi)] {
+                                for &lc in &var_layer[own.clone()] {
+                                    pair_costs.push(
+                                        via_delay(lp, lc, drive) + via_penalty(from_cell, lp, lc),
+                                    );
+                                }
+                            }
                         }
                         None => {
                             // Fixed neighbor: fold into linear cost.
                             let lp = assignment.layer_of(pref);
-                            for (c, &lc) in candidates[i].iter().enumerate() {
-                                linear_cost[i][c] +=
+                            for v in own.clone() {
+                                let lc = var_layer[v];
+                                linear[v] +=
                                     via_delay(lp, lc, drive) + via_penalty(from_cell, lp, lc);
                             }
                         }
@@ -300,8 +408,9 @@ impl PartitionProblem {
                 None => {
                     // Root segment: entry via from the source pin layer.
                     let src = net.source();
-                    for (c, &lc) in candidates[i].iter().enumerate() {
-                        linear_cost[i][c] += via_delay(src.layer, lc, ci.weight * ci.cd)
+                    for v in own.clone() {
+                        let lc = var_layer[v];
+                        linear[v] += via_delay(src.layer, lc, ci.weight * ci.cd)
                             + via_penalty(from_cell, src.layer, lc);
                     }
                 }
@@ -317,8 +426,9 @@ impl PartitionProblem {
                 let lc = assignment.layer_of(cref);
                 let cc = ctx(cref);
                 let drive = cc.weight * ci.cd.min(cc.cd);
-                for (c, &l) in candidates[i].iter().enumerate() {
-                    linear_cost[i][c] += via_delay(l, lc, drive) + via_penalty(to_cell, l, lc);
+                for v in own.clone() {
+                    let l = var_layer[v];
+                    linear[v] += via_delay(l, lc, drive) + via_penalty(to_cell, l, lc);
                 }
             }
 
@@ -326,87 +436,180 @@ impl PartitionProblem {
             // own criticality.
             if let Some(p) = tree.node(to_node).pin {
                 let pin = &net.pins()[p as usize];
-                for (c, &l) in candidates[i].iter().enumerate() {
-                    linear_cost[i][c] += via_delay(pin.layer, l, ci.pin_weight * pin.capacitance)
+                for v in own.clone() {
+                    let l = var_layer[v];
+                    linear[v] += via_delay(pin.layer, l, ci.pin_weight * pin.capacitance)
                         + via_penalty(to_cell, pin.layer, l);
                 }
             }
         }
+        // A problem may stay cached for the rest of the run: drop the
+        // growth slack of the two arrays whose length was not known.
+        pairs.shrink_to_fit();
+        pair_costs.shrink_to_fit();
 
         // ---- pass 3: edge-capacity constraints ----
-        // Group (layer, edge) -> members.
-        let mut groups: HashMap<(usize, Edge2d), Vec<(usize, usize)>> = HashMap::new();
+        // One (key, variable, currently chosen) entry per variable and
+        // covered edge; a stable sort groups them by (layer, edge) with
+        // each group's members in ascending variable order.
+        let mut entries: Vec<(GroupKey, u32, bool)> = Vec::new();
         for (i, &sref) in segments.iter().enumerate() {
             let tree = netlist.net(sref.net as usize).tree();
-            for e in tree.segment_edges(sref.seg as usize) {
-                for (c, &l) in candidates[i].iter().enumerate() {
-                    groups.entry((l, e)).or_default().push((i, c));
+            for edge in tree.segment_edges(sref.seg as usize) {
+                for v in vars(i) {
+                    entries.push((
+                        GroupKey {
+                            layer: layer_key(var_layer[v]),
+                            edge,
+                        },
+                        flat_index(v),
+                        v - vars(i).start == current[i],
+                    ));
                 }
             }
         }
-        let mut edge_constraints: Vec<EdgeConstraint> = groups
-            .into_iter()
-            .map(|((layer, edge), members)| {
-                // Wires on this (layer, edge) that belong to partition
-                // segments currently assigned here — they will be
-                // re-decided, so they don't count against the residual.
-                let ours = members.iter().filter(|&&(i, c)| current[i] == c).count() as u32;
-                let usage = grid.edge_usage(layer, edge);
-                let cap = grid.edge_capacity(layer, edge);
-                let residual = (cap + ours).saturating_sub(usage);
-                // Keep the no-op solution feasible even under inherited
-                // overflow.
-                let limit = residual.max(ours);
-                EdgeConstraint {
-                    members,
-                    limit,
-                    edge,
-                    layer,
-                }
-            })
-            .collect();
-        edge_constraints.sort_by_key(|c| (c.layer, c.edge));
+        entries.sort_by_key(|&(key, _, _)| key);
+        let num_groups = entries.chunk_by(|x, y| x.0 == y.0).count();
+        let mut group_keys = Vec::with_capacity(num_groups);
+        let mut group_limit = Vec::with_capacity(num_groups);
+        let mut group_start = Vec::with_capacity(num_groups + 1);
+        let mut group_members = Vec::with_capacity(entries.len());
+        group_start.push(0u32);
+        for run in entries.chunk_by(|x, y| x.0 == y.0) {
+            let key = run[0].0;
+            let layer = key.layer as usize;
+            // Wires on this (layer, edge) that belong to partition
+            // segments currently assigned here — they will be
+            // re-decided, so they don't count against the residual.
+            let ours = run.iter().filter(|e| e.2).count() as u32;
+            let usage = grid.edge_usage(layer, key.edge);
+            let cap = grid.edge_capacity(layer, key.edge);
+            let residual = (cap + ours).saturating_sub(usage);
+            // Keep the no-op solution feasible even under inherited
+            // overflow.
+            group_keys.push(key);
+            group_limit.push(residual.max(ours));
+            group_members.extend(run.iter().map(|e| e.1));
+            group_start.push(flat_index(group_members.len()));
+        }
 
         PartitionProblem {
             segments: segments.to_vec(),
-            candidates,
-            linear_cost,
-            pairs,
-            edge_constraints,
             current,
+            var_start,
+            var_layer,
+            linear,
+            pairs,
+            pair_costs,
+            group_keys,
+            group_limit,
+            group_start,
+            group_members,
             choice: std::sync::OnceLock::new(),
         }
     }
 
     /// Number of assignment variables (`Σ |candidates|`).
     pub fn num_variables(&self) -> usize {
-        self.candidates.iter().map(|c| c.len()).sum()
+        self.var_layer.len()
+    }
+
+    /// The variables of segment `i`: positions in the segment-major
+    /// variable order, its candidates bottom-up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn variables(&self, i: usize) -> Range<usize> {
+        self.var_start[i] as usize..self.var_start[i + 1] as usize
+    }
+
+    /// The segment and candidate index of variable `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    pub fn variable(&self, v: usize) -> (usize, usize) {
+        assert!(v < self.num_variables(), "variable {v} out of range");
+        let i = self.var_start.partition_point(|&s| s as usize <= v) - 1;
+        (i, v - self.var_start[i] as usize)
+    }
+
+    /// Candidate layers of segment `i` (all layers of its direction,
+    /// bottom-up).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn candidates(&self, i: usize) -> &[usize] {
+        &self.var_layer[self.variables(i)]
+    }
+
+    /// `linear_cost(i)[c]`: delay of segment `i` on its candidate `c`,
+    /// including couplings to fixed neighbors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn linear_cost(&self, i: usize) -> &[f64] {
+        &self.linear[self.variables(i)]
+    }
+
+    /// Via couplings between in-partition segment pairs.
+    pub fn pairs(&self) -> impl ExactSizeIterator<Item = SegmentPair<'_>> + '_ {
+        self.pairs.iter().map(|p| {
+            let (a, b) = (p.a as usize, p.b as usize);
+            let cols = self.variables(b).len();
+            let start = p.start as usize;
+            SegmentPair {
+                a,
+                b,
+                costs: &self.pair_costs[start..start + self.variables(a).len() * cols],
+                cols,
+            }
+        })
+    }
+
+    /// Edge-capacity groups, ordered by (layer, edge).
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = EdgeGroup<'_>> + '_ {
+        self.group_keys
+            .iter()
+            .zip(&self.group_limit)
+            .zip(self.group_start.windows(2))
+            .map(|((key, &limit), span)| EdgeGroup {
+                layer: key.layer as usize,
+                edge: key.edge,
+                limit,
+                members: &self.group_members[span[0] as usize..span[1] as usize],
+            })
     }
 
     /// Lowers to the branch-and-bound ILP (the GUROBI substitution).
     pub fn to_choice_problem(&self) -> ChoiceProblem {
         let mut p = ChoiceProblem::new();
-        for costs in &self.linear_cost {
+        for i in 0..self.segments.len() {
             // alloc: the lowered problem owns its cost rows.
-            p.add_item(costs.clone());
+            p.add_item(self.linear_cost(i).to_vec());
         }
-        for pair in &self.pairs {
+        for pair in self.pairs() {
             p.add_pair(PairCost {
                 a: pair.a,
                 b: pair.b,
                 // alloc: the lowered problem owns its pair matrices.
-                costs: pair.costs.clone(),
+                costs: pair.costs.chunks(pair.cols).map(<[f64]>::to_vec).collect(),
             });
         }
-        for ec in &self.edge_constraints {
-            // Constraints wider than their member count never bind.
-            if (ec.limit as usize) < ec.members.len() {
-                p.add_capacity_group(CapacityGroup {
-                    // alloc: the lowered problem owns its member lists.
-                    members: ec.members.clone(),
-                    limit: ec.limit,
-                });
-            }
+        // Constraints wider than their member count never bind.
+        for g in self.groups().filter(EdgeGroup::binds) {
+            p.add_capacity_group(CapacityGroup {
+                // alloc: the lowered problem owns its member lists.
+                members: g
+                    .members
+                    .iter()
+                    .map(|&v| self.variable(v as usize))
+                    .collect(),
+                limit: g.limit,
+            });
         }
         p
     }
@@ -425,27 +628,18 @@ impl PartitionProblem {
     /// Returns the SDP plus the variable offset of each segment (the
     /// diagonal position of its first candidate).
     pub fn to_sdp(&self) -> (SdpProblem, Vec<usize>) {
-        let mut offsets = Vec::with_capacity(self.segments.len());
-        let mut n = 0usize;
-        for c in &self.candidates {
-            offsets.push(n);
-            n += c.len();
-        }
-        let binding: Vec<&EdgeConstraint> = self
-            .edge_constraints
-            .iter()
-            .filter(|ec| (ec.limit as usize) < ec.members.len())
+        let offsets: Vec<usize> = (0..self.segments.len())
+            .map(|i| self.variables(i).start)
             .collect();
-        let dim = n + binding.len();
+        let n = self.num_variables();
+        let dim = n + self.groups().filter(EdgeGroup::binds).count();
 
         let mut t = SymMatrix::zeros(dim);
-        for (i, costs) in self.linear_cost.iter().enumerate() {
-            for (c, &cost) in costs.iter().enumerate() {
-                t.set(offsets[i] + c, offsets[i] + c, cost);
-            }
+        for (v, &cost) in self.linear.iter().enumerate() {
+            t.set(v, v, cost);
         }
-        for pair in &self.pairs {
-            for (ca, row) in pair.costs.iter().enumerate() {
+        for pair in self.pairs() {
+            for (ca, row) in pair.costs.chunks(pair.cols).enumerate() {
                 for (cb, &cost) in row.iter().enumerate() {
                     // ⟨T, X⟩ visits both symmetric entries, so halve.
                     t.add_to(offsets[pair.a] + ca, offsets[pair.b] + cb, cost / 2.0);
@@ -454,53 +648,99 @@ impl PartitionProblem {
         }
 
         let mut sdp = SdpProblem::new(t);
-        for (i, c) in self.candidates.iter().enumerate() {
-            let entries: Vec<(usize, usize, f64)> = (0..c.len())
-                .map(|k| (offsets[i] + k, offsets[i] + k, 1.0))
+        for i in 0..self.segments.len() {
+            let entries: Vec<(usize, usize, f64)> = self
+                .variables(i)
+                .map(|v| (v, v, 1.0))
                 // alloc: constraint row handed off to the SDP.
                 .collect();
             sdp.add_constraint(entries, 1.0);
         }
-        for (k, ec) in binding.iter().enumerate() {
+        for (k, g) in self.groups().filter(EdgeGroup::binds).enumerate() {
             let slack = n + k;
-            let mut entries: Vec<(usize, usize, f64)> = ec
+            let mut entries: Vec<(usize, usize, f64)> = g
                 .members
                 .iter()
-                .map(|&(i, c)| (offsets[i] + c, offsets[i] + c, 1.0))
+                .map(|&v| (v as usize, v as usize, 1.0))
                 // alloc: constraint row handed off to the SDP.
                 .collect();
             entries.push((slack, slack, 1.0));
-            sdp.add_constraint(entries, ec.limit as f64);
+            sdp.add_constraint(entries, g.limit as f64);
         }
         (sdp, offsets)
+    }
+
+    /// Linear plus pairwise cost of a candidate-index assignment,
+    /// ignoring capacities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `choices` has the wrong length or an index is out of
+    /// range.
+    pub fn cost(&self, choices: &[usize]) -> f64 {
+        assert_eq!(choices.len(), self.segments.len());
+        let mut cost = 0.0;
+        for (i, &c) in choices.iter().enumerate() {
+            cost += self.linear_cost(i)[c];
+        }
+        // Every choice is in range now, so each flat pair index is too.
+        for pair in self.pairs() {
+            cost += pair.cost(choices[pair.a], choices[pair.b]);
+        }
+        cost
+    }
+
+    /// Selected members and limit of every group under `choices`.
+    fn group_loads<'a>(&'a self, choices: &[usize]) -> impl Iterator<Item = (u32, u32)> + 'a {
+        assert_eq!(choices.len(), self.segments.len());
+        let mut chosen = vec![false; self.num_variables()];
+        for (i, &c) in choices.iter().enumerate() {
+            let vars = self.variables(i);
+            assert!(c < vars.len(), "candidate {c} out of range for segment {i}");
+            chosen[vars.start + c] = true;
+        }
+        self.groups().map(move |g| {
+            let used = g.members.iter().filter(|&&v| chosen[v as usize]).count() as u32;
+            (used, g.limit)
+        })
+    }
+
+    /// Wires `choices` puts beyond the groups' limits, summed over the
+    /// groups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `choices` has the wrong length or an index is out of
+    /// range.
+    pub fn overflow(&self, choices: &[usize]) -> u32 {
+        self.group_loads(choices)
+            .map(|(used, limit)| used.saturating_sub(limit))
+            .sum()
+    }
+
+    /// Mean linear cost over all variables: the delay scale of the
+    /// acceptance rule's overflow charge.
+    pub fn mean_linear_cost(&self) -> f64 {
+        mean(&self.linear)
     }
 
     /// Evaluates a candidate-index assignment: total cost, or `None` if
     /// an edge constraint is violated. Mirrors the ILP objective
     /// ([`solver::ChoiceProblem::evaluate`]) without materializing the
-    /// dense lowering — the pre-memoization implementation rebuilt a
-    /// full [`ChoiceProblem`] on every call.
+    /// dense lowering.
     ///
     /// # Panics
     ///
     /// Panics if `choices` has the wrong length or an index is out of
     /// range.
     pub fn evaluate(&self, choices: &[usize]) -> Option<f64> {
-        assert_eq!(choices.len(), self.candidates.len());
-        let mut cost = 0.0;
-        for (i, &c) in choices.iter().enumerate() {
-            cost += self.linear_cost[i][c];
+        let cost = self.cost(choices);
+        let mut loads = self.group_loads(choices);
+        if loads.any(|(used, limit)| used > limit) {
+            None
+        } else {
+            Some(cost)
         }
-        for pair in &self.pairs {
-            cost += pair.costs[choices[pair.a]][choices[pair.b]];
-        }
-        for ec in &self.edge_constraints {
-            let used = ec.members.iter().filter(|&&(i, c)| choices[i] == c).count();
-            if used > ec.limit as usize {
-                return None;
-            }
-        }
-        Some(cost)
     }
 
     /// Translates candidate indices back to layer numbers.
@@ -510,12 +750,57 @@ impl PartitionProblem {
     /// Panics if `choices` has the wrong length or an index is out of
     /// range.
     pub fn choices_to_layers(&self, choices: &[usize]) -> Vec<usize> {
-        assert_eq!(choices.len(), self.candidates.len());
+        assert_eq!(choices.len(), self.segments.len());
         choices
             .iter()
-            .zip(&self.candidates)
-            .map(|(&c, cands)| cands[c])
+            .enumerate()
+            .map(|(i, &c)| self.candidates(i)[c])
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl PartitionProblem {
+    /// A hand-built problem whose segments all cover every group's edge:
+    /// group `(layer, edge, limit)` holds each segment's variable on
+    /// `layer`. No pairs; segment `i` is segment 0 of net `i`.
+    pub(crate) fn from_parts(
+        candidates: Vec<Vec<usize>>,
+        linear: Vec<Vec<f64>>,
+        mut groups: Vec<(usize, Edge2d, u32)>,
+        current: Vec<usize>,
+    ) -> PartitionProblem {
+        let mut var_start = vec![0u32];
+        for c in &candidates {
+            var_start.push(var_start[var_start.len() - 1] + c.len() as u32);
+        }
+        let var_layer: Vec<usize> = candidates.concat();
+        groups.sort_by_key(|&(layer, edge, _)| (layer, edge));
+        let mut p = PartitionProblem {
+            segments: (0..candidates.len())
+                .map(|i| SegmentRef::new(i as u32, 0))
+                .collect(),
+            current,
+            linear: linear.concat(),
+            group_start: vec![0],
+            ..PartitionProblem::default()
+        };
+        for (layer, edge, limit) in groups {
+            p.group_keys.push(GroupKey {
+                layer: layer as u16,
+                edge,
+            });
+            p.group_limit.push(limit);
+            p.group_members.extend(
+                (0..var_layer.len())
+                    .filter(|&v| var_layer[v] == layer)
+                    .map(|v| v as u32),
+            );
+            p.group_start.push(p.group_members.len() as u32);
+        }
+        p.var_start = var_start;
+        p.var_layer = var_layer;
+        p
     }
 }
 
@@ -584,18 +869,26 @@ mod tests {
         let cd = caps(&grid, &nl, &a);
         let p = PartitionProblem::extract(&grid, &nl, &a, &segs, &cd, &ProblemConfig::default());
         assert_eq!(p.segments.len(), 3);
-        assert_eq!(p.candidates.len(), 3);
+        assert_eq!(p.num_variables(), 6);
         // Horizontal segments get the 2 H layers, vertical the 2 V.
-        assert_eq!(p.candidates[0], vec![0, 2]);
-        assert_eq!(p.candidates[1], vec![1, 3]);
+        assert_eq!(p.candidates(0), [0, 2]);
+        assert_eq!(p.candidates(1), [1, 3]);
+        assert_eq!(p.variables(2), 4..6);
+        assert_eq!(p.variable(3), (1, 1));
         // One in-partition pair (the L-net's corner).
-        assert_eq!(p.pairs.len(), 1);
+        assert_eq!(p.pairs().len(), 1);
         // Every linear cost is positive and finite.
-        for row in &p.linear_cost {
-            for &c in row {
+        for i in 0..3 {
+            for &c in p.linear_cost(i) {
                 assert!(c.is_finite() && c > 0.0);
             }
         }
+        // Groups come out ordered by (layer, edge), members ascending.
+        let keys: Vec<(usize, Edge2d)> = p.groups().map(|g| (g.layer, g.edge)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        assert!(p
+            .groups()
+            .all(|g| g.members.windows(2).all(|m| m[0] < m[1])));
         // The no-op assignment is always feasible.
         assert!(p.evaluate(&p.current).is_some());
     }
@@ -607,17 +900,18 @@ mod tests {
         // Only the vertical segment of the L-net is released.
         let segs = vec![SegmentRef::new(0, 1)];
         let p = PartitionProblem::extract(&grid, &nl, &a, &segs, &cd, &ProblemConfig::default());
-        assert!(p.pairs.is_empty());
+        assert_eq!(p.pairs().len(), 0);
         // Candidate on layer 3 must carry a larger via cost than layer 1
         // (parent fixed on layer 0): stack 0..3 vs 0..1.
-        let base: Vec<f64> = p.candidates[0]
+        let base: Vec<f64> = p
+            .candidates(0)
             .iter()
             .map(|&l| {
                 timing::segment_delay_on_layer(&grid, nl.net(0), 1, l, cd(SegmentRef::new(0, 1)).cd)
             })
             .collect();
-        let extra0 = p.linear_cost[0][0] - base[0];
-        let extra1 = p.linear_cost[0][1] - base[1];
+        let extra0 = p.linear_cost(0)[0] - base[0];
+        let extra1 = p.linear_cost(0)[1] - base[1];
         assert!(extra1 > extra0, "{extra1} vs {extra0}");
     }
 
@@ -633,19 +927,50 @@ mod tests {
         // (x in 0..6, y=0). Capacity 2, background usage 1, our wire 1:
         // limit = 2 + 1 - 2 = 1.
         let ec = p
-            .edge_constraints
-            .iter()
+            .groups()
             .find(|ec| ec.layer == 0 && ec.edge == Edge2d::horizontal(2, 0))
             .expect("constraint exists");
         assert_eq!(ec.limit, 1);
         // On an edge beyond the L-net (x in 6..8): only our wire: limit 2.
         let ec2 = p
-            .edge_constraints
-            .iter()
+            .groups()
             .find(|ec| ec.layer == 0 && ec.edge == Edge2d::horizontal(7, 0))
             .expect("constraint exists");
         assert_eq!(ec2.limit, 2);
         let _ = &mut grid;
+    }
+
+    /// The cache-hit rule compares every group, binding or not: two
+    /// states that differ only in the limit of a group that cannot bind
+    /// lower to the same programs, yet must miss. Treating them as equal
+    /// would hand out results (and skip warm starts) the reference run
+    /// recomputes.
+    #[test]
+    fn a_non_binding_limit_alone_breaks_equality() {
+        let (mut grid, nl, a) = fixture();
+        let cd = caps(&grid, &nl, &a);
+        let segs = vec![SegmentRef::new(1, 0)];
+        let config = ProblemConfig::default();
+        let before = PartitionProblem::extract(&grid, &nl, &a, &segs, &cd, &config);
+        // Beyond the L-net only the released wire sits on layer 0: one
+        // member, limit 2. A background wire there lowers the limit to
+        // 1, which still cannot bind.
+        let edge = Edge2d::horizontal(7, 0);
+        grid.add_wire(0, edge);
+        let after = PartitionProblem::extract(&grid, &nl, &a, &segs, &cd, &config);
+        let group = |p: &PartitionProblem| {
+            p.groups()
+                .find(|g| g.layer == 0 && g.edge == edge)
+                .map(|g| (g.limit, g.members.len(), g.binds()))
+        };
+        assert_eq!(group(&before), Some((2, 1, false)));
+        assert_eq!(group(&after), Some((1, 1, false)));
+        assert_eq!(before.to_sdp(), after.to_sdp());
+        assert_eq!(before.to_choice_problem(), after.to_choice_problem());
+        assert_ne!(
+            before, after,
+            "a non-binding limit must still tell states apart"
+        );
     }
 
     #[test]
@@ -655,11 +980,7 @@ mod tests {
         let segs: Vec<SegmentRef> = nl.segment_refs().collect();
         let p = PartitionProblem::extract(&grid, &nl, &a, &segs, &cd, &ProblemConfig::default());
         let (sdp, offsets) = p.to_sdp();
-        let binding = p
-            .edge_constraints
-            .iter()
-            .filter(|ec| (ec.limit as usize) < ec.members.len())
-            .count();
+        let binding = p.groups().filter(EdgeGroup::binds).count();
         assert_eq!(sdp.dim(), p.num_variables() + binding);
         assert_eq!(sdp.num_constraints(), p.segments.len() + binding);
         assert_eq!(offsets, vec![0, 2, 4]);

@@ -77,6 +77,9 @@ pub struct FlowCounters {
     /// Solve leaves that started from the warm pair of a stale cache
     /// entry (one whose dimension matched the problem).
     pub warm_starts: usize,
+    /// Entries resident in the cross-round partition cache after the
+    /// latest PostMap: one per partition solved so far.
+    pub cache_entries: usize,
     /// Always 0: no engine has a batched Solve stage. Kept because the
     /// `perfbench` trace collector reads the field.
     pub batch_sweeps: u64,

@@ -150,6 +150,11 @@ impl ChoiceProblem {
         self.linear[i].len()
     }
 
+    /// The hard capacity groups, in the order they were added.
+    pub fn capacity_groups(&self) -> &[CapacityGroup] {
+        &self.cap_groups
+    }
+
     /// Evaluates a complete assignment: total cost, or `None` if a hard
     /// capacity group is violated.
     ///

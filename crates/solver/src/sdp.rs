@@ -92,6 +92,17 @@ impl SdpProblem {
         self.constraints.push(Constraint { entries: norm, rhs });
     }
 
+    /// Constraint `k`: its normalized `(i, j, coeff)` entries and its
+    /// right-hand side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range.
+    pub fn constraint(&self, k: usize) -> (&[(usize, usize, f64)], f64) {
+        let c = &self.constraints[k];
+        (&c.entries, c.rhs)
+    }
+
     /// The normalized constraint rows (dense reference input).
     #[cfg(test)]
     pub(crate) fn constraints_raw(&self) -> &[Constraint] {
