@@ -383,18 +383,10 @@ fn run_assigner(
 
 fn json_stats(s: &PipelineStats) -> String {
     format!(
-        "{{\"context_secs\":{:.6},\"partition_secs\":{:.6},\
-         \"extract_secs\":{:.6},\"solve_secs\":{:.6},\"apply_secs\":{:.6},\
-         \"metrics_secs\":{:.6},\"rounds\":{},\"partitions_solved\":{},\
+        "{{\"rounds\":{},\"partitions_solved\":{},\
          \"partitions_reused\":{},\"cache_entries\":{},\"cache_hit_rate\":{:.4},\
          \"evaluations\":{},\"gate_accepted\":{},\"gate_rejected\":{},\
          \"warm_starts\":{}}}",
-        s.context_secs,
-        s.partition_secs,
-        s.extract_secs,
-        s.solve_secs,
-        s.apply_secs,
-        s.metrics_secs,
         s.rounds,
         s.partitions_solved,
         s.partitions_reused,
@@ -453,7 +445,7 @@ fn json_bench_mode(o: &RunOutcome, alloc_stats: bool) -> String {
          \"avg_tcp_final\":{:.6},\"max_tcp_final\":{:.6},\
          \"via_overflow\":{},\"via_count\":{},\"wire_overflow\":{},\
          \"rounds\":{},\"released\":{},\"peak_alloc_bytes\":{},\
-         \"solve_secs\":{:.6},\"stages\":{{{}}}}}",
+         \"stages\":{{{}}}}}",
         o.wall_secs,
         o.report.initial_metrics.avg_tcp,
         o.report.final_metrics.avg_tcp,
@@ -468,7 +460,6 @@ fn json_bench_mode(o: &RunOutcome, alloc_stats: bool) -> String {
         } else {
             "null".to_string()
         },
-        o.report.stats.solve_secs,
         stages,
     )
 }

@@ -8,11 +8,18 @@
 //! [`drive`] owns the round loop: it times every stage, forwards the
 //! boundaries to the attached [`StageObserver`]s, emits a
 //! [`RoundSnapshot`] per round, and restores the incumbent state when
-//! the flow stops improving. Wall-time bookkeeping lives in
+//! the flow stops improving. The run's counters are collected by
 //! [`StatsCollector`] — itself just another observer.
+//!
+//! Extract, Solve and PostMap run their per-partition work on one
+//! worker pool ([`pool_run`]): the calling thread and `threads − 1`
+//! scoped helpers claim partitions off one counter, each with buffers
+//! it keeps across leaves and rounds, and the stage merges what they
+//! return serially, in partition or miss order.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use ::flow::{
@@ -20,14 +27,14 @@ use ::flow::{
 };
 use grid::Grid;
 use net::{Assignment, Netlist, SegmentRef};
-use solver::{BlockMatrix, SdpSolver, SolveScratch};
+use solver::{BlockMatrix, SdpProblem, SdpSolver, SolveScratch};
 use timing::TimingModel;
 
 use crate::context::{timing_context_into, SegCtx, SegCtxTable};
 use crate::engine::{CplaConfig, CplaReport, PipelineStats, RoundStats, SolverKind};
-use crate::mapping::{post_map, timing_gate};
+use crate::mapping::{post_map_with, timing_gate, PostMapScratch};
 use crate::partition::{partition_segments_sharded, Partition, PartitionStats};
-use crate::problem::PartitionProblem;
+use crate::problem::{ExtractScratch, PartitionProblem};
 
 /// ADMM iterates `(z, u)` kept for a warm start, in the solver's
 /// interval-block layout.
@@ -78,6 +85,112 @@ impl RawSolve {
     }
 }
 
+/// One pool worker's buffers, kept across leaves, stages and rounds.
+#[derive(Default)]
+struct Worker {
+    extract: ExtractScratch,
+    sdp: SdpProblem,
+    solve: SolveScratch,
+    post_map: PostMapScratch,
+    /// The chosen-variable mask of the acceptance rule.
+    chosen: Vec<bool>,
+}
+
+/// Runs `leaf` on every item `0..count` with the partition pool: the
+/// calling thread is worker 0, `threads − 1` scoped helpers join it,
+/// and each worker claims the next item off one counter, with its own
+/// [`Worker`] buffers. `span(item)` names an item's leaf span (index
+/// and size); items are claimed largest first, ties by item, so no
+/// worker idles while a heavy partition pins another. Returns every
+/// item's output in item order and appends one leaf span per item, in
+/// item order, to `leaves`: which worker ran what cannot show in
+/// either.
+///
+/// Each leaf is a pure function of its item and of state the stage
+/// froze before the pool started, so the claim order changes nothing
+/// but the spans' timings and thread ordinals.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the pool's inputs are the stage's frozen state and its per-leaf closures"
+)]
+fn pool_run<T: Send + Sync>(
+    workers: &mut [Worker],
+    threads: usize,
+    count: usize,
+    round: usize,
+    stage: Stage,
+    span: impl Fn(usize) -> (usize, usize) + Sync,
+    leaf: impl Fn(usize, &mut Worker) -> T + Sync,
+    leaves: &mut Vec<LeafSpan>,
+) -> Vec<T> {
+    let threads = threads.clamp(1, count.max(1)).min(workers.len());
+    let mut order: Vec<usize> = (0..count).collect();
+    order.sort_by_cached_key(|&item| (std::cmp::Reverse(span(item).1), item));
+    let order = &order;
+    // One monotonic anchor for the whole pool: leaf offsets are seconds
+    // since this instant, on whichever thread ran the leaf.
+    let anchor = Instant::now();
+    let next = AtomicUsize::new(0);
+    // alloc: one slot per item, written once by whichever worker
+    // claims the item.
+    let slots: Vec<OnceLock<(T, LeafSpan)>> = (0..count).map(|_| OnceLock::new()).collect();
+    let work = |thread: usize, worker: &mut Worker| loop {
+        // sync: Relaxed — the counter is a pure claim ticket (atomicity
+        // alone prevents double claims); results publish via the slots'
+        // own synchronization and the scope join.
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&item) = order.get(k) else { break };
+        let alloc0 = obs::alloc::thread_stats();
+        let start_secs = anchor.elapsed().as_secs_f64();
+        let out = leaf(item, worker);
+        let dur_secs = anchor.elapsed().as_secs_f64() - start_secs;
+        let alloc = obs::alloc::thread_stats().since(alloc0);
+        let (index, items) = span(item);
+        let span = LeafSpan {
+            round,
+            stage,
+            index,
+            items,
+            thread,
+            start_secs,
+            dur_secs,
+            alloc_bytes: alloc.bytes,
+            alloc_events: alloc.events,
+        };
+        // Each item is claimed once, so its slot is empty.
+        let _ = slots[item].set((out, span));
+    };
+    let (caller, helpers) = workers.split_at_mut(1);
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = helpers[..threads - 1]
+            .iter_mut()
+            .enumerate()
+            .map(|(h, worker)| scope.spawn(move || work(h + 1, worker)))
+            .collect();
+        work(0, &mut caller[0]);
+        for h in handles {
+            #[expect(
+                clippy::expect_used,
+                reason = "pool leaves return their failures as values and cannot unwind"
+            )]
+            h.join().expect("partition worker panicked");
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            #[expect(
+                clippy::expect_used,
+                reason = "the workers claim every item before the scope ends"
+            )]
+            let (out, span) = slot.into_inner().expect("every item was run");
+            leaves.push(span);
+            out
+        })
+        .collect()
+}
+
 /// All state one flow run threads through its stages.
 pub(crate) struct FlowContext<'a> {
     // Inputs.
@@ -97,6 +210,9 @@ pub(crate) struct FlowContext<'a> {
     model: TimingModel,
     cache: HashMap<Vec<SegmentRef>, CacheEntry>,
     counters: FlowCounters,
+    /// The partition pool's buffers, one per worker (`threads` of them;
+    /// worker 0 is the calling thread).
+    workers: Vec<Worker>,
 
     // Per-round scratch, produced by one stage and consumed by the next.
     round: usize,
@@ -108,8 +224,9 @@ pub(crate) struct FlowContext<'a> {
     raw: Vec<RawSolve>,
     proposals: Vec<(SegmentRef, usize)>,
     pending: Vec<(usize, Vec<usize>, Vec<usize>)>,
-    /// Leaf spans recorded by the running stage (partition solves,
-    /// accept applications); [`drive`] drains them to the observers
+    /// Leaf spans recorded by the running stage (partitions extracted,
+    /// solved and post-mapped, accept applications); [`drive`] drains
+    /// them to the observers
     /// between the stage body and its `on_stage_end` callback.
     leaves: Vec<LeafSpan>,
 
@@ -225,6 +342,9 @@ impl<'a> FlowContext<'a> {
             model,
             cache: HashMap::new(),
             counters: FlowCounters::default(),
+            workers: (0..config.threads.max(1))
+                .map(|_| Worker::default())
+                .collect(),
             round: 0,
             cd,
             partitions: Vec::new(),
@@ -274,9 +394,7 @@ pub(crate) fn stages() -> Vec<Box<dyn FlowStage>> {
         Box::new(SelectStage),
         Box::new(PartitionStage),
         Box::new(ExtractStage),
-        Box::new(SolveStage {
-            scratch: SolveScratch::new(),
-        }),
+        Box::new(SolveStage),
         Box::new(PostMapStage),
         Box::new(GateStage),
         Box::new(AcceptStage),
@@ -377,10 +495,14 @@ impl FlowStage for PartitionStage {
     }
 }
 
-/// Extracts per-partition mathematical programs serially, splitting them
-/// into cache hits (whose stored result is reused verbatim) and misses
-/// (carrying the warm-start iterates of the stale entry they take out of
-/// the cache, if any).
+/// Extracts per-partition mathematical programs on the partition pool,
+/// splitting them into cache hits (whose stored result is reused
+/// verbatim) and misses (carrying the warm-start iterates of the stale
+/// entry they take out of the cache, if any).
+///
+/// Workers extract and compare against the cache as it stood when the
+/// stage began; the reuse counter, the hit results and the cache
+/// removals are then merged serially, in partition order.
 struct ExtractStage;
 
 impl FlowStage for ExtractStage {
@@ -400,6 +522,9 @@ impl FlowStage for ExtractStage {
             ref mut misses,
             ref mut counters,
             ref mut cache,
+            ref mut workers,
+            ref mut leaves,
+            round,
             ..
         } = *ctx;
         #[expect(
@@ -410,50 +535,78 @@ impl FlowStage for ExtractStage {
         let lookup = |r: SegmentRef| -> SegCtx {
             *cd.get(r).expect("released segment has a frozen context")
         };
-        *results = vec![Vec::new(); partitions.len()];
+        let frozen = &*cache;
+        // A miss's problem goes straight to the miss list, so the pool's
+        // per-partition slots stay small; the list is put back in
+        // partition order below.
         misses.clear();
-        for (pi, part) in partitions.iter().enumerate() {
-            let problem = PartitionProblem::extract(
-                grid,
-                netlist,
-                assignment,
-                &part.segments,
-                &lookup,
-                &config.problem,
-            );
-            if let Some(entry) = cache.get(&part.segments) {
-                if entry.problem == problem {
-                    counters.partitions_reused += 1;
-                    // alloc: cache hits hand out owned copies; the entry
-                    // stays resident for later rounds.
-                    results[pi] = entry.result.clone();
-                    continue;
-                }
+        let hits = {
+            let sink = Mutex::new(&mut *misses);
+            pool_run(
+                workers,
+                config.threads,
+                partitions.len(),
+                round,
+                Stage::Extract,
+                |pi| (pi, partitions[pi].segments.len()),
+                |pi, worker| {
+                    let segments = &partitions[pi].segments;
+                    let problem = PartitionProblem::extract_with(
+                        grid,
+                        netlist,
+                        assignment,
+                        segments,
+                        &lookup,
+                        &config.problem,
+                        &mut worker.extract,
+                    );
+                    let hit = frozen
+                        .get(segments)
+                        .is_some_and(|entry| entry.problem == problem);
+                    if !hit {
+                        sink.lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .push((pi, problem, None));
+                    }
+                    hit
+                },
+                leaves,
+            )
+        };
+        misses.sort_unstable_by_key(|m| m.0);
+        *results = vec![Vec::new(); partitions.len()];
+        let mut pending = misses.iter_mut().peekable();
+        for (pi, hit) in hits.into_iter().enumerate() {
+            let segments = &partitions[pi].segments;
+            if hit {
+                counters.partitions_reused += 1;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a hit was judged against this entry, and only misses remove keys"
+                )]
+                let entry = cache.get(segments).expect("a hit's entry is cached");
+                // alloc: cache hits hand out owned copies; the entry
+                // stays resident for later rounds.
+                results[pi] = entry.result.clone();
+            } else if let Some((_, _, warm)) = pending.next_if(|m| m.0 == pi) {
+                // A miss takes its stale entry out of the cache, warm
+                // pair and all: PostMap re-inserts the key with the
+                // fresh problem, so at most one problem per partition
+                // is ever alive. Partitions are disjoint, so no other
+                // leaf of this round reads the key, and a failed Solve
+                // aborts the run.
+                *warm = cache.remove(segments).and_then(|entry| entry.warm);
             }
-            // A miss takes its stale entry out of the cache, warm pair
-            // and all: PostMap re-inserts the key with the fresh problem,
-            // so at most one problem per partition is ever alive.
-            // Partitions are disjoint, so no other leaf of this round
-            // reads the key, and a failed Solve aborts the run.
-            let warm = cache.remove(&part.segments).and_then(|entry| entry.warm);
-            misses.push((pi, problem, warm));
         }
         Ok(())
     }
 }
 
-/// Solves the cache misses' mathematical programs — the parallel phase.
+/// Solves the cache misses' mathematical programs on the partition pool.
 ///
-/// Misses sorted by descending segment count are claimed off an atomic
-/// counter by the worker pool (work stealing: no thread idles while a
-/// heavy partition pins another). Each solve is a pure function of its
-/// extracted problem and frozen warm start, so the claim order cannot
-/// change any result.
-struct SolveStage {
-    /// Per-leaf solve scratch for the serial path, kept across rounds;
-    /// parallel workers carry their own.
-    scratch: SolveScratch,
-}
+/// Each solve is a pure function of its extracted problem and frozen
+/// warm start, so the claim order cannot change any result.
+struct SolveStage;
 
 impl SolveStage {
     /// Runs the configured mathematical program on one extracted
@@ -462,7 +615,7 @@ impl SolveStage {
         config: &CplaConfig,
         problem: &PartitionProblem,
         warm: Option<&WarmPair>,
-        scratch: &mut SolveScratch,
+        worker: &mut Worker,
     ) -> Result<RawSolve, SolveError> {
         match config.solver {
             SolverKind::Sdp(base) => {
@@ -473,9 +626,12 @@ impl SolveStage {
                     rank_stop_vars: problem.num_variables(),
                     ..base
                 };
-                let (sdp, _) = problem.to_sdp();
-                let sol =
-                    sdp_config.try_solve_from_with(&sdp, warm.map(|w| (&w.0, &w.1)), scratch)?;
+                problem.to_sdp_into(&mut worker.sdp);
+                let sol = sdp_config.try_solve_from_with(
+                    &worker.sdp,
+                    warm.map(|w| (&w.0, &w.1)),
+                    &mut worker.solve,
+                )?;
                 Ok(RawSolve::Relaxed {
                     x: sol.x.diagonal(),
                     warm: Some((sol.z, sol.u)),
@@ -503,114 +659,78 @@ impl FlowStage for SolveStage {
     }
 
     fn run(&mut self, ctx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-        let config = &ctx.config;
-        let misses = &ctx.misses;
-        let round = ctx.round;
-        let threads = config.threads.max(1).min(misses.len());
-        // One monotonic anchor for the whole stage: leaf offsets are
-        // seconds since this instant, on whichever thread ran the leaf.
-        let anchor = Instant::now();
-        let raw: Vec<Result<RawSolve, SolveError>> = if threads <= 1 {
-            let scratch = &mut self.scratch;
-            let mut out = Vec::with_capacity(misses.len());
-            for (pi, p, w) in misses.iter() {
-                let alloc0 = obs::alloc::thread_stats();
-                let start_secs = anchor.elapsed().as_secs_f64();
-                out.push(Self::solve_raw(config, p, w.as_ref(), scratch));
-                let dur_secs = anchor.elapsed().as_secs_f64() - start_secs;
-                let alloc = obs::alloc::thread_stats().since(alloc0);
-                ctx.leaves.push(LeafSpan {
-                    round,
-                    stage: Stage::Solve,
-                    index: *pi,
-                    items: p.segments.len(),
-                    thread: 0,
-                    start_secs,
-                    dur_secs,
-                    alloc_bytes: alloc.bytes,
-                    alloc_events: alloc.events,
-                });
-            }
-            out
-        } else {
-            let mut order: Vec<usize> = (0..misses.len()).collect();
-            order.sort_unstable_by(|&a, &b| {
-                misses[b]
-                    .1
-                    .segments
-                    .len()
-                    .cmp(&misses[a].1.segments.len())
-                    .then(a.cmp(&b))
-            });
-            let next = AtomicUsize::new(0);
-            let mut slots: Vec<Option<Result<RawSolve, SolveError>>> =
-                (0..misses.len()).map(|_| None).collect();
-            let mut leaf_slots: Vec<Option<LeafSpan>> = vec![None; misses.len()];
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for worker in 0..threads {
-                    let next = &next;
-                    let order = &order;
-                    handles.push(scope.spawn(move || {
-                        let mut scratch = SolveScratch::new();
-                        // alloc: one buffer per worker (the `for worker`
-                        // loop), reused across every claimed leaf.
-                        let mut local = Vec::new();
-                        loop {
-                            // sync: Relaxed — the counter is a pure claim
-                            // ticket (atomicity alone prevents double
-                            // claims); results publish via the scope join.
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&mi) = order.get(k) else { break };
-                            let (pi, p, w) = &misses[mi];
-                            let alloc0 = obs::alloc::thread_stats();
-                            let start_secs = anchor.elapsed().as_secs_f64();
-                            let out = Self::solve_raw(config, p, w.as_ref(), &mut scratch);
-                            let dur_secs = anchor.elapsed().as_secs_f64() - start_secs;
-                            let alloc = obs::alloc::thread_stats().since(alloc0);
-                            let leaf = LeafSpan {
-                                round,
-                                stage: Stage::Solve,
-                                index: *pi,
-                                items: p.segments.len(),
-                                thread: worker + 1,
-                                start_secs,
-                                dur_secs,
-                                alloc_bytes: alloc.bytes,
-                                alloc_events: alloc.events,
-                            };
-                            local.push((mi, out, leaf));
-                        }
-                        local
-                    }));
-                }
-                for h in handles {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "workers run no user code and cannot unwind past solve_raw's \
-                                  Result"
-                    )]
-                    for (mi, out, leaf) in h.join().expect("partition worker panicked") {
-                        slots[mi] = Some(out);
-                        leaf_slots[mi] = Some(leaf);
-                    }
-                }
-            });
-            // Deliver leaves in miss order: deterministic regardless of
-            // which worker claimed what.
-            ctx.leaves.extend(leaf_slots.into_iter().flatten());
-            slots.into_iter().flatten().collect()
-        };
-        ctx.raw = raw.into_iter().collect::<Result<Vec<_>, SolveError>>()?;
-        ctx.counters.warm_starts += ctx.raw.iter().filter(|r| r.warm_started()).count();
+        let FlowContext {
+            ref config,
+            ref misses,
+            ref mut workers,
+            ref mut leaves,
+            ref mut raw,
+            ref mut counters,
+            round,
+            ..
+        } = *ctx;
+        let solved = pool_run(
+            workers,
+            config.threads,
+            misses.len(),
+            round,
+            Stage::Solve,
+            |mi| (misses[mi].0, misses[mi].1.segments.len()),
+            |mi, worker| {
+                let (_, problem, warm) = &misses[mi];
+                Self::solve_raw(config, problem, warm.as_ref(), worker)
+            },
+            leaves,
+        );
+        *raw = solved.into_iter().collect::<Result<Vec<_>, SolveError>>()?;
+        counters.warm_starts += raw.iter().filter(|r| r.warm_started()).count();
         Ok(())
     }
 }
 
-/// Rounds the raw solutions to integral layers (Algorithm 1), judges
-/// acceptance against the partition objective, refreshes the cache, and
-/// merges the accepted per-segment proposals back in partition order.
+/// Rounds the raw solutions to integral layers (Algorithm 1) and judges
+/// acceptance against the partition objective on the partition pool,
+/// then — serially, in miss order — refreshes the cache and merges the
+/// accepted per-segment proposals back in partition order.
 struct PostMapStage;
+
+impl PostMapStage {
+    /// One miss's accepted layers as a result row, and the objective
+    /// evaluations its acceptance test made.
+    fn map_leaf(
+        alpha: f64,
+        problem: &PartitionProblem,
+        raw: &RawSolve,
+        worker: &mut Worker,
+    ) -> (Vec<(SegmentRef, usize)>, u64) {
+        let Worker {
+            post_map, chosen, ..
+        } = worker;
+        let proposed: Option<&[usize]> = match raw {
+            RawSolve::Relaxed { x, .. } => Some(post_map_with(problem, x, post_map)),
+            RawSolve::Exact(choices) => choices.as_deref(),
+        };
+        // Accept only if the partition objective does not regress.
+        let (accepted, evaluations): (&[usize], u64) = match proposed {
+            Some(choices) => {
+                let keep = soft_cost(alpha, problem, choices, chosen)
+                    <= soft_cost(alpha, problem, &problem.current, chosen);
+                (if keep { choices } else { &problem.current }, 2)
+            }
+            None => (&problem.current, 0),
+        };
+        // alloc: one result row per solved leaf, retained past the
+        // stage in `ctx.results`.
+        let result = problem
+            .segments
+            .iter()
+            .zip(accepted)
+            .enumerate()
+            .map(|(i, (&sref, &c))| (sref, problem.candidates(i)[c]))
+            .collect();
+        (result, evaluations)
+    }
+}
 
 impl FlowStage for PostMapStage {
     fn stage(&self) -> Stage {
@@ -619,30 +739,25 @@ impl FlowStage for PostMapStage {
 
     fn run(&mut self, ctx: &mut FlowContext<'_>) -> Result<(), FlowError> {
         let alpha = ctx.config.alpha;
-        for ((pi, problem, _), raw) in ctx.misses.drain(..).zip(ctx.raw.drain(..)) {
-            let (proposed, warm_out): (Option<Vec<usize>>, _) = match raw {
-                RawSolve::Relaxed { x, warm, .. } => (Some(post_map(&problem, &x)), warm),
-                RawSolve::Exact(choices) => (choices, None),
+        let (misses, raw) = (&ctx.misses, &ctx.raw);
+        let mapped = pool_run(
+            &mut ctx.workers,
+            ctx.config.threads,
+            misses.len(),
+            ctx.round,
+            Stage::PostMap,
+            |mi| (misses[mi].0, misses[mi].1.segments.len()),
+            |mi, worker| Self::map_leaf(alpha, &misses[mi].1, &raw[mi], worker),
+            &mut ctx.leaves,
+        );
+        for (((pi, problem, _), raw), (result, evaluations)) in
+            ctx.misses.drain(..).zip(ctx.raw.drain(..)).zip(mapped)
+        {
+            let warm = match raw {
+                RawSolve::Relaxed { warm, .. } => warm,
+                RawSolve::Exact(_) => None,
             };
-            // Accept only if the partition objective does not regress.
-            let accepted: &[usize] = match &proposed {
-                Some(choices) => {
-                    ctx.counters.evaluations += 2;
-                    if soft_cost(alpha, &problem, choices)
-                        <= soft_cost(alpha, &problem, &problem.current)
-                    {
-                        choices
-                    } else {
-                        &problem.current
-                    }
-                }
-                None => &problem.current,
-            };
-            let layers = problem.choices_to_layers(accepted);
-            // alloc: one result row per solved leaf, retained past the
-            // loop in `ctx.results`.
-            let result: Vec<(SegmentRef, usize)> =
-                problem.segments.iter().copied().zip(layers).collect();
+            ctx.counters.evaluations += evaluations;
             ctx.counters.partitions_solved += 1;
             // alloc: the cross-round cache owns its key and entry.
             ctx.cache.insert(
@@ -650,7 +765,7 @@ impl FlowStage for PostMapStage {
                 CacheEntry {
                     // alloc: the entry keeps its own copy of the row.
                     result: result.clone(),
-                    warm: warm_out,
+                    warm,
                     problem,
                 },
             );
@@ -828,13 +943,19 @@ impl FlowStage for MeasureStage {
 }
 
 /// Partition objective with soft overflow: linear + pair costs plus
-/// α·(mean linear cost)·overflow units.
-fn soft_cost(alpha: f64, problem: &PartitionProblem, choices: &[usize]) -> f64 {
-    problem.cost(choices) + alpha * problem.mean_linear_cost() * problem.overflow(choices) as f64
+/// α·(mean linear cost)·overflow units. `chosen` is a reused buffer.
+fn soft_cost(
+    alpha: f64,
+    problem: &PartitionProblem,
+    choices: &[usize],
+    chosen: &mut Vec<bool>,
+) -> f64 {
+    problem.cost(choices)
+        + alpha * problem.mean_linear_cost() * problem.overflow_with(choices, chosen) as f64
 }
 
-/// Reassembles [`PipelineStats`] from observer callbacks — the wall-time
-/// and counter instrumentation is itself just a [`StageObserver`].
+/// Reassembles [`PipelineStats`] from observer callbacks — the counter
+/// instrumentation is itself just a [`StageObserver`].
 #[derive(Default)]
 pub(crate) struct StatsCollector {
     stats: PipelineStats,
@@ -847,18 +968,6 @@ impl StatsCollector {
 }
 
 impl StageObserver for StatsCollector {
-    fn on_stage_end(&mut self, _round: usize, stage: Stage, seconds: f64) {
-        match stage {
-            Stage::Select => self.stats.context_secs += seconds,
-            Stage::Partition => self.stats.partition_secs += seconds,
-            Stage::Extract => self.stats.extract_secs += seconds,
-            Stage::Solve | Stage::PostMap => self.stats.solve_secs += seconds,
-            Stage::Gate | Stage::Accept => self.stats.apply_secs += seconds,
-            Stage::Measure => self.stats.metrics_secs += seconds,
-            _ => {}
-        }
-    }
-
     fn on_round_end(&mut self, snapshot: &RoundSnapshot) {
         self.stats.rounds += 1;
         let c = snapshot.counters;
@@ -903,7 +1012,6 @@ pub(crate) fn drive(
         ctx.round = round;
         for stage in stages.iter_mut() {
             let s = stage.stage();
-            stats.on_stage_start(round, s);
             for obs in observers.iter_mut() {
                 obs.on_stage_start(round, s);
             }
@@ -914,12 +1022,10 @@ pub(crate) fn drive(
             // threads) are delivered here, on the driver thread, before
             // the stage-end boundary — observers stay lock-free.
             for leaf in ctx.leaves.drain(..) {
-                stats.on_leaf(&leaf);
                 for obs in observers.iter_mut() {
                     obs.on_leaf(&leaf);
                 }
             }
-            stats.on_stage_end(round, s, secs);
             for obs in observers.iter_mut() {
                 obs.on_stage_end(round, s, secs);
             }

@@ -59,6 +59,24 @@ pub fn timing_gate(
     }
 }
 
+/// Buffers [`post_map_with`] reuses from one call to the next: the
+/// groups' residual capacities, the transpose of their member rows,
+/// the sweep's group order and ranking buffers, the choices being
+/// made, and the mapped result. A caller mapping many problems (CPLA's
+/// PostMap stage, one per solved partition) keeps one per thread.
+#[derive(Debug, Default)]
+pub(crate) struct PostMapScratch {
+    remaining: Vec<i64>,
+    var_groups_start: Vec<usize>,
+    fill: Vec<usize>,
+    var_groups: Vec<usize>,
+    choice: Vec<Option<usize>>,
+    order: Vec<usize>,
+    cands: Vec<(f64, usize)>,
+    ranked: Vec<(f64, usize)>,
+    mapped: Vec<usize>,
+}
+
 /// Maps relaxed diagonal values to an integral candidate choice per
 /// segment.
 ///
@@ -71,19 +89,45 @@ pub fn timing_gate(
 /// Panics if `x.len() < problem.num_variables()` (slack entries beyond
 /// the variables are permitted and ignored).
 pub fn post_map(problem: &PartitionProblem, x: &[f64]) -> Vec<usize> {
+    post_map_with(problem, x, &mut PostMapScratch::default()).to_vec()
+}
+
+/// [`post_map`] with caller-kept buffers; the choices are returned as
+/// a view into `scratch`, valid until its next use.
+///
+/// # Panics
+///
+/// Same as [`post_map`].
+pub(crate) fn post_map_with<'s>(
+    problem: &PartitionProblem,
+    x: &[f64],
+    scratch: &'s mut PostMapScratch,
+) -> &'s [usize] {
     let n = problem.segments.len();
     let num_vars = problem.num_variables();
     assert!(x.len() >= num_vars, "solution vector too short");
+    let PostMapScratch {
+        remaining,
+        var_groups_start,
+        fill,
+        var_groups,
+        choice,
+        order,
+        cands,
+        ranked,
+        mapped,
+    } = scratch;
 
     // Residual capacity per group, from the extracted limits, and the
     // groups each variable would occupy (the transpose of the groups'
     // member rows). Every segment on an edge shares one candidate set,
     // so variable (i, c) sits in group (layer of c, e) for each edge e
     // of segment i.
-    let groups: Vec<_> = problem.groups().collect();
-    let mut remaining: Vec<i64> = groups.iter().map(|g| i64::from(g.limit)).collect();
-    let mut var_groups_start = vec![0usize; num_vars + 1];
-    for g in &groups {
+    remaining.clear();
+    remaining.extend(problem.groups().map(|g| i64::from(g.limit)));
+    var_groups_start.clear();
+    var_groups_start.resize(num_vars + 1, 0);
+    for g in problem.groups() {
         for &v in g.members {
             var_groups_start[v as usize + 1] += 1;
         }
@@ -91,14 +135,17 @@ pub fn post_map(problem: &PartitionProblem, x: &[f64]) -> Vec<usize> {
     for v in 0..num_vars {
         var_groups_start[v + 1] += var_groups_start[v];
     }
-    let mut fill = var_groups_start.clone();
-    let mut var_groups = vec![0usize; var_groups_start[num_vars]];
-    for (gi, g) in groups.iter().enumerate() {
+    fill.clear();
+    fill.extend_from_slice(var_groups_start);
+    var_groups.clear();
+    var_groups.resize(var_groups_start[num_vars], 0);
+    for (gi, g) in problem.groups().enumerate() {
         for &v in g.members {
             var_groups[fill[v as usize]] = gi;
             fill[v as usize] += 1;
         }
     }
+    let (var_groups_start, var_groups) = (&*var_groups_start, &*var_groups);
     let groups_of = |v: usize| &var_groups[var_groups_start[v]..var_groups_start[v + 1]];
 
     let fits =
@@ -118,40 +165,41 @@ pub fn post_map(problem: &PartitionProblem, x: &[f64]) -> Vec<usize> {
             .fold(f64::NEG_INFINITY, f64::max)
     };
 
-    let mut choice: Vec<Option<usize>> = vec![None; n];
+    choice.clear();
+    choice.resize(n, None);
 
     // Edges in order; on each edge its layers top-down (candidate
-    // layers are stored bottom-up).
-    let mut order: Vec<usize> = (0..groups.len()).collect();
+    // layers are stored bottom-up). Every (layer, edge) is one group,
+    // so the order has no ties.
+    order.clear();
+    order.extend(0..problem.num_groups());
     order.sort_unstable_by(|&a, &b| {
-        groups[a]
-            .edge
-            .cmp(&groups[b].edge)
-            .then(groups[b].layer.cmp(&groups[a].layer))
+        let (ga, gb) = (problem.group(a), problem.group(b));
+        ga.edge.cmp(&gb.edge).then(gb.layer.cmp(&ga.layer))
     });
-    // alloc: one ranking buffer, reused for every (edge, layer).
-    let mut cands: Vec<(f64, usize)> = Vec::new();
-    for g in order {
+    for &g in order.iter() {
         // Unassigned segments on this edge that may take this layer,
         // best value first. A group holds one variable per segment, in
-        // segment order, so ties break by segment index.
+        // segment order, so ties break by segment index (the variables
+        // are distinct, so the order has no ties).
         cands.clear();
         cands.extend(
-            groups[g]
+            problem
+                .group(g)
                 .members
                 .iter()
                 .map(|&v| (x[v as usize], v as usize))
                 .filter(|&(_, v)| choice[problem.variable(v).0].is_none()),
         );
-        cands.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        for &(value, v) in &cands {
+        cands.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        for &(value, v) in cands.iter() {
             if remaining[g] <= 0 {
                 break;
             }
             let (i, c) = problem.variable(v);
-            if fits(v, &remaining) && value + 1e-12 >= best_fitting(i, &remaining) {
+            if fits(v, remaining) && value + 1e-12 >= best_fitting(i, remaining) {
                 choice[i] = Some(c);
-                consume(v, &mut remaining);
+                consume(v, remaining);
             }
         }
     }
@@ -163,11 +211,8 @@ pub fn post_map(problem: &PartitionProblem, x: &[f64]) -> Vec<usize> {
             continue;
         }
         let vars = problem.variables(i);
-        let mut ranked: Vec<(f64, usize)> = vars
-            .clone()
-            .map(|v| (x[v], v))
-            // alloc: owned buffer required by the sort below.
-            .collect();
+        ranked.clear();
+        ranked.extend(vars.clone().map(|v| (x[v], v)));
         ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
         #[expect(
             clippy::expect_used,
@@ -175,22 +220,21 @@ pub fn post_map(problem: &PartitionProblem, x: &[f64]) -> Vec<usize> {
         )]
         let picked = ranked
             .iter()
-            .find(|&&(_, v)| fits(v, &remaining))
+            .find(|&&(_, v)| fits(v, remaining))
             .or_else(|| ranked.first())
             .map(|&(_, v)| v)
             .expect("segments always have candidates");
         choice[i] = Some(picked - vars.start);
-        consume(picked, &mut remaining);
+        consume(picked, remaining);
     }
 
+    mapped.clear();
     #[expect(
         clippy::expect_used,
         reason = "the loop above visits every segment once"
     )]
-    choice
-        .into_iter()
-        .map(|c| c.expect("all assigned"))
-        .collect()
+    mapped.extend(choice.iter().map(|c| c.expect("all assigned")));
+    mapped
 }
 
 #[cfg(test)]

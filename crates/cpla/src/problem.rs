@@ -26,7 +26,7 @@ use std::ops::Range;
 
 use grid::{Direction, Edge2d, Grid};
 use net::{Assignment, Netlist, SegmentRef};
-use solver::{CapacityGroup, ChoiceProblem, PairCost, SdpProblem, SymMatrix};
+use solver::{CapacityGroup, ChoiceProblem, PairCost, SdpProblem};
 
 use crate::context::SegCtx;
 
@@ -125,6 +125,23 @@ impl Default for ProblemConfig {
             overflow_penalty_weight: 20.0,
         }
     }
+}
+
+/// Buffers [`PartitionProblem::extract_with`] reuses from one call to
+/// the next: the segment-index map, the layer lists of both
+/// directions, one segment's edges, the in-partition pairs and their
+/// cost tables as they are found, and the (group key, variable)
+/// entries of the capacity groups. A caller extracting many problems
+/// (CPLA's Extract stage, one per partition) keeps one per thread.
+#[derive(Debug, Default)]
+pub(crate) struct ExtractScratch {
+    index: HashMap<SegmentRef, usize>,
+    h_layers: Vec<usize>,
+    v_layers: Vec<usize>,
+    edges: Vec<Edge2d>,
+    pairs: Vec<PairSpan>,
+    pair_costs: Vec<f64>,
+    entries: Vec<(GroupKey, u32, bool)>,
 }
 
 /// A partition's extracted assignment problem.
@@ -263,15 +280,54 @@ impl PartitionProblem {
         ctx: &dyn Fn(SegmentRef) -> SegCtx,
         config: &ProblemConfig,
     ) -> PartitionProblem {
-        let index: HashMap<SegmentRef, usize> =
-            segments.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let h_layers: Vec<usize> = grid.layers_in_direction(Direction::Horizontal).collect();
-        let v_layers: Vec<usize> = grid.layers_in_direction(Direction::Vertical).collect();
+        let mut scratch = ExtractScratch::default();
+        PartitionProblem::extract_with(
+            grid,
+            netlist,
+            assignment,
+            segments,
+            ctx,
+            config,
+            &mut scratch,
+        )
+    }
+
+    /// [`PartitionProblem::extract`] with caller-kept buffers: the
+    /// problem it returns is the same, and it allocates only the
+    /// problem's own arrays, each once at its final size.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`PartitionProblem::extract`].
+    pub(crate) fn extract_with(
+        grid: &Grid,
+        netlist: &Netlist,
+        assignment: &Assignment,
+        segments: &[SegmentRef],
+        ctx: &dyn Fn(SegmentRef) -> SegCtx,
+        config: &ProblemConfig,
+        scratch: &mut ExtractScratch,
+    ) -> PartitionProblem {
+        let ExtractScratch {
+            index,
+            h_layers,
+            v_layers,
+            edges,
+            pairs,
+            pair_costs,
+            entries,
+        } = scratch;
+        index.clear();
+        index.extend(segments.iter().enumerate().map(|(i, &s)| (s, i)));
+        h_layers.clear();
+        h_layers.extend(grid.layers_in_direction(Direction::Horizontal));
+        v_layers.clear();
+        v_layers.extend(grid.layers_in_direction(Direction::Vertical));
         let candidates_of = |sref: SegmentRef| -> &[usize] {
             let tree = netlist.net(sref.net as usize).tree();
             match tree.segment(sref.seg as usize).dir {
-                Direction::Horizontal => &h_layers,
-                Direction::Vertical => &v_layers,
+                Direction::Horizontal => h_layers,
+                Direction::Vertical => v_layers,
             }
         };
 
@@ -356,8 +412,8 @@ impl PartitionProblem {
         // A via between parent p and child i serves the sinks below i,
         // so its delay term carries the child's criticality weight W_i
         // (Eqn. 3's min rule picks the child-side downstream cap).
-        let mut pairs = Vec::new();
-        let mut pair_costs = Vec::new();
+        pairs.clear();
+        pair_costs.clear();
         for (i, &sref) in segments.iter().enumerate() {
             let net = netlist.net(sref.net as usize);
             let tree = net.tree();
@@ -443,19 +499,18 @@ impl PartitionProblem {
                 }
             }
         }
-        // A problem may stay cached for the rest of the run: drop the
-        // growth slack of the two arrays whose length was not known.
-        pairs.shrink_to_fit();
-        pair_costs.shrink_to_fit();
 
         // ---- pass 3: edge-capacity constraints ----
         // One (key, variable, currently chosen) entry per variable and
-        // covered edge; a stable sort groups them by (layer, edge) with
+        // covered edge. A segment covers an edge once and puts one
+        // variable on each layer, so every (key, variable) is unique,
+        // and sorting by it groups the entries by (layer, edge) with
         // each group's members in ascending variable order.
-        let mut entries: Vec<(GroupKey, u32, bool)> = Vec::new();
+        entries.clear();
         for (i, &sref) in segments.iter().enumerate() {
             let tree = netlist.net(sref.net as usize).tree();
-            for edge in tree.segment_edges(sref.seg as usize) {
+            tree.segment_edges_into(sref.seg as usize, edges);
+            for &edge in edges.iter() {
                 for v in vars(i) {
                     entries.push((
                         GroupKey {
@@ -468,7 +523,7 @@ impl PartitionProblem {
                 }
             }
         }
-        entries.sort_by_key(|&(key, _, _)| key);
+        entries.sort_unstable_by_key(|&(key, v, _)| (key, v));
         let num_groups = entries.chunk_by(|x, y| x.0 == y.0).count();
         let mut group_keys = Vec::with_capacity(num_groups);
         let mut group_limit = Vec::with_capacity(num_groups);
@@ -493,14 +548,16 @@ impl PartitionProblem {
             group_start.push(flat_index(group_members.len()));
         }
 
+        // A problem may stay cached for the rest of the run: the two
+        // arrays whose length was not known are copied out at it.
         PartitionProblem {
             segments: segments.to_vec(),
             current,
             var_start,
             var_layer,
             linear,
-            pairs,
-            pair_costs,
+            pairs: pairs.to_vec(),
+            pair_costs: pair_costs.to_vec(),
             group_keys,
             group_limit,
             group_start,
@@ -570,6 +627,27 @@ impl PartitionProblem {
         })
     }
 
+    /// Number of edge-capacity groups.
+    pub(crate) fn num_groups(&self) -> usize {
+        self.group_keys.len()
+    }
+
+    /// Edge-capacity group `g` in (layer, edge) order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range.
+    pub(crate) fn group(&self, g: usize) -> EdgeGroup<'_> {
+        let key = self.group_keys[g];
+        EdgeGroup {
+            layer: key.layer as usize,
+            edge: key.edge,
+            limit: self.group_limit[g],
+            members: &self.group_members
+                [self.group_start[g] as usize..self.group_start[g + 1] as usize],
+        }
+    }
+
     /// Edge-capacity groups, ordered by (layer, edge).
     pub fn groups(&self) -> impl ExactSizeIterator<Item = EdgeGroup<'_>> + '_ {
         self.group_keys
@@ -628,46 +706,46 @@ impl PartitionProblem {
     /// Returns the SDP plus the variable offset of each segment (the
     /// diagonal position of its first candidate).
     pub fn to_sdp(&self) -> (SdpProblem, Vec<usize>) {
-        let offsets: Vec<usize> = (0..self.segments.len())
+        let mut sdp = SdpProblem::empty(0);
+        self.to_sdp_into(&mut sdp);
+        let offsets = (0..self.segments.len())
             .map(|i| self.variables(i).start)
             .collect();
-        let n = self.num_variables();
-        let dim = n + self.groups().filter(EdgeGroup::binds).count();
+        (sdp, offsets)
+    }
 
-        let mut t = SymMatrix::zeros(dim);
+    /// [`PartitionProblem::to_sdp`] into a reused problem: the SDP is
+    /// handed over as the sparse lists it is (one cost entry per
+    /// variable and per pair-cost cell, one constraint row per segment
+    /// and per binding group), so lowering a leaf costs time in
+    /// proportion to its nonzeros and, once `sdp`'s buffers have grown,
+    /// allocates nothing.
+    pub(crate) fn to_sdp_into(&self, sdp: &mut SdpProblem) {
+        let n = self.num_variables();
+        sdp.reset(n + self.groups().filter(EdgeGroup::binds).count());
         for (v, &cost) in self.linear.iter().enumerate() {
-            t.set(v, v, cost);
+            sdp.add_cost(v, v, cost);
         }
         for pair in self.pairs() {
+            let (a, b) = (self.variables(pair.a).start, self.variables(pair.b).start);
             for (ca, row) in pair.costs.chunks(pair.cols).enumerate() {
                 for (cb, &cost) in row.iter().enumerate() {
                     // ⟨T, X⟩ visits both symmetric entries, so halve.
-                    t.add_to(offsets[pair.a] + ca, offsets[pair.b] + cb, cost / 2.0);
+                    sdp.add_cost(a + ca, b + cb, cost / 2.0);
                 }
             }
         }
-
-        let mut sdp = SdpProblem::new(t);
         for i in 0..self.segments.len() {
-            let entries: Vec<(usize, usize, f64)> = self
-                .variables(i)
-                .map(|v| (v, v, 1.0))
-                // alloc: constraint row handed off to the SDP.
-                .collect();
-            sdp.add_constraint(entries, 1.0);
+            sdp.add_constraint(self.variables(i).map(|v| (v, v, 1.0)), 1.0);
         }
         for (k, g) in self.groups().filter(EdgeGroup::binds).enumerate() {
             let slack = n + k;
-            let mut entries: Vec<(usize, usize, f64)> = g
-                .members
-                .iter()
-                .map(|&v| (v as usize, v as usize, 1.0))
-                // alloc: constraint row handed off to the SDP.
-                .collect();
-            entries.push((slack, slack, 1.0));
-            sdp.add_constraint(entries, g.limit as f64);
+            let members = g.members.iter().map(|&v| (v as usize, v as usize, 1.0));
+            sdp.add_constraint(
+                members.chain(std::iter::once((slack, slack, 1.0))),
+                g.limit as f64,
+            );
         }
-        (sdp, offsets)
     }
 
     /// Linear plus pairwise cost of a candidate-index assignment,
@@ -690,15 +768,22 @@ impl PartitionProblem {
         cost
     }
 
-    /// Selected members and limit of every group under `choices`.
-    fn group_loads<'a>(&'a self, choices: &[usize]) -> impl Iterator<Item = (u32, u32)> + 'a {
+    /// Selected members and limit of every group under `choices`;
+    /// `chosen` is the caller's buffer for the chosen-variable mask.
+    fn group_loads<'a>(
+        &'a self,
+        choices: &[usize],
+        chosen: &'a mut Vec<bool>,
+    ) -> impl Iterator<Item = (u32, u32)> + 'a {
         assert_eq!(choices.len(), self.segments.len());
-        let mut chosen = vec![false; self.num_variables()];
+        chosen.clear();
+        chosen.resize(self.num_variables(), false);
         for (i, &c) in choices.iter().enumerate() {
             let vars = self.variables(i);
             assert!(c < vars.len(), "candidate {c} out of range for segment {i}");
             chosen[vars.start + c] = true;
         }
+        let chosen = &*chosen;
         self.groups().map(move |g| {
             let used = g.members.iter().filter(|&&v| chosen[v as usize]).count() as u32;
             (used, g.limit)
@@ -713,7 +798,17 @@ impl PartitionProblem {
     /// Panics if `choices` has the wrong length or an index is out of
     /// range.
     pub fn overflow(&self, choices: &[usize]) -> u32 {
-        self.group_loads(choices)
+        self.overflow_with(choices, &mut Vec::new())
+    }
+
+    /// [`PartitionProblem::overflow`] with a caller-kept buffer for the
+    /// chosen-variable mask.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`PartitionProblem::overflow`].
+    pub(crate) fn overflow_with(&self, choices: &[usize], chosen: &mut Vec<bool>) -> u32 {
+        self.group_loads(choices, chosen)
             .map(|(used, limit)| used.saturating_sub(limit))
             .sum()
     }
@@ -735,7 +830,8 @@ impl PartitionProblem {
     /// range.
     pub fn evaluate(&self, choices: &[usize]) -> Option<f64> {
         let cost = self.cost(choices);
-        let mut loads = self.group_loads(choices);
+        let mut chosen = Vec::new();
+        let mut loads = self.group_loads(choices, &mut chosen);
         if loads.any(|(used, limit)| used > limit) {
             None
         } else {

@@ -14,21 +14,10 @@
 //! A change to the problem's storage must leave the digest alone; a
 //! change to what a problem means must re-pin it on purpose.
 
-use cpla::problem::{PartitionProblem, ProblemConfig};
-use ispd::SyntheticConfig;
-use net::SegmentRef;
-use route::{initial_assignment, route_netlist, RouterConfig};
+mod common;
 
-/// The design: the in-memory stand-in for ISPD'08 `adaptec1`.
-const DESIGN: &str = "adaptec1";
-/// Released fraction: ten times the engine's default, so the pin covers
-/// ~300 partitions instead of ~40.
-const RATIO: f64 = 0.05;
-/// Criticality exponent, K×K division and leaf bound of the engine's
-/// defaults (`CplaConfig::default()`); the first round uses no offset.
-const FOCUS: f64 = 4.0;
-const DIVISIONS: usize = 4;
-const LEAF_BOUND: usize = 10;
+use common::Fnv;
+use cpla::problem::PartitionProblem;
 
 /// Digest and partition count, recorded with the nested problem layout
 /// (one `Vec` per candidate list, cost row and edge constraint) before
@@ -36,28 +25,9 @@ const LEAF_BOUND: usize = 10;
 const PINNED_DIGEST: u64 = 0xcd3c_ce72_45fe_80e3;
 const PINNED_PARTITIONS: usize = 309;
 
-/// 64-bit FNV-1a over little-endian words.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn size(&mut self, v: usize) {
-        self.word(v as u64);
-    }
-
-    fn cost(&mut self, v: Option<f64>) {
-        // `u64::MAX` is the bit pattern of no finite cost.
-        self.word(v.map_or(u64::MAX, f64::to_bits));
-    }
+/// Hashes a cost; `u64::MAX` is the bit pattern of no finite cost.
+fn digest_cost(h: &mut Fnv, v: Option<f64>) {
+    h.word(v.map_or(u64::MAX, f64::to_bits));
 }
 
 fn digest_problem(h: &mut Fnv, p: &PartitionProblem, rng: &mut prng::Rng) {
@@ -70,9 +40,10 @@ fn digest_problem(h: &mut Fnv, p: &PartitionProblem, rng: &mut prng::Rng) {
     for &o in &offsets {
         h.size(o);
     }
+    let cost = sdp.to_dense_cost();
     for i in 0..dim {
         for j in i..dim {
-            h.word(sdp.cost().get(i, j).to_bits());
+            h.word(cost.get(i, j).to_bits());
         }
     }
     h.size(sdp.num_constraints());
@@ -98,7 +69,7 @@ fn digest_problem(h: &mut Fnv, p: &PartitionProblem, rng: &mut prng::Rng) {
         }
     }
 
-    h.cost(p.evaluate(&p.current));
+    digest_cost(h, p.evaluate(&p.current));
 
     // Slack entries ride along: post-mapping must ignore them.
     let x: Vec<f64> = (0..dim)
@@ -108,49 +79,20 @@ fn digest_problem(h: &mut Fnv, p: &PartitionProblem, rng: &mut prng::Rng) {
     for &c in &mapped {
         h.size(c);
     }
-    h.cost(p.evaluate(&mapped));
+    digest_cost(h, p.evaluate(&mapped));
     for l in p.choices_to_layers(&mapped) {
         h.size(l);
     }
 }
 
 fn first_round_digest() -> (u64, usize) {
-    let config = SyntheticConfig::named(DESIGN).expect("a Table-2 design");
-    let (mut grid, specs) = config.generate().expect("valid config");
-    let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
-    let assignment = initial_assignment(&mut grid, &netlist);
-    let report = timing::analyze(&grid, &netlist, &assignment);
-    let released = cpla::select_critical_nets(&report, RATIO);
-    let ctx = cpla::timing_context(&grid, &netlist, &assignment, &released, FOCUS);
-    let segments: Vec<SegmentRef> = released
-        .iter()
-        .flat_map(|&ni| {
-            (0..netlist.net(ni).tree().num_segments())
-                .map(move |s| SegmentRef::new(ni as u32, s as u32))
-        })
-        .collect();
-    let (partitions, _) = cpla::partition::partition_segments(
-        &netlist,
-        &segments,
-        grid.width(),
-        grid.height(),
-        DIVISIONS,
-        LEAF_BOUND,
-    );
+    let problems = common::first_round_problems();
     let mut h = Fnv::new();
     let mut rng = prng::Rng::seed_from_u64(0x9e37);
-    for part in &partitions {
-        let problem = PartitionProblem::extract(
-            &grid,
-            &netlist,
-            &assignment,
-            &part.segments,
-            &|r| ctx[&r],
-            &ProblemConfig::default(),
-        );
-        digest_problem(&mut h, &problem, &mut rng);
+    for problem in &problems {
+        digest_problem(&mut h, problem, &mut rng);
     }
-    (h.0, partitions.len())
+    (h.0, problems.len())
 }
 
 #[test]

@@ -102,11 +102,12 @@ pub struct RoundSnapshot {
     pub counters: FlowCounters,
 }
 
-/// One unit of work inside a stage: a partition solve, an accept-loop
-/// net application, or any other leaf the engine cares to attribute.
+/// One unit of work inside a stage: a partition extracted, solved or
+/// post-mapped, an accept-loop net application, or any other leaf the
+/// engine cares to attribute.
 ///
-/// Leaves are *recorded* wherever the work ran (a work-stealing worker
-/// records its own leaves, stamping [`LeafSpan::thread`]), but always
+/// Leaves are *recorded* wherever the work ran (a pool worker records
+/// its own leaves, stamping [`LeafSpan::thread`]), but always
 /// *delivered* on the driver thread between the stage body and its
 /// [`StageObserver::on_stage_end`] callback, so observers still need no
 /// synchronization. Timestamps are offsets from the owning stage's
@@ -117,14 +118,15 @@ pub struct LeafSpan {
     pub round: usize,
     /// The stage the leaf belongs to.
     pub stage: Stage,
-    /// Engine-defined index: the partition index for solve leaves, the
-    /// net index for accept leaves.
+    /// Engine-defined index: the partition index for extract, solve
+    /// and post-map leaves, the net index for accept leaves.
     pub index: usize,
-    /// Engine-defined size: segments in the partition for solve leaves,
-    /// layers changed for accept leaves.
+    /// Engine-defined size: segments in the partition for extract,
+    /// solve and post-map leaves, layers changed for accept leaves.
     pub items: usize,
-    /// Worker ordinal that ran the leaf; `0` is the driver thread,
-    /// work-stealing workers are `1..=threads`.
+    /// Worker ordinal that ran the leaf: `0` is the calling (driver)
+    /// thread, which works as a pool worker itself, and the pool's
+    /// helpers are `1..threads`.
     pub thread: usize,
     /// Leaf start, in seconds after the owning stage started.
     pub start_secs: f64,

@@ -194,10 +194,23 @@ impl RouteTree {
     ///
     /// Panics if `s` is out of range.
     pub fn segment_edges(&self, s: usize) -> Vec<Edge2d> {
+        let mut out = Vec::new();
+        self.segment_edges_into(s, &mut out);
+        out
+    }
+
+    /// [`RouteTree::segment_edges`] into a caller-kept buffer, which is
+    /// cleared first: a caller walking many segments reuses one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range.
+    pub fn segment_edges_into(&self, s: usize, out: &mut Vec<Edge2d>) {
         let seg = self.segments[s];
         let a = self.cells[seg.from as usize];
         let b = self.cells[seg.to as usize];
-        let mut out = Vec::with_capacity(a.manhattan(b) as usize);
+        out.clear();
+        out.reserve_exact(a.manhattan(b) as usize);
         match seg.dir {
             Direction::Horizontal => {
                 let (x0, x1) = (a.x.min(b.x), a.x.max(b.x));
@@ -224,7 +237,6 @@ impl RouteTree {
                 }
             }
         }
-        out
     }
 
     /// The run of `grid`'s flat edge array that segment `s` covers: the

@@ -6,8 +6,9 @@
 //! complete events (microsecond `ts`/`dur`) plus `"ph":"M"` metadata
 //! naming processes and threads. Each recorder becomes one process
 //! (`pid` = its position + 1) named by its label; within a process,
-//! `tid` 0 is the driver thread and work-stealing workers appear as
-//! `worker-N` lanes, so parallel solve leaves render side by side.
+//! `tid` 0 is the driver thread (pool worker 0) and the pool's helper
+//! threads appear as `worker-N` lanes, so parallel leaves render side
+//! by side.
 //!
 //! The writer is hand-rolled (the workspace is dependency-free) and
 //! emits only escaped strings and finite numbers, so the artifact is

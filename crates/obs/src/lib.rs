@@ -8,8 +8,9 @@
 //!
 //! * [`Recorder`] ([`span`]) — a `StageObserver` that reconstructs the
 //!   hierarchical span tree of a run: run → round → stage → leaf
-//!   (partition solves and accept applications, with work-stealing
-//!   thread attribution), all on one monotonic clock.
+//!   (partition extractions, solves and post-mappings and accept
+//!   applications, with pool-worker thread attribution), all on one
+//!   monotonic clock.
 //! * [`CountingAlloc`] ([`alloc`]) — an opt-in `#[global_allocator]`
 //!   wrapper counting bytes/events per thread and live/peak bytes
 //!   process-wide; disabled it costs one relaxed load per call.

@@ -134,7 +134,7 @@ pub fn export(recorders: &[&Recorder]) -> String {
     header(
         &mut out,
         "cpla_leaf_wall_seconds",
-        "Total wall-clock seconds of leaf work (partition solves, accept applications) per stage and thread.",
+        "Total wall-clock seconds of leaf work (partition extractions, solves and post-mappings, accept applications) per stage and thread.",
         "gauge",
     );
     header(

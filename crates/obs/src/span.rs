@@ -57,7 +57,8 @@ pub struct SpanRecord {
     pub index: usize,
     /// Leaf size (segments or changed layers), 0 otherwise.
     pub items: usize,
-    /// Thread ordinal: 0 is the driver, workers are `1..=threads`.
+    /// Thread ordinal: 0 is the driver, which works as a pool worker
+    /// itself, and the pool's helpers are `1..threads`.
     pub thread: usize,
     /// Start, in microseconds since the recorder's origin.
     pub start_us: f64,

@@ -32,7 +32,8 @@ pub struct StageSummary {
     pub alloc_bytes: u64,
     /// Allocation events in the stage, attributed like `alloc_bytes`.
     pub alloc_events: u64,
-    /// Leaf spans (partition solves, accept applications) observed.
+    /// Leaf spans (partition extractions, solves and post-mappings,
+    /// accept applications) observed.
     pub leaves: usize,
 }
 

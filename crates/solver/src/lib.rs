@@ -6,9 +6,10 @@
 //! implements both from scratch (see `DESIGN.md` §2 for the substitution
 //! rationale):
 //!
-//! * [`SymMatrix`], [`eigen_decompose`], [`Cholesky`] —
-//!   dense symmetric linear algebra sized for per-partition problems
-//!   (matrix dimension ≲ a few hundred).
+//! * [`SymMatrix`], [`eigen_decompose`] — dense symmetric linear
+//!   algebra sized for per-partition problems (matrix dimension ≲ a few
+//!   hundred), and [`Cholesky`], a sparse factor that computes every
+//!   entry as the dense algorithm does.
 //! * [`SdpProblem`] / [`SdpSolver`] — an ADMM (alternating direction
 //!   method of multipliers) solver for standard-form SDPs
 //!   `min ⟨C, X⟩ s.t. ⟨A_k, X⟩ = b_k, X ⪰ 0`. It iterates on the

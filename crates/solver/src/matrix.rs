@@ -100,27 +100,6 @@ impl SymMatrix {
         self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
     }
 
-    /// [`SymMatrix::dot`] with a block matrix, bit for bit what `dot`
-    /// returns on its dense expansion: the sum runs over all `n²`
-    /// entries in row-major order, the ones outside the blocks as
-    /// `+0.0`, so even the sign of a zero result is the dense one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub(crate) fn dot_blocks(&self, other: &BlockMatrix) -> f64 {
-        let n = self.n;
-        assert_eq!(n, other.dim());
-        // Each dense row: zeros, the block's row, zeros.
-        let dense = other.blocks().flat_map(|(s, nb, block)| {
-            block.chunks_exact(nb).flat_map(move |row| {
-                let zeros = |k: usize| std::iter::repeat_n(&0.0, k);
-                zeros(s).chain(row).chain(zeros(n - s - nb))
-            })
-        });
-        self.data.iter().zip(dense).map(|(a, b)| a * b).sum()
-    }
-
     /// Frobenius norm.
     pub fn norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()

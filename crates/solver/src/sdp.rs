@@ -21,19 +21,15 @@ use crate::eigen::is_zero;
 use crate::matrix::{psd_project_block, PsdScratch};
 use crate::{BlockMatrix, Cholesky, SolveError, SymMatrix};
 
-/// One linear equality constraint `Σ coeff · X_ij = rhs`.
-///
-/// Entries address the symmetric pair `(i, j)`/`(j, i)` as a *single*
-/// variable: a coefficient `c` on an off-diagonal entry contributes
-/// `c · X_ij` to the constraint value (not `2c · X_ij`).
-#[derive(Clone, PartialEq, Debug)]
-pub(crate) struct Constraint {
-    /// `(i, j, coeff)` with `i <= j`, unique per constraint.
-    pub(crate) entries: Vec<(usize, usize, f64)>,
-    pub(crate) rhs: f64,
-}
-
 /// A standard-form SDP: cost matrix plus equality constraints.
+///
+/// Both are stored sparse. The cost is a list of `(i, j, value)`
+/// entries with `i <= j` (the symmetric `(j, i)` entry is implied);
+/// entries at one position add up in the order given. The constraints
+/// are `(i, j, coeff)` rows back to back, each normalized to `i <= j`
+/// with its duplicates merged. So building a problem, and every pass
+/// the solver makes over it, costs time in proportion to its nonzeros,
+/// not to `n²`.
 ///
 /// Inequalities are expected to be rewritten with slack variables placed
 /// on extra diagonal entries (PSD implies a non-negative diagonal), which
@@ -41,32 +37,104 @@ pub(crate) struct Constraint {
 /// matrix.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SdpProblem {
-    cost: SymMatrix,
-    constraints: Vec<Constraint>,
+    n: usize,
+    /// Cost entries `(i, j, value)`, `i <= j`, in the order given.
+    cost: Vec<(usize, usize, f64)>,
+    /// Constraint entries `(i, j, coeff)`, `i <= j`, unique per
+    /// constraint, constraint by constraint. An off-diagonal entry
+    /// addresses the symmetric pair `(i, j)`/`(j, i)` as a *single*
+    /// variable: coefficient `c` contributes `c · X_ij` to the
+    /// constraint value (not `2c · X_ij`).
+    entries: Vec<(usize, usize, f64)>,
+    /// Constraint `k` owns `entries[rows[k]..rows[k + 1]]`.
+    rows: Vec<usize>,
+    /// Right-hand side of each constraint.
+    rhs: Vec<f64>,
+}
+
+impl Default for SdpProblem {
+    /// [`SdpProblem::empty`]`(0)`.
+    fn default() -> SdpProblem {
+        SdpProblem::empty(0)
+    }
 }
 
 impl SdpProblem {
-    /// Starts a problem with cost matrix `cost` (the paper's `T`).
+    /// Starts a problem with cost matrix `cost` (the paper's `T`): its
+    /// upper-triangle entries other than `+0.0`, in row-major order.
     pub fn new(cost: SymMatrix) -> SdpProblem {
-        SdpProblem {
-            cost,
-            constraints: Vec::new(),
+        let n = cost.dim();
+        let mut p = SdpProblem::empty(n);
+        let dense = cost.as_slice();
+        for i in 0..n {
+            for j in i..n {
+                let v = dense[i * n + j];
+                if v.to_bits() != 0 {
+                    p.cost.push((i, j, v));
+                }
+            }
         }
+        p
+    }
+
+    /// A problem of dimension `n` with a zero cost and no constraints.
+    pub fn empty(n: usize) -> SdpProblem {
+        SdpProblem {
+            n,
+            cost: Vec::new(),
+            entries: Vec::new(),
+            rows: vec![0],
+            rhs: Vec::new(),
+        }
+    }
+
+    /// Clears the problem to [`SdpProblem::empty`]`(n)`, keeping its
+    /// buffers: a caller building many problems reuses one.
+    pub fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.cost.clear();
+        self.entries.clear();
+        self.rows.clear();
+        self.rows.push(0);
+        self.rhs.clear();
     }
 
     /// Dimension of the matrix variable.
     pub fn dim(&self) -> usize {
-        self.cost.dim()
+        self.n
     }
 
     /// Number of constraints added so far.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.rhs.len()
     }
 
-    /// The cost matrix.
-    pub fn cost(&self) -> &SymMatrix {
-        &self.cost
+    /// Adds `v` to cost entries `(i, j)` and `(j, i)` (one entry on the
+    /// diagonal). The first value at a position is taken as it is, and
+    /// later ones are added to it in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub fn add_cost(&mut self, i: usize, j: usize, v: f64) {
+        let n = self.n;
+        assert!(i < n && j < n, "cost entry ({i},{j}) out of range");
+        self.cost.push(if i <= j { (i, j, v) } else { (j, i, v) });
+    }
+
+    /// The cost as a dense matrix (allocates `n²` entries).
+    pub fn to_dense_cost(&self) -> SymMatrix {
+        let n = self.n;
+        let mut dense = SymMatrix::zeros(n);
+        let mut seen = vec![false; n * n];
+        for &(i, j, v) in &self.cost {
+            if std::mem::replace(&mut seen[i * n + j], true) {
+                dense.add_to(i, j, v);
+            } else {
+                dense.set(i, j, v);
+            }
+        }
+        dense
     }
 
     /// Adds the equality `Σ coeff · X_ij = rhs`.
@@ -77,19 +145,27 @@ impl SdpProblem {
     /// # Panics
     ///
     /// Panics if an index is out of range.
-    pub fn add_constraint(&mut self, entries: Vec<(usize, usize, f64)>, rhs: f64) {
-        let n = self.dim();
-        let mut norm: Vec<(usize, usize, f64)> = Vec::with_capacity(entries.len());
+    pub fn add_constraint(
+        &mut self,
+        entries: impl IntoIterator<Item = (usize, usize, f64)>,
+        rhs: f64,
+    ) {
+        let n = self.n;
+        let first = self.entries.len();
         for (i, j, c) in entries {
             assert!(i < n && j < n, "constraint entry ({i},{j}) out of range");
             let (i, j) = if i <= j { (i, j) } else { (j, i) };
-            if let Some(e) = norm.iter_mut().find(|e| e.0 == i && e.1 == j) {
+            if let Some(e) = self.entries[first..]
+                .iter_mut()
+                .find(|e| e.0 == i && e.1 == j)
+            {
                 e.2 += c;
             } else {
-                norm.push((i, j, c));
+                self.entries.push((i, j, c));
             }
         }
-        self.constraints.push(Constraint { entries: norm, rhs });
+        self.rows.push(self.entries.len());
+        self.rhs.push(rhs);
     }
 
     /// Constraint `k`: its normalized `(i, j, coeff)` entries and its
@@ -99,33 +175,21 @@ impl SdpProblem {
     ///
     /// Panics if `k` is out of range.
     pub fn constraint(&self, k: usize) -> (&[(usize, usize, f64)], f64) {
-        let c = &self.constraints[k];
-        (&c.entries, c.rhs)
+        (&self.entries[self.rows[k]..self.rows[k + 1]], self.rhs[k])
     }
 
-    /// The normalized constraint rows (dense reference input).
-    #[cfg(test)]
-    pub(crate) fn constraints_raw(&self) -> &[Constraint] {
-        &self.constraints
-    }
-
-    /// Builds the constraint Gram matrix `G_kl = ⟨A_k, A_l⟩`.
-    ///
-    /// Coefficients are grouped by matrix entry in a `BTreeMap`, so each
+    /// Builds the constraint Gram matrix `G_kl = ⟨A_k, A_l⟩` densely,
+    /// grouping coefficients by matrix entry in a `BTreeMap`, so each
     /// Gram cell accumulates its products in ascending `(i, j)` order:
-    /// the bits are the same on every run.
-    pub(crate) fn gram(&self) -> SymMatrix {
-        let m = self.constraints.len();
+    /// the reference [`GramWork::build`] is checked against.
+    #[cfg(test)]
+    pub(crate) fn dense_gram(&self) -> SymMatrix {
+        let m = self.num_constraints();
         let mut g = SymMatrix::zeros(m);
-        // Group coefficients by matrix entry, then accumulate pairwise.
-        // BTreeMap, not HashMap: constraint pairs sharing several matrix
-        // entries accumulate float sums into the same Gram cell, so the
-        // iteration order below must be deterministic for bit-identical
-        // results across runs.
         use std::collections::BTreeMap;
         let mut by_entry: BTreeMap<(usize, usize), Vec<(usize, f64)>> = BTreeMap::new();
-        for (k, c) in self.constraints.iter().enumerate() {
-            for &(i, j, coeff) in &c.entries {
+        for k in 0..m {
+            for &(i, j, coeff) in self.constraint(k).0 {
                 by_entry.entry((i, j)).or_default().push((k, coeff));
             }
         }
@@ -143,6 +207,178 @@ impl SdpProblem {
             }
         }
         g
+    }
+}
+
+/// The constraint Gram matrix `G = A·Aᵀ` of one solve, built sparse,
+/// with its workspaces.
+///
+/// Every cell holds what the dense build computes: starting from
+/// `+0.0`, the products `weight · c_k · c_l` of the constraint entries
+/// rows `k ≤ l` share, added in ascending matrix-entry `(i, j)` order.
+/// Cells no entry is shared by stay zero and are not stored, except
+/// the diagonal, which is always stored (it takes the ridge).
+#[derive(Clone, Debug, Default)]
+struct GramWork {
+    /// Constraint entries by matrix entry: `(i, j, row, coeff)`, sorted,
+    /// so each matrix entry's owners form one run in ascending row order.
+    by_entry: Vec<(usize, usize, usize, f64)>,
+    /// Start of every run in `by_entry`.
+    runs: Vec<usize>,
+    /// `(run, position in by_entry)` of every constraint entry, row by
+    /// row as the constraints lay them out: each row's entries in
+    /// ascending matrix-entry order.
+    by_row: Vec<(usize, usize)>,
+    /// Counting-sort cursors (by matrix index, then by row).
+    cursor: Vec<usize>,
+    /// One row of `G`, scattered: the accumulating cells and the row
+    /// that last touched each, and the touched columns.
+    acc: Vec<f64>,
+    touched_by: Vec<usize>,
+    touched: Vec<usize>,
+    /// The lower triangle by rows: row `l` is
+    /// `lower[start[l]..start[l + 1]]`, `(k, value)` with `k`
+    /// ascending, the diagonal last.
+    start: Vec<usize>,
+    lower: Vec<(usize, f64)>,
+    /// The strict lower triangle by columns (values only, rows
+    /// ascending): the upper half of each row, for the dense norm's
+    /// row-major order.
+    col_start: Vec<usize>,
+    upper: Vec<f64>,
+}
+
+impl GramWork {
+    /// Builds `G` of the `m` constraints in `entries`/`rows` of an
+    /// `n × n` problem and adds the ridge `1e-9 · (1 + ‖G‖_F)` to its
+    /// diagonal, `‖G‖_F` folded over the dense matrix's row-major order
+    /// like `SymMatrix::norm`.
+    ///
+    /// Row `l` is accumulated from its own entries in ascending `(i, j)`
+    /// order: each entry adds its product with every owner `k ≤ l` of
+    /// the same matrix entry to cell `(l, k)`. So every cell sums its
+    /// products in the dense build's order. Both orders come from
+    /// counting sorts, `O(n + m + entries)` plus a sort of the entries
+    /// that share a row index `i`.
+    fn build(&mut self, n: usize, m: usize, entries: &[(usize, usize, f64)], rows: &[usize]) {
+        let GramWork {
+            by_entry,
+            runs,
+            by_row,
+            cursor,
+            acc,
+            touched_by,
+            touched,
+            start,
+            lower,
+            col_start,
+            upper,
+        } = self;
+        // By matrix entry: bucket by i (rows visited in order, so each
+        // bucket is in ascending row order), then order each bucket by
+        // (j, row).
+        cursor.clear();
+        cursor.resize(n + 1, 0);
+        for &(i, _, _) in entries {
+            cursor[i + 1] += 1;
+        }
+        for i in 0..n {
+            cursor[i + 1] += cursor[i];
+        }
+        by_entry.clear();
+        by_entry.resize(entries.len(), (0, 0, 0, 0.0));
+        for k in 0..m {
+            for &(i, j, c) in &entries[rows[k]..rows[k + 1]] {
+                by_entry[cursor[i]] = (i, j, k, c);
+                cursor[i] += 1;
+            }
+        }
+        let mut from = 0;
+        for &to in &cursor[..n] {
+            by_entry[from..to].sort_unstable_by_key(|e| (e.1, e.2));
+            from = to;
+        }
+        // By row: each entry's slot is its own position in `entries`,
+        // filled in ascending matrix-entry order.
+        runs.clear();
+        by_row.clear();
+        by_row.resize(entries.len(), (0, 0));
+        cursor.clear();
+        cursor.extend_from_slice(&rows[..m]);
+        for (p, e) in by_entry.iter().enumerate() {
+            if p == 0 || (by_entry[p - 1].0, by_entry[p - 1].1) != (e.0, e.1) {
+                runs.push(p);
+            }
+            by_row[cursor[e.2]] = (runs.len() - 1, p);
+            cursor[e.2] += 1;
+        }
+        acc.clear();
+        acc.resize(m, 0.0);
+        touched_by.clear();
+        touched_by.resize(m, usize::MAX);
+        start.clear();
+        lower.clear();
+        start.push(0);
+        for l in 0..m {
+            touched.clear();
+            for &(run, p) in &by_row[rows[l]..rows[l + 1]] {
+                let (i, j, _, cl) = by_entry[p];
+                // ⟨A_k, A_l⟩ restricted to this entry: diagonal entries
+                // contribute c_k·c_l, off-diagonal pairs 2·(c_k/2)(c_l/2).
+                let weight = if i == j { 1.0 } else { 0.5 };
+                for &(_, _, k, ck) in &by_entry[runs[run]..=p] {
+                    if touched_by[k] != l {
+                        touched_by[k] = l;
+                        touched.push(k);
+                        acc[k] = 0.0;
+                    }
+                    acc[k] += weight * ck * cl;
+                }
+            }
+            if touched_by[l] != l {
+                touched.push(l);
+                acc[l] = 0.0;
+            }
+            touched.sort_unstable();
+            lower.extend(touched.iter().map(|&k| (k, acc[k])));
+            start.push(lower.len());
+        }
+        // The upper half of row k is column k of the strict lower
+        // triangle, rows ascending.
+        col_start.clear();
+        col_start.resize(m + 1, 0);
+        for l in 0..m {
+            for &(k, _) in &lower[start[l]..start[l + 1] - 1] {
+                col_start[k + 1] += 1;
+            }
+        }
+        for k in 0..m {
+            col_start[k + 1] += col_start[k];
+        }
+        upper.clear();
+        upper.resize(col_start[m], 0.0);
+        let fill = touched;
+        fill.clear();
+        fill.extend_from_slice(&col_start[..m]);
+        for l in 0..m {
+            for &(k, v) in &lower[start[l]..start[l + 1] - 1] {
+                upper[fill[k]] = v;
+                fill[k] += 1;
+            }
+        }
+        let mut norm_sq = -0.0f64;
+        for k in 0..m {
+            for &(_, v) in &lower[start[k]..start[k + 1]] {
+                norm_sq += v * v;
+            }
+            for &v in &upper[col_start[k]..col_start[k + 1]] {
+                norm_sq += v * v;
+            }
+        }
+        let ridge = 1e-9 * (1.0 + norm_sq.sqrt());
+        for l in 0..m {
+            lower[start[l + 1] - 1].1 += ridge;
+        }
     }
 }
 
@@ -221,15 +457,26 @@ pub struct SdpSolution {
 }
 
 /// Reusable workspaces for [`SdpSolver::try_solve_from_with`]: the
-/// problem's interval blocks, the flat arena that holds the ADMM
-/// iterates block by block, the PSD projection's eigendecomposition
-/// buffers and the affine projection's vectors. One scratch serves
-/// problems of any size (buffers grow on demand and keep their
-/// capacity), so a caller solving many problems — CPLA solves one per
-/// partition leaf per round — threads a single scratch through all of
-/// them, and no ADMM iteration allocates.
+/// problem's cost in row-major order, its constraint Gram matrix and
+/// that matrix's sparse Cholesky factor, the interval blocks, the flat
+/// arena that holds the ADMM iterates block by block, the PSD
+/// projection's eigendecomposition buffers and the affine projection's
+/// vectors. One scratch serves problems of any size (buffers grow on
+/// demand and keep their capacity), so a caller solving many problems —
+/// CPLA solves one per partition leaf per round — threads a single
+/// scratch through all of them, and a solve allocates only its
+/// solution.
 #[derive(Clone, Debug, Default)]
 pub struct SolveScratch {
+    /// The cost, both triangles, in dense row-major order:
+    /// `(row, column, value)`, each position once.
+    cost: Vec<(usize, usize, f64)>,
+    /// Sort buffer of the cost: `(row, column, input rank, value)`.
+    cost_sort: Vec<(usize, usize, usize, f64)>,
+    /// The constraint Gram matrix.
+    gram: GramWork,
+    /// Its Cholesky factor.
+    factor: Cholesky,
     /// Interval blocks of the current problem.
     blocks: Intervals,
     /// `[c | x | z | u | target | zprev | adj]`: each section
@@ -239,8 +486,6 @@ pub struct SolveScratch {
     /// constraint by constraint in entry order (`ij == ji` on the
     /// diagonal).
     entries: Vec<(usize, usize, f64)>,
-    /// Start of each constraint's run in `entries`, plus the end.
-    rows: Vec<usize>,
     /// PSD-projection eigendecomposition workspace.
     psd: PsdScratch,
     /// Constraint values `A(target)`.
@@ -259,11 +504,65 @@ pub struct SolveScratch {
     rank_prev: Vec<u32>,
 }
 
+/// Lays the cost entries of `problem` out in dense row-major order
+/// into `cost`, both triangles, summing the entries given for one
+/// position in their order. `O(nnz log nnz)`.
+fn row_major_cost(
+    problem: &SdpProblem,
+    sort: &mut Vec<(usize, usize, usize, f64)>,
+    cost: &mut Vec<(usize, usize, f64)>,
+) {
+    sort.clear();
+    for (rank, &(i, j, v)) in problem.cost.iter().enumerate() {
+        sort.push((i, j, rank, v));
+        if i != j {
+            sort.push((j, i, rank, v));
+        }
+    }
+    sort.sort_unstable_by_key(|e| (e.0, e.1, e.2));
+    cost.clear();
+    for run in sort.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let mut v = run[0].3;
+        for e in &run[1..] {
+            v += e.3;
+        }
+        cost.push((run[0].0, run[0].1, v));
+    }
+}
+
 impl SolveScratch {
     /// An empty scratch; buffers are sized on first use.
     pub fn new() -> SolveScratch {
         SolveScratch::default()
     }
+}
+
+/// `⟨C, X⟩` over the cost in row-major order (`cost`, as laid out by
+/// [`row_major_cost`]) and the block iterate `xs`, bit for bit what
+/// `SymMatrix::dot` returns on the dense matrices. The dense fold adds
+/// a `±0` product at every position the cost does not store, and such
+/// an addend changes a sum at most in the sign of a zero. So a nonzero
+/// sum over the stored entries is the dense one, and only a zero sum is
+/// refolded over all `n²` positions for its sign.
+fn objective(cost: &[(usize, usize, f64)], blocks: &Intervals, xs: &[f64], n: usize) -> f64 {
+    let at = |i: usize, j: usize| blocks.block_pos(i, j).map_or(0.0, |p| xs[p]);
+    let sum = cost
+        .iter()
+        .fold(-0.0f64, |acc, &(i, j, v)| acc + v * at(i, j));
+    if !is_zero(sum) {
+        return sum;
+    }
+    let mut stored = cost.iter().peekable();
+    let mut acc = -0.0f64;
+    for i in 0..n {
+        for j in 0..n {
+            let v = stored
+                .next_if(|e| (e.0, e.1) == (i, j))
+                .map_or(0.0, |e| e.2);
+            acc += v * at(i, j);
+        }
+    }
+    acc
 }
 
 /// The finest split of `0..n` into index intervals such that every
@@ -282,26 +581,32 @@ struct Intervals {
     offsets: Vec<usize>,
     /// Arena position of every diagonal entry `(i, i)`.
     diag: Vec<usize>,
+    /// The interval of every index.
+    owner: Vec<usize>,
     /// Farthest index each index shares a nonzero with (detection only).
     reach: Vec<usize>,
 }
 
 impl Intervals {
     /// Detects the intervals of `problem` started from `warm` and lays
-    /// their blocks out back to back. A warm matrix counts its stored
-    /// upper-triangle entries that are not zero, which are exactly the
-    /// off-diagonal nonzeros a scan of its dense expansion finds.
-    fn detect(&mut self, problem: &SdpProblem, warm: Option<(&BlockMatrix, &BlockMatrix)>) {
+    /// their blocks out back to back. `cost` is the problem's cost in
+    /// row-major order. A warm matrix counts its stored upper-triangle
+    /// entries that are not zero, which are exactly the off-diagonal
+    /// nonzeros a scan of its dense expansion finds; the cost counts
+    /// its entries that are not zero, likewise.
+    fn detect(
+        &mut self,
+        problem: &SdpProblem,
+        cost: &[(usize, usize, f64)],
+        warm: Option<(&BlockMatrix, &BlockMatrix)>,
+    ) {
         let n = problem.dim();
         let reach = &mut self.reach;
         reach.clear();
         reach.extend(0..n);
-        let cost = problem.cost().as_slice();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if !is_zero(cost[i * n + j]) {
-                    reach[i] = reach[i].max(j);
-                }
+        for &(i, j, v) in cost {
+            if j > i && !is_zero(v) {
+                reach[i] = reach[i].max(j);
             }
         }
         let (z0, u0) = warm.unzip();
@@ -316,15 +621,14 @@ impl Intervals {
                 }
             }
         }
-        for c in &problem.constraints {
-            for &(i, j, _) in &c.entries {
-                // Entries are normalized to i <= j.
-                reach[i] = reach[i].max(j);
-            }
+        for &(i, j, _) in &problem.entries {
+            // Entries are normalized to i <= j.
+            reach[i] = reach[i].max(j);
         }
         self.bounds.clear();
         self.offsets.clear();
         self.diag.clear();
+        self.owner.clear();
         self.bounds.push(0);
         self.offsets.push(0);
         // An interval closes at the first index that no index of it
@@ -335,6 +639,8 @@ impl Intervals {
             if end == i {
                 let nb = i + 1 - start;
                 self.diag.extend((0..nb).map(|k| off + k * (nb + 1)));
+                self.owner
+                    .extend(std::iter::repeat_n(self.bounds.len() - 1, nb));
                 start = i + 1;
                 off += nb * nb;
                 self.bounds.push(start);
@@ -362,20 +668,15 @@ impl Intervals {
         )
     }
 
-    /// Every block row as `(dense offset, arena offset, width)`: row
-    /// `s + r` of interval `s..s + nb` starts at `(s + r)·n + s` in the
-    /// dense `n × n` matrix and at `off + r·nb` in the arena.
-    fn block_rows(&self, n: usize) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        (0..self.n_blocks()).flat_map(move |k| {
-            let (s, nb, off) = self.block(k);
-            (0..nb).map(move |r| ((s + r) * n + s, off + r * nb, nb))
-        })
-    }
-
     /// Arena position of entry `(i, j)`; both indices must lie in one
     /// interval.
     fn arena_pos(&self, i: usize, j: usize) -> usize {
         self.diag[i] + j - i
+    }
+
+    /// Arena position of entry `(i, j)`, or `None` off the blocks.
+    fn block_pos(&self, i: usize, j: usize) -> Option<usize> {
+        (self.owner[i] == self.owner[j]).then(|| self.arena_pos(i, j))
     }
 
     /// Copies the entries of `m` (of the problem's dimension) that lie
@@ -470,22 +771,27 @@ impl SdpSolver {
     /// Rejects the inputs the ADMM iteration cannot survive: NaN or
     /// infinite entries reach the PSD projection's QL iteration, which
     /// then fails to converge, and a `rho` that is not positive and
-    /// finite breaks the penalty. `warm` is the pair the solve will
-    /// use (already filtered by dimension).
+    /// finite breaks the penalty. `cost` is the problem's cost in
+    /// row-major order, and `warm` the pair the solve will use (already
+    /// filtered by dimension).
     fn check_inputs(
         &self,
         problem: &SdpProblem,
+        cost: &[(usize, usize, f64)],
         warm: Option<(&BlockMatrix, &BlockMatrix)>,
     ) -> Result<(), SolveError> {
         let invalid = |what: &'static str, value: f64| SolveError::InvalidInput { what, value };
         if !(self.rho.is_finite() && self.rho > 0.0) {
             return Err(invalid("rho", self.rho));
         }
-        // A warm matrix's stored entries come in its dense row-major
-        // order, so the first non-finite one is the dense scan's.
+        // The cost's row-major order and a warm matrix's stored order
+        // are both the dense row-major order, and every other entry is
+        // zero, so the first non-finite value is the dense scan's.
+        if let Some(&(_, _, v)) = cost.iter().find(|e| !e.2.is_finite()) {
+            return Err(invalid("cost entry", v));
+        }
         let (z0, u0) = warm.unzip();
         for (what, entries) in [
-            ("cost entry", Some(problem.cost().as_slice())),
             ("warm-start z entry", z0.map(BlockMatrix::as_slice)),
             ("warm-start u entry", u0.map(BlockMatrix::as_slice)),
         ] {
@@ -493,12 +799,13 @@ impl SdpSolver {
                 return Err(invalid(what, v));
             }
         }
-        for c in &problem.constraints {
-            if let Some(&(_, _, v)) = c.entries.iter().find(|e| !e.2.is_finite()) {
+        for k in 0..problem.num_constraints() {
+            let (entries, rhs) = problem.constraint(k);
+            if let Some(&(_, _, v)) = entries.iter().find(|e| !e.2.is_finite()) {
                 return Err(invalid("constraint coefficient", v));
             }
-            if !c.rhs.is_finite() {
-                return Err(invalid("constraint right-hand side", c.rhs));
+            if !rhs.is_finite() {
+                return Err(invalid("constraint right-hand side", rhs));
             }
         }
         Ok(())
@@ -518,8 +825,14 @@ impl SdpSolver {
     /// `+0.0`. Their dense expansion is bit-identical to running the
     /// iteration on dense `n × n` matrices — the test-only reference in
     /// `src/tests.rs` does exactly that — and so are the objective and
-    /// the residuals. All workspaces live in `scratch`, so no iteration
-    /// allocates.
+    /// the residuals.
+    ///
+    /// Nothing at entry or exit visits all `n²` entries: the cost and
+    /// the constraints are read as the sparse lists they are, the Gram
+    /// matrix is built and factored sparse (see [`Cholesky`]), and the
+    /// affine projection's substitutions run over the factor's
+    /// nonzeros. All workspaces live in `scratch`, so a solve allocates
+    /// only the solution it returns.
     ///
     /// # Errors
     ///
@@ -539,29 +852,14 @@ impl SdpSolver {
             });
         }
         let warm = warm.filter(|(z0, u0)| z0.dim() == n && u0.dim() == n);
-        self.check_inputs(problem, warm)?;
-
-        let b: Vec<f64> = problem.constraints.iter().map(|x| x.rhs).collect();
-        let m = b.len();
-
-        // Factor the Gram matrix once (ridge-regularized for safety
-        // against near-duplicate rows).
-        let mut gram = problem.gram();
-        let ridge = 1e-9 * (1.0 + gram.norm());
-        for k in 0..m {
-            gram.add_to(k, k, ridge);
-        }
-        let gram_factor = if m > 0 {
-            Some(Cholesky::factor(&gram).map_err(SolveError::from)?)
-        } else {
-            None
-        };
-
         let SolveScratch {
+            cost,
+            cost_sort,
+            gram,
+            factor,
             blocks,
             arena,
             entries,
-            rows,
             psd,
             ax,
             rhs,
@@ -571,7 +869,22 @@ impl SdpSolver {
             order,
             rank_prev,
         } = scratch;
-        blocks.detect(problem, warm);
+        row_major_cost(problem, cost_sort, cost);
+        self.check_inputs(problem, cost, warm)?;
+
+        let b = &problem.rhs;
+        let m = b.len();
+
+        // Factor the Gram matrix once (ridge-regularized for safety
+        // against near-duplicate rows).
+        if m > 0 {
+            gram.build(n, m, &problem.entries, &problem.rows);
+            factor
+                .refactor(m, &gram.start, &gram.lower)
+                .map_err(SolveError::from)?;
+        }
+
+        blocks.detect(problem, cost, warm);
         let len = blocks.arena_len();
         arena.clear();
         arena.resize(7 * len, 0.0);
@@ -583,12 +896,15 @@ impl SdpSolver {
         let (mut zprev, adj) = rest.split_at_mut(len);
 
         // Normalize the cost so ρ's default scale is meaningful across
-        // wildly different delay magnitudes.
-        let inv_scale = 1.0 / problem.cost.norm().max(1e-12);
-        let cost = problem.cost.as_slice();
-        for (row, at, nb) in blocks.block_rows(n) {
-            for (cv, &v) in c[at..at + nb].iter_mut().zip(&cost[row..row + nb]) {
-                *cv = v * inv_scale;
+        // wildly different delay magnitudes. Its Frobenius norm folds
+        // over the stored entries in row-major order: the dense fold
+        // adds only `+0.0` squares besides, which change the sum at
+        // most in the sign of a zero, and the floor absorbs that.
+        let norm_sq = cost.iter().fold(-0.0f64, |acc, e| acc + e.2 * e.2);
+        let inv_scale = 1.0 / norm_sq.sqrt().max(1e-12);
+        for &(i, j, v) in cost.iter() {
+            if let Some(at) = blocks.block_pos(i, j) {
+                c[at] = v * inv_scale;
             }
         }
         if let Some((z0, u0)) = warm {
@@ -596,14 +912,13 @@ impl SdpSolver {
             blocks.load_warm(u0, u);
         }
         entries.clear();
-        rows.clear();
-        rows.push(0);
-        for con in &problem.constraints {
-            for &(i, j, coeff) in &con.entries {
-                entries.push((blocks.arena_pos(i, j), blocks.arena_pos(j, i), coeff));
-            }
-            rows.push(entries.len());
-        }
+        entries.extend(
+            problem
+                .entries
+                .iter()
+                .map(|&(i, j, coeff)| (blocks.arena_pos(i, j), blocks.arena_pos(j, i), coeff)),
+        );
+        let rows = &problem.rows;
 
         let mut rho = self.rho;
         let mut iterations = 0;
@@ -621,9 +936,9 @@ impl SdpSolver {
             for k in 0..len {
                 target[k] = z[k] - u[k] + cscale * c[k];
             }
-            match &gram_factor {
-                None => x.copy_from_slice(target),
-                Some(factor) => {
+            match m {
+                0 => x.copy_from_slice(target),
+                _ => {
                     // A(target), each row a left fold from -0.0 like
                     // `Iterator::sum`.
                     ax.clear();
@@ -756,7 +1071,7 @@ impl SdpSolver {
         let xs = x.as_slice();
         let constraint_residual = rows
             .windows(2)
-            .zip(&b)
+            .zip(b)
             .map(|(r, bi)| {
                 let a = entries[r[0]..r[1]]
                     .iter()
@@ -766,7 +1081,7 @@ impl SdpSolver {
             })
             .sum::<f64>()
             .sqrt();
-        let objective = problem.cost.dot_blocks(&x);
+        let objective = objective(cost, blocks, xs, n);
         Ok(SdpSolution {
             x,
             z,
@@ -842,12 +1157,7 @@ pub(crate) mod tests {
         }
         let mut p = SdpProblem::new(c);
         for seg in 0..segs {
-            p.add_constraint(
-                (0..layers)
-                    .map(|l| (var(seg, l), var(seg, l), 1.0))
-                    .collect(),
-                1.0,
-            );
+            p.add_constraint((0..layers).map(|l| (var(seg, l), var(seg, l), 1.0)), 1.0);
         }
         for k in 0..caps {
             let layer = k % layers;
@@ -864,9 +1174,66 @@ pub(crate) mod tests {
 
     /// The interval boundaries `try_solve_from_with` detects.
     pub(crate) fn bounds(p: &SdpProblem, warm: Option<(&BlockMatrix, &BlockMatrix)>) -> Vec<usize> {
+        let (mut sort, mut cost) = (Vec::new(), Vec::new());
+        row_major_cost(p, &mut sort, &mut cost);
         let mut blocks = Intervals::default();
-        blocks.detect(p, warm);
+        blocks.detect(p, &cost, warm);
         blocks.bounds
+    }
+
+    /// The sparse Gram build against the dense `BTreeMap` one, cell by
+    /// cell and bit for bit (ridge included), and the sparse factor of
+    /// each Gram matrix against the dense factor, on CPLA-shaped
+    /// problems. Some problems add rows that share off-diagonal entries
+    /// (weight 0.5) and rows whose products cancel exactly. The
+    /// off-by-default `proptest` feature widens the sweep.
+    #[test]
+    fn the_sparse_gram_and_its_factor_match_the_dense_ones() {
+        use crate::cholesky::tests::{assert_matches_dense, rhs_with_zeros};
+        let cases = if cfg!(feature = "proptest") { 300 } else { 40 };
+        let mut gram = GramWork::default();
+        for seed in 0..cases {
+            let mut rng = Rng::seed_from_u64(0x6A4A_0000 + seed);
+            let nets: Vec<usize> = (0..rng.range_usize(1, 3))
+                .map(|_| rng.range_usize(1, 5))
+                .collect();
+            let layers = rng.range_usize(2, 4);
+            let caps = rng.range_usize(0, 6);
+            let mut p = cpla_shaped_problem(&nets, layers, caps, rng.u64());
+            if rng.bool(0.5) {
+                p.add_constraint([(0, 1, 1.0), (1, 1, 0.5)], 0.25);
+                p.add_constraint([(1, 0, -2.0), (0, 0, 3.0)], 0.0);
+            }
+            if rng.bool(0.5) {
+                // G between these two rows is 1 − 1 = 0 exactly.
+                p.add_constraint([(0, 0, 1.0), (1, 1, 1.0)], 1.0);
+                p.add_constraint([(0, 0, 1.0), (1, 1, -1.0)], 0.0);
+            }
+            let m = p.num_constraints();
+            let mut dense = p.dense_gram();
+            let ridge = 1e-9 * (1.0 + dense.norm());
+            for k in 0..m {
+                dense.add_to(k, k, ridge);
+            }
+            gram.build(p.dim(), m, &p.entries, &p.rows);
+            for l in 0..m {
+                let mut stored = gram.lower[gram.start[l]..gram.start[l + 1]]
+                    .iter()
+                    .peekable();
+                for k in 0..=l {
+                    let got = stored.next_if(|e| e.0 == k).map_or(0.0, |e| e.1);
+                    let want = dense.get(l, k);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "seed {seed}: G({l},{k}) {got:e} vs {want:e}"
+                    );
+                }
+                assert!(stored.next().is_none(), "seed {seed}: row {l} order");
+            }
+            let rhs: Vec<Vec<f64>> = (0..3).map(|_| rhs_with_zeros(&mut rng, m)).collect();
+            assert_matches_dense(&dense, &rhs, &format!("gram seed {seed}"));
+        }
     }
 
     #[test]
@@ -996,7 +1363,7 @@ pub(crate) mod tests {
         for v in NON_FINITE {
             for (i, j) in [(0, 0), (0, 1)] {
                 let mut p = assignment_problem(1, 0.0);
-                p.cost.set(i, j, v);
+                p.add_cost(i, j, v);
                 assert_rejected(SdpSolver::default(), &p, None, "cost entry");
             }
         }

@@ -1,18 +1,21 @@
 //! Crate-level tests: the dense reference for the block-wise ADMM loop.
 //!
 //! [`SdpSolver::try_solve_from_with`] runs ADMM on the problem's
-//! interval blocks and returns its iterates as [`BlockMatrix`]es.
-//! [`solve_dense`] runs the same iteration on full `n × n` matrices —
-//! same kernels, same summation orders, same adaptive-ρ and rank-stop
+//! interval blocks, over its sparse cost, constraints, Gram matrix and
+//! Cholesky factor, and returns its iterates as [`BlockMatrix`]es.
+//! [`solve_dense`] runs the same iteration on full `n × n` matrices,
+//! with the dense `BTreeMap` Gram build and the dense factor — same
+//! kernels, same summation orders, same adaptive-ρ and rank-stop
 //! schedule — from the dense expansion of the same warm pair, so the
 //! two must agree bit for bit. It is the oracle for that claim
 //! (`DESIGN.md` §6c).
 
 use prng::Rng;
 
+use crate::cholesky::tests::DenseCholesky;
 use crate::matrix::{psd_project_in_place, PsdScratch};
 use crate::sdp::tests::{assignment_problem, bounds, cpla_shaped_problem};
-use crate::{BlockMatrix, Cholesky, SdpProblem, SdpSolution, SdpSolver, SolveScratch, SymMatrix};
+use crate::{BlockMatrix, SdpProblem, SdpSolution, SdpSolver, SolveScratch, SymMatrix};
 
 /// Left-fold Frobenius norm. `Iterator::sum::<f64>()` folds from `-0.0`
 /// (the IEEE additive identity), so every accumulator mirroring a
@@ -47,24 +50,22 @@ fn solve_dense(
 ) -> DenseSolution {
     let n = problem.dim();
     let nn = n * n;
-    let rows = problem.constraints_raw();
+    let rows: Vec<_> = (0..problem.num_constraints())
+        .map(|k| problem.constraint(k))
+        .collect();
     let warm = warm.filter(|(z0, u0)| z0.dim() == n && u0.dim() == n);
     let factor = (!rows.is_empty()).then(|| {
-        let mut gram = problem.gram();
+        let mut gram = problem.dense_gram();
         let ridge = 1e-9 * (1.0 + gram.norm());
         for k in 0..rows.len() {
             gram.add_to(k, k, ridge);
         }
-        Cholesky::factor(&gram).expect("reference input has a factorable Gram matrix")
+        DenseCholesky::factor(&gram).expect("reference input has a factorable Gram matrix")
     });
 
-    let inv_scale = 1.0 / problem.cost().norm().max(1e-12);
-    let c: Vec<f64> = problem
-        .cost()
-        .as_slice()
-        .iter()
-        .map(|&v| v * inv_scale)
-        .collect();
+    let cost = problem.to_dense_cost();
+    let inv_scale = 1.0 / cost.norm().max(1e-12);
+    let c: Vec<f64> = cost.as_slice().iter().map(|&v| v * inv_scale).collect();
     let (mut z, mut u) = match warm {
         Some((z0, u0)) => (z0.as_slice().to_vec(), u0.as_slice().to_vec()),
         None => (vec![0.0; nn], vec![0.0; nn]),
@@ -99,19 +100,19 @@ fn solve_dense(
             None => x.copy_from_slice(&target),
             Some(factor) => {
                 ax.clear();
-                for row in rows {
+                for &(entries, _) in &rows {
                     let mut acc = -0.0f64;
-                    for &(i, j, coeff) in &row.entries {
+                    for &(i, j, coeff) in entries {
                         acc += coeff * target[i * n + j];
                     }
                     ax.push(acc);
                 }
                 rhs.clear();
-                rhs.extend(rows.iter().zip(&ax).map(|(row, a)| rho * (row.rhs - a)));
+                rhs.extend(rows.iter().zip(&ax).map(|(&(_, b), a)| rho * (b - a)));
                 factor.solve_into(&rhs, &mut y, &mut nu);
                 adj.fill(0.0);
-                for (row, &v) in rows.iter().zip(&nu) {
-                    for &(i, j, coeff) in &row.entries {
+                for (&(entries, _), &v) in rows.iter().zip(&nu) {
+                    for &(i, j, coeff) in entries {
                         if i == j {
                             adj[i * n + i] += v * coeff;
                         } else {
@@ -200,16 +201,16 @@ fn solve_dense(
     let x = dense(&x);
     let xs = x.as_slice();
     let mut constraint_residual = -0.0f64;
-    for row in rows {
+    for &(entries, b) in &rows {
         let mut acc = -0.0f64;
-        for &(i, j, coeff) in &row.entries {
+        for &(i, j, coeff) in entries {
             acc += coeff * xs[i * n + j];
         }
-        constraint_residual += (acc - row.rhs).powi(2);
+        constraint_residual += (acc - b).powi(2);
     }
     // ⟨C, X⟩ over the unnormalized cost.
     let mut objective = -0.0f64;
-    for (cv, xv) in problem.cost().as_slice().iter().zip(xs) {
+    for (cv, xv) in cost.as_slice().iter().zip(xs) {
         objective += cv * xv;
     }
     DenseSolution {

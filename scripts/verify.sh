@@ -32,6 +32,9 @@ cargo test -q --offline -p route -p ispd --features proptest
 echo "==> route and initial-assignment pins, release (the scale-100k pins are ignored in debug builds)"
 cargo test --release -q --offline -p route --test route_pin --test initial_pin
 
+echo "==> partition-program and SDP-solve pins, release"
+cargo test --release -q --offline -p cpla --test problem_pin --test solve_pin
+
 echo "==> solver/cpla/timing/grid full property sweeps"
 cargo test -q --offline -p solver -p cpla -p timing -p grid --features proptest
 
