@@ -18,6 +18,8 @@
 //!    the machine's `cores`, the process's `peak_rss_mb` and the
 //!    routing wall time `route_secs` as finite positive numbers, every
 //!    mode's `stages` object has exactly the eight pipeline stage keys,
+//!    every mode holds only fields `cpla-bench` still writes (so a
+//!    record made before a field was dropped fails until re-recorded),
 //!    and every mode's `peak_alloc_bytes` is a number when
 //!    `alloc_stats` is `true` and `null`/absent when it is `false`;
 //! 4. with `--baseline`, the bench report's mode labels and stage keys
@@ -28,6 +30,22 @@ use std::process::ExitCode;
 
 use conform::json::{self, Value};
 use flow::Stage;
+
+/// The fields `cpla-bench` writes into each `modes` entry (its
+/// `json_bench_mode`); keep the two in step.
+const MODE_FIELDS: [&str; 11] = [
+    "wall_secs",
+    "avg_tcp_initial",
+    "avg_tcp_final",
+    "max_tcp_final",
+    "via_overflow",
+    "via_count",
+    "wire_overflow",
+    "rounds",
+    "released",
+    "peak_alloc_bytes",
+    "stages",
+];
 
 struct Args {
     trace: Option<String>,
@@ -228,6 +246,21 @@ fn check_bench(path: &str, baseline: Option<&str>) -> Result<String, String> {
             return Err(format!(
                 "{path}: mode `{label}` stage keys {keys:?} != pipeline stages {expected:?}"
             ));
+        }
+    }
+    if let Some(Value::Obj(pairs)) = root.get("modes") {
+        for (label, mode) in pairs {
+            if let Value::Obj(fields) = mode {
+                if let Some((stale, _)) = fields
+                    .iter()
+                    .find(|(k, _)| !MODE_FIELDS.contains(&k.as_str()))
+                {
+                    return Err(format!(
+                        "{path}: mode `{label}` holds `{stale}`, a field cpla-bench no \
+                         longer writes; re-record the file"
+                    ));
+                }
+            }
         }
     }
     // `peak_alloc_bytes` must agree with the top-level `alloc_stats`

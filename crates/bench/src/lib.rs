@@ -68,8 +68,7 @@ impl Prepared {
     /// The released net set for a given critical ratio, from the
     /// prepared state's timing.
     pub fn released(&self, ratio: f64) -> Vec<usize> {
-        let report = timing::analyze(&self.grid, &self.netlist, &self.assignment);
-        cpla::select_critical_nets(&report, ratio)
+        cpla::select_critical_nets(&self.grid, &self.netlist, &self.assignment, ratio)
     }
 }
 

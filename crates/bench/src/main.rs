@@ -419,7 +419,9 @@ fn json_run(o: &RunOutcome) -> String {
 /// rollup.
 /// `peak_alloc_bytes` is `null` unless `--alloc-stats` actually
 /// measured it — a literal 0 would read as "measured, allocated
-/// nothing", which is never true.
+/// nothing", which is never true. `cpla-bench-check` rejects any mode
+/// field outside its `MODE_FIELDS` list, so a field added or dropped
+/// here goes there too.
 fn json_bench_mode(o: &RunOutcome, alloc_stats: bool) -> String {
     let stages = obs::summarize(&o.recorder)
         .iter()

@@ -243,8 +243,7 @@ fn run(command: Command, out: &mut dyn Write) -> Result<(), CliError> {
             let (mut grid, specs) = load(&input)?;
             let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
             let assignment = initial_assignment(&mut grid, &netlist);
-            let report = timing::analyze(&grid, &netlist, &assignment);
-            let highlight = cpla::select_critical_nets(&report, ratio);
+            let highlight = cpla::select_critical_nets(&grid, &netlist, &assignment, ratio);
             let doc = svg::render(&grid, &netlist, &assignment, &highlight);
             std::fs::write(&output, doc).map_err(|e| format!("cannot write {output}: {e}"))?;
             outln!(

@@ -322,15 +322,9 @@ impl Cpla {
         observers: &mut [&mut dyn StageObserver],
     ) -> Result<CplaReport, FlowError> {
         self.config.validate()?;
-        // Whole-design analysis goes through the flat SoA cache: same
-        // per-net arithmetic as `timing::analyze`, but three design-wide
-        // arrays instead of three vectors per net. The timing is dropped
-        // once the released set is chosen; the arena serves the flow.
+        let released =
+            ::flow::select_critical_nets(grid, netlist, assignment, self.config.critical_ratio);
         let arena = net::DesignArena::from_netlist(netlist);
-        let released = {
-            let full = timing::DesignTiming::compute(grid, netlist, &arena, assignment);
-            ::flow::select_critical_nets_flat(&full, self.config.critical_ratio)
-        };
         self.run_with_arena(grid, netlist, assignment, &released, Some(arena), observers)
     }
 

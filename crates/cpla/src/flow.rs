@@ -1093,8 +1093,8 @@ mod tests {
             max_rounds: 10,
             ..CplaConfig::default()
         };
-        let report = timing::analyze(&grid, &netlist, &assignment);
-        let released = crate::select_critical_nets(&report, config.critical_ratio);
+        let released =
+            crate::select_critical_nets(&grid, &netlist, &assignment, config.critical_ratio);
         let initial = Metrics::measure(&grid, &netlist, &assignment, &released);
         let arena = net::DesignArena::from_netlist(&netlist);
         let mut ctx = FlowContext::new(

@@ -43,8 +43,7 @@ pub fn first_round_problems() -> Vec<PartitionProblem> {
     let (mut grid, specs) = config.generate().expect("valid config");
     let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
     let assignment = initial_assignment(&mut grid, &netlist);
-    let report = timing::analyze(&grid, &netlist, &assignment);
-    let released = cpla::select_critical_nets(&report, RATIO);
+    let released = cpla::select_critical_nets(&grid, &netlist, &assignment, RATIO);
     let ctx = cpla::timing_context(&grid, &netlist, &assignment, &released, FOCUS);
     let segments: Vec<SegmentRef> = released
         .iter()

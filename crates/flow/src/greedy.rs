@@ -122,11 +122,12 @@ impl Greedy {
         // Longest path first: slowest nets get first pick of the fast
         // layers. Keys are frozen up front so later moves cannot
         // reorder the sweep.
+        let mut timing = NetTiming::default();
         let mut keyed: Vec<(f64, usize)> = released
             .iter()
             .map(|&i| {
-                let t = NetTiming::compute(grid, netlist.net(i), assignment.net_layers(i));
-                (t.critical_delay(), i)
+                timing.recompute(grid, netlist.net(i), assignment.net_layers(i));
+                (timing.critical_delay(), i)
             })
             .collect();
         keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
@@ -136,25 +137,30 @@ impl Greedy {
             nets_reverted: 0,
             nets_skipped: 0,
         };
+        // Scratch reused across nets: the incoming and proposed layers,
+        // and one segment's via attachment layers.
+        let (mut old_layers, mut new_layers, mut attach) = (Vec::new(), Vec::new(), Vec::new());
         for (pos, &(_, ni)) in keyed.iter().enumerate() {
             if self.cancel.is_cancelled() {
                 result.nets_skipped = keyed.len() - pos;
                 break;
             }
             let net = netlist.net(ni);
-            let old_layers = assignment.net_layers(ni).to_vec();
+            old_layers.clear();
+            old_layers.extend_from_slice(assignment.net_layers(ni));
             if old_layers.is_empty() {
                 continue; // via-stack-only net: nothing to re-layer
             }
             net::remove_net_from_grid(grid, net, &old_layers);
             // Downstream capacitances frozen at the net's current
             // layers; the per-segment choice is then independent.
-            let t = NetTiming::compute(grid, net, &old_layers);
+            timing.recompute(grid, net, &old_layers);
             let tree = net.tree();
-            let mut new_layers = old_layers.clone();
+            new_layers.clear();
+            new_layers.extend_from_slice(&old_layers);
             for (s, slot) in new_layers.iter_mut().enumerate() {
                 let dir = tree.segment(s).dir;
-                let cd = t.downstream_cap(s);
+                let cd = timing.downstream_cap(s);
                 // Attachment layers this segment must reach with vias,
                 // frozen at the net's incoming assignment: the metal at
                 // the parent node (or the source pin) and everything at
@@ -163,7 +169,7 @@ impl Greedy {
                 // negligible wire win.
                 let parent_node = tree.segment(s).from as usize;
                 let child_node = tree.segment(s).to as usize;
-                let mut attach: Vec<usize> = Vec::new();
+                attach.clear();
                 match tree.parent_segment(parent_node) {
                     Some(p) => attach.push(old_layers[p]),
                     None => attach.push(net.source().layer),
@@ -182,12 +188,12 @@ impl Greedy {
                     }
                     c
                 };
+                let run = tree.segment_run(s, grid);
                 let best = grid
                     .layers_in_direction(dir)
                     .filter(|&l| {
-                        tree.segment_edges(s)
-                            .iter()
-                            .all(|&e| grid.edge_residual(l, e) > 0)
+                        let (usage, cap) = (grid.edge_usage_row(l), grid.edge_capacity_row(l));
+                        run.indices().all(|i| usage[i] < cap[i])
                     })
                     .map(|l| (cost(l), l))
                     .min_by(|a, b| a.0.total_cmp(&b.0));
@@ -208,7 +214,7 @@ impl Greedy {
                     net::restore_net_to_grid(grid, net, &old_layers);
                     result.nets_reverted += 1;
                 } else {
-                    assignment.set_net_layers(ni, new_layers);
+                    assignment.net_layers_mut(ni).copy_from_slice(&new_layers);
                     result.nets_changed += 1;
                 }
             }
@@ -237,8 +243,8 @@ impl LayerAssigner for Greedy {
         observers: &mut [&mut dyn StageObserver],
     ) -> Result<FlowReport, FlowError> {
         self.config.validate()?;
-        let full = timing::analyze(grid, netlist, assignment);
-        let released = crate::select_critical_nets(&full, self.config.critical_ratio);
+        let released =
+            crate::select_critical_nets(grid, netlist, assignment, self.config.critical_ratio);
         let initial_metrics = Metrics::measure(grid, netlist, assignment, &released);
 
         for obs in observers.iter_mut() {

@@ -89,8 +89,12 @@ impl Instance {
     /// fraction in `0..=1`.
     pub fn critical_nets(&self, ratio: f64) -> Result<Vec<usize>, FlowError> {
         crate::validate_ratio("critical_ratio", ratio)?;
-        let report = timing::analyze(&self.grid, &self.netlist, &self.assignment);
-        Ok(crate::select_critical_nets(&report, ratio))
+        Ok(crate::select_critical_nets(
+            &self.grid,
+            &self.netlist,
+            &self.assignment,
+            ratio,
+        ))
     }
 
     /// Measures the Table-2 quality metrics over `released`.

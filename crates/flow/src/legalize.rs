@@ -18,6 +18,11 @@ const PASSES: usize = 4;
 /// `released` in order, at most four times, and stops after a pass that
 /// moves nothing. `grid` usage and `assignment` stay consistent
 /// throughout.
+///
+/// Edges are tested on the layer's usage and capacity rows along the
+/// segment's [`grid::EdgeRun`], and a net's [`IncrementalTiming`] is
+/// built only at its first overflowing segment, so a net that needs no
+/// repair costs one scan of its runs and no allocation.
 pub fn legalize(
     grid: &mut Grid,
     netlist: &Netlist,
@@ -25,38 +30,34 @@ pub fn legalize(
     released: &[usize],
     model: &TimingModel,
 ) {
+    let mut layers: Vec<usize> = Vec::new();
     for _pass in 0..PASSES {
         let mut moved_any = false;
         for &ni in released {
             let net = netlist.net(ni);
             let tree = net.tree();
-            let mut layers = assignment.net_layers(ni).to_vec();
-            if layers.is_empty() {
-                continue;
-            }
-            // Track this net's downstream capacitances incrementally:
-            // each accepted move is an O(path-to-root) update, not an
-            // O(net) recompute per overflowing segment.
-            let mut inc = IncrementalTiming::new(model, net, &layers);
+            layers.clear();
+            layers.extend_from_slice(assignment.net_layers(ni));
+            // Tracks this net's downstream capacitances once a segment
+            // needs repair: each accepted move is an O(path-to-root)
+            // update, not an O(net) recompute per overflowing segment.
+            let mut inc: Option<IncrementalTiming> = None;
             let mut net_moved = false;
             for s in 0..tree.num_segments() {
                 let layer = layers[s];
-                let overflowing = tree
-                    .segment_edges(s)
-                    .iter()
-                    .any(|&e| grid.edge_usage(layer, e) > grid.edge_capacity(layer, e));
-                if !overflowing {
+                let run = tree.segment_run(s, grid);
+                let (usage, cap) = (grid.edge_usage_row(layer), grid.edge_capacity_row(layer));
+                if !run.indices().any(|i| usage[i] > cap[i]) {
                     continue;
                 }
-                let dir = tree.segment(s).dir;
+                let inc = inc.get_or_insert_with(|| IncrementalTiming::new(model, net, &layers));
                 let cd = inc.downstream_cap(s);
                 let best = grid
-                    .layers_in_direction(dir)
+                    .layers_in_direction(tree.segment(s).dir)
                     .filter(|&l| l != layer)
                     .filter(|&l| {
-                        tree.segment_edges(s)
-                            .iter()
-                            .all(|&e| grid.edge_residual(l, e) > 0)
+                        let (usage, cap) = (grid.edge_usage_row(l), grid.edge_capacity_row(l));
+                        run.indices().all(|i| usage[i] < cap[i])
                     })
                     .map(|l| (timing::segment_delay_on_layer(grid, net, s, l, cd), l))
                     .min_by(|a, b| a.0.total_cmp(&b.0));
@@ -66,12 +67,11 @@ pub fn legalize(
                     net::restore_net_to_grid(grid, net, &layers);
                     inc.set_layer(s, new_layer);
                     net_moved = true;
-                    moved_any = true;
                 }
             }
             if net_moved {
-                inc.commit();
-                assignment.set_net_layers(ni, layers);
+                assignment.net_layers_mut(ni).copy_from_slice(&layers);
+                moved_any = true;
             }
         }
         if !moved_any {

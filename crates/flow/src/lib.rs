@@ -20,8 +20,9 @@
 //! the Table-2 quality [`Metrics`], [`select_critical_nets`], the
 //! cooperative [`Cancel`] flag racing drivers hand to their backends,
 //! the [`Greedy`] longest-path baseline — the trait's own reference
-//! implementation and the portfolio's latency floor — and the
-//! [`legalize`] wire-overflow sweep TILA and Lagrange share.
+//! implementation and the portfolio's latency floor — and what TILA and
+//! Lagrange share: the dual [`Multipliers`], the exact per-net tree DP
+//! [`NetDp`] and the [`legalize`] wire-overflow sweep.
 
 // Lint policy: DESIGN.md §8. An exception is `#[expect(clippy::…, reason = "…")]` at its site.
 #![warn(
@@ -37,6 +38,7 @@
 #![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
 
 mod cancel;
+mod dp;
 mod error;
 mod greedy;
 mod instance;
@@ -46,6 +48,7 @@ mod observer;
 mod select;
 
 pub use cancel::Cancel;
+pub use dp::{Multipliers, NetDp};
 pub use error::{ConfigError, FlowError, InputError, InvariantError};
 pub use greedy::{Greedy, GreedyConfig, GreedyResult};
 pub use grid::GridError;
@@ -56,7 +59,7 @@ pub use solver::SolveError;
 
 pub use metrics::Metrics;
 pub use observer::{FlowCounters, LeafSpan, RoundSnapshot, Stage, StageObserver};
-pub use select::{select_critical_nets, select_critical_nets_flat, validate_ratio};
+pub use select::{select_critical_nets, validate_ratio};
 
 use grid::Grid;
 use net::{Assignment, Netlist};

@@ -42,7 +42,8 @@
 
 mod relax;
 
-pub use relax::{Multipliers, Relaxation};
+pub use flow::Multipliers;
+pub use relax::Relaxation;
 
 use flow::{
     Cancel, ConfigError, FlowCounters, FlowError, FlowReport, LayerAssigner, Metrics,
@@ -267,12 +268,15 @@ impl Lagrange {
         self.config.validate()?;
         flow::validate_input(netlist, assignment, released)?;
 
+        // One timing scratch serves every per-net pass of the run.
+        let mut timing = NetTiming::default();
         // Criticality weights, frozen at entry: the slowest released
         // net weighs 1, the rest fall off as (T/T_max)^focus.
         let entry_delays: Vec<f64> = released
             .iter()
             .map(|&i| {
-                NetTiming::compute(grid, netlist.net(i), assignment.net_layers(i)).critical_delay()
+                timing.recompute(grid, netlist.net(i), assignment.net_layers(i));
+                timing.critical_delay()
             })
             .collect();
         let t_max = entry_delays.iter().copied().fold(0.0f64, f64::max);
@@ -287,16 +291,17 @@ impl Lagrange {
             })
             .collect();
 
-        let objective = |g: &Grid, a: &Assignment| -> f64 {
+        let objective = |g: &Grid, a: &Assignment, t: &mut NetTiming| -> f64 {
             released
                 .iter()
                 .zip(&weights)
                 .map(|(&i, &w)| {
-                    w * NetTiming::compute(g, netlist.net(i), a.net_layers(i)).critical_delay()
+                    t.recompute(g, netlist.net(i), a.net_layers(i));
+                    w * t.critical_delay()
                 })
                 .sum()
         };
-        let initial_objective = objective(grid, assignment);
+        let initial_objective = objective(grid, assignment, &mut timing);
 
         let released_segments: usize = released
             .iter()
@@ -338,6 +343,9 @@ impl Lagrange {
 
         let mut lambda = Multipliers::zeros(grid);
         let model = TimingModel::from_grid(grid);
+        // The round's minimizer output: the released nets' layers back
+        // to back, in released order.
+        let mut layers = vec![0; released_segments];
 
         for round in 1..=self.config.rounds {
             if self.cancel.is_cancelled() {
@@ -351,25 +359,26 @@ impl Lagrange {
                 obs.on_stage_start(round, Stage::Solve);
             }
             let solve_t = Instant::now();
-            let frozen: Vec<Vec<usize>> = released
-                .iter()
-                .map(|&i| assignment.net_layers(i).to_vec())
-                .collect();
-            for (&i, layers) in released.iter().zip(&frozen) {
-                net::remove_net_from_grid(grid, netlist.net(i), layers);
+            for &i in released {
+                net::remove_net_from_grid(grid, netlist.net(i), assignment.net_layers(i));
             }
-            let new_layers = {
+            {
+                let frozen: Vec<&[usize]> =
+                    released.iter().map(|&i| assignment.net_layers(i)).collect();
                 let relax = Relaxation::new(grid, netlist, released, &frozen, &weights);
-                let (new_layers, minimized) = relax.minimize(&lambda, self.config.threads);
+                let minimized = relax.minimize(&lambda, self.config.threads, &mut layers);
                 let dual = relax.dual_value_from(&lambda, minimized);
                 if dual > result.best_dual_bound {
                     result.best_dual_bound = dual;
                 }
-                new_layers
-            };
-            for (pos, &i) in released.iter().enumerate() {
-                net::restore_net_to_grid(grid, netlist.net(i), &new_layers[pos]);
-                assignment.set_net_layers(i, new_layers[pos].clone());
+            }
+            let mut rest = layers.as_slice();
+            for &i in released {
+                let net = netlist.net(i);
+                let (new_layers, tail) = rest.split_at(net.tree().num_segments());
+                net::restore_net_to_grid(grid, net, new_layers);
+                assignment.net_layers_mut(i).copy_from_slice(new_layers);
+                rest = tail;
             }
             let step = self.config.step_scale * delay_scale * self.config.decay.factor(round);
             lambda.subgradient_step(grid, step, self.config.via_weight);
@@ -395,14 +404,14 @@ impl Lagrange {
                 obs.on_stage_start(round, Stage::Measure);
             }
             let measure_t = Instant::now();
-            let obj = objective(grid, assignment);
+            let obj = objective(grid, assignment, &mut timing);
             let pen = penalized(grid, obj);
             let improved = pen < best_penalized;
             if improved {
                 best_penalized = pen;
                 result.final_objective = obj;
                 for (slot, &i) in best_layers.iter_mut().zip(released) {
-                    *slot = assignment.net_layers(i).to_vec();
+                    slot.copy_from_slice(assignment.net_layers(i));
                 }
             }
             let measure_secs = measure_t.elapsed().as_secs_f64();
@@ -479,8 +488,8 @@ impl LayerAssigner for Lagrange {
         observers: &mut [&mut dyn StageObserver],
     ) -> Result<FlowReport, FlowError> {
         self.config.validate()?;
-        let full = timing::analyze(grid, netlist, assignment);
-        let released = flow::select_critical_nets(&full, self.config.critical_ratio);
+        let released =
+            flow::select_critical_nets(grid, netlist, assignment, self.config.critical_ratio);
         let initial_metrics = Metrics::measure(grid, netlist, assignment, &released);
         let result = self.run_observed(grid, netlist, assignment, &released, observers)?;
         let final_metrics = Metrics::measure(grid, netlist, assignment, &released);

@@ -1,5 +1,5 @@
-//! The dualized relaxation: multipliers, the per-net exact minimizer,
-//! and the weak-duality accounting.
+//! The dualized relaxation: the frozen context the shared per-net
+//! minimizer ([`flow::NetDp`]) runs in, and the weak-duality accounting.
 //!
 //! Everything in this module is a *pure function of a frozen context*:
 //! a background grid (released nets removed), frozen downstream
@@ -23,130 +23,10 @@
 //! legalizer's and the priced incumbent's job — the relaxation only
 //! steers.
 
-use grid::{Direction, Grid};
+use flow::{Multipliers, NetDp};
+use grid::Grid;
 use net::Netlist;
 use timing::NetTiming;
-
-/// Dense per-edge and per-via-cell dual multipliers.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Multipliers {
-    /// `edge[layer][edge_flat_index]` — Eqn. 4c rows.
-    edge: Vec<Vec<f64>>,
-    /// `via[layer][cell_flat_index]` — Eqn. 4d rows.
-    via: Vec<Vec<f64>>,
-}
-
-impl Multipliers {
-    /// All-zero multipliers shaped for `grid`.
-    pub fn zeros(grid: &Grid) -> Multipliers {
-        let n_cells = grid.width() as usize * grid.height() as usize;
-        Multipliers {
-            edge: (0..grid.num_layers())
-                .map(|l| vec![0.0; grid.num_edges(grid.layer(l).direction)])
-                .collect(),
-            via: (0..grid.num_layers()).map(|_| vec![0.0; n_cells]).collect(),
-        }
-    }
-
-    /// The multiplier on edge-capacity row `(layer, flat index)`.
-    pub fn edge(&self, layer: usize, idx: usize) -> f64 {
-        self.edge[layer][idx]
-    }
-
-    /// The multiplier on via-capacity row `(layer, flat cell index)`.
-    pub fn via(&self, layer: usize, idx: usize) -> f64 {
-        self.via[layer][idx]
-    }
-
-    /// Mutable access to an edge-row multiplier (warm starts, tests).
-    pub fn edge_mut(&mut self, layer: usize, idx: usize) -> &mut f64 {
-        &mut self.edge[layer][idx]
-    }
-
-    /// Mutable access to a via-row multiplier (warm starts, tests).
-    pub fn via_mut(&mut self, layer: usize, idx: usize) -> &mut f64 {
-        &mut self.via[layer][idx]
-    }
-
-    /// Number of edge rows per layer (row length of `edge[layer]`).
-    pub fn edge_row_len(&self, layer: usize) -> usize {
-        self.edge[layer].len()
-    }
-
-    /// Number of via rows per layer (row length of `via[layer]`).
-    pub fn via_row_len(&self, layer: usize) -> usize {
-        self.via[layer].len()
-    }
-
-    /// Number of layers the tables are shaped for.
-    pub fn num_layers(&self) -> usize {
-        self.edge.len()
-    }
-
-    /// One projected subgradient ascent step: `λ ← max(0, λ + step·g)`
-    /// where `g = usage − capacity` is read from `grid` (which must
-    /// carry the *full* usage, background plus released nets). Via rows
-    /// move at `via_weight · step`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tables were not shaped for `grid`.
-    pub fn subgradient_step(&mut self, grid: &Grid, step: f64, via_weight: f64) {
-        self.check_shape(grid);
-        for l in 0..grid.num_layers() {
-            let edges = grid.edge_usage_row(l).iter().zip(grid.edge_capacity_row(l));
-            for (m, (&u, &c)) in self.edge[l].iter_mut().zip(edges) {
-                let violation = u as f64 - c as f64;
-                *m = (*m + step * violation).max(0.0);
-            }
-            let cells = grid.via_usage_row(l).iter().zip(grid.via_capacity_row(l));
-            for (m, (&u, &c)) in self.via[l].iter_mut().zip(cells) {
-                let violation = u as f64 - c as f64;
-                *m = (*m + via_weight * step * violation).max(0.0);
-            }
-        }
-    }
-
-    /// Asserts the tables have one row per layer of `grid` and one entry
-    /// per edge or cell, so the zipped row sweeps cover every entry.
-    fn check_shape(&self, grid: &Grid) {
-        assert_eq!(self.edge.len(), grid.num_layers(), "multiplier layer count");
-        for l in 0..grid.num_layers() {
-            assert_eq!(
-                self.edge[l].len(),
-                grid.edge_usage_row(l).len(),
-                "edge row {l}"
-            );
-            assert_eq!(
-                self.via[l].len(),
-                grid.via_usage_row(l).len(),
-                "via row {l}"
-            );
-        }
-    }
-
-    /// The smallest multiplier entry (projection keeps this ≥ 0).
-    pub fn min(&self) -> f64 {
-        self.entries().fold(f64::INFINITY, f64::min)
-    }
-
-    /// The largest multiplier entry.
-    pub fn max(&self) -> f64 {
-        self.entries().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Dual feasibility: every multiplier finite and non-negative.
-    pub fn is_dual_feasible(&self) -> bool {
-        self.entries().all(|v| v.is_finite() && v >= 0.0)
-    }
-
-    fn entries(&self) -> impl Iterator<Item = f64> + '_ {
-        self.edge
-            .iter()
-            .chain(self.via.iter())
-            .flat_map(|row| row.iter().copied())
-    }
-}
 
 /// A frozen relaxation context over one background grid.
 ///
@@ -159,8 +39,12 @@ pub struct Relaxation<'a> {
     grid: &'a Grid,
     netlist: &'a Netlist,
     released: &'a [usize],
-    /// Frozen downstream capacitance per segment, by released position.
-    caps: Vec<Vec<f64>>,
+    /// Released position `k` owns `caps[seg_start[k]..seg_start[k + 1]]`
+    /// (and the same range of a flat layer buffer).
+    seg_start: Vec<usize>,
+    /// Frozen downstream capacitance per segment, released nets back to
+    /// back.
+    caps: Vec<f64>,
     /// Criticality weight per net, by released position.
     weights: Vec<f64>,
 }
@@ -174,31 +58,43 @@ impl<'a> Relaxation<'a> {
     ///
     /// Panics if the slice lengths disagree with `released` or a layer
     /// vector does not match its net.
-    pub fn new(
+    pub fn new<L: AsRef<[usize]>>(
         grid: &'a Grid,
         netlist: &'a Netlist,
         released: &'a [usize],
-        frozen_layers: &[Vec<usize>],
+        frozen_layers: &[L],
         weights: &[f64],
     ) -> Relaxation<'a> {
         assert_eq!(frozen_layers.len(), released.len());
         assert_eq!(weights.len(), released.len());
-        let caps = released
-            .iter()
-            .zip(frozen_layers)
-            .map(|(&i, layers)| {
-                NetTiming::compute(grid, netlist.net(i), layers)
-                    .downstream_caps()
-                    .to_vec()
-            })
-            .collect();
+        let mut seg_start = Vec::with_capacity(released.len() + 1);
+        seg_start.push(0);
+        let mut caps = Vec::new();
+        let mut timing = NetTiming::default();
+        for (&i, layers) in released.iter().zip(frozen_layers) {
+            timing.recompute(grid, netlist.net(i), layers.as_ref());
+            caps.extend_from_slice(timing.downstream_caps());
+            seg_start.push(caps.len());
+        }
         Relaxation {
             grid,
             netlist,
             released,
+            seg_start,
             caps,
             weights: weights.to_vec(),
         }
+    }
+
+    /// Total segment count of the released nets: the length of the flat
+    /// layer buffer [`Relaxation::minimize`] fills.
+    pub fn num_segments(&self) -> usize {
+        self.caps.len()
+    }
+
+    /// The frozen downstream capacitances of released position `k`.
+    fn caps(&self, k: usize) -> &[f64] {
+        &self.caps[self.seg_start[k]..self.seg_start[k + 1]]
     }
 
     /// The released set this context covers.
@@ -239,8 +135,8 @@ impl<'a> Relaxation<'a> {
             let tree = net.tree();
             let x = &layers[k];
             for s in 0..tree.num_segments() {
-                for e in tree.segment_edges(s) {
-                    wire[x[s]][grid.edge_flat_index(e)] += 1;
+                for idx in tree.segment_run(s, grid).indices() {
+                    wire[x[s]][idx] += 1;
                 }
             }
             self.for_each_transition(k, x, |cell, la, lb, _cap| {
@@ -266,53 +162,63 @@ impl<'a> Relaxation<'a> {
 
     /// Exact joint minimizer of the Lagrangian: per-net bottom-up tree
     /// DPs under fixed `λ` (the nets only couple through the dualized
-    /// capacities, so the decomposition is exact, Jacobi-style).
-    /// Returns the minimizing layer vectors (by released position) and
-    /// `Σ min_x [f + λ·charge]`.
+    /// capacities, so the decomposition is exact, Jacobi-style). Writes
+    /// the minimizing layers into `layers`, released position `k`'s in
+    /// its segment range with the released nets back to back, and
+    /// returns `Σ min_x [f + λ·charge]`.
     ///
     /// `threads > 1` shards the independent per-net DPs across scoped
     /// threads; the merge is by position, so the result is bit-identical
-    /// at every thread count.
-    pub fn minimize(&self, lambda: &Multipliers, threads: usize) -> (Vec<Vec<usize>>, f64) {
+    /// at every thread count. Each shard keeps one [`NetDp`] for all its
+    /// nets, so nothing is allocated per net.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `layers.len()` is [`Relaxation::num_segments`].
+    pub fn minimize(&self, lambda: &Multipliers, threads: usize, layers: &mut [usize]) -> f64 {
         let n = self.released.len();
-        let solve_range = |lo: usize, hi: usize| -> Vec<(Vec<usize>, f64)> {
-            (lo..hi).map(|k| self.minimize_net(k, lambda)).collect()
+        assert_eq!(layers.len(), self.num_segments(), "one layer per segment");
+        let mut values = vec![0.0f64; n];
+        // Minimizes released positions `lo..lo + values.len()` into
+        // their slices of `values` and `layers`.
+        let solve = |lo: usize, values: &mut [f64], layers: &mut [usize]| {
+            let mut dp = NetDp::default();
+            let base = self.seg_start[lo];
+            for (j, value) in values.iter_mut().enumerate() {
+                let k = lo + j;
+                let out = &mut layers[self.seg_start[k] - base..self.seg_start[k + 1] - base];
+                let net = self.netlist.net(self.released[k]);
+                *value = dp.minimize(self.grid, net, self.caps(k), self.weights[k], lambda, out);
+            }
         };
-        let solved: Vec<(Vec<usize>, f64)> = if threads <= 1 || n < 2 {
-            solve_range(0, n)
+        if threads <= 1 || n < 2 {
+            solve(0, &mut values, layers);
         } else {
-            let shards = threads.min(n);
-            let chunk = n.div_ceil(shards);
+            let chunk = n.div_ceil(threads.min(n));
+            let solve = &solve;
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|s| {
-                        let lo = s * chunk;
-                        let hi = (lo + chunk).min(n);
-                        scope.spawn(move || solve_range(lo, hi))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| {
-                        #[expect(
-                            clippy::expect_used,
-                            reason = "the DP bodies touch only immutable borrows and cannot panic \
-                                      on validated input"
-                        )]
-                        h.join().expect("relaxation shard panicked")
-                    })
-                    .collect()
-            })
-        };
-        let total = solved.iter().map(|(_, v)| v).sum();
-        (solved.into_iter().map(|(l, _)| l).collect(), total)
+                let (mut values, mut layers) = (&mut values[..], layers);
+                let mut lo = 0;
+                while lo < n {
+                    let hi = (lo + chunk).min(n);
+                    let (shard_values, rest_values) = values.split_at_mut(hi - lo);
+                    let segments = self.seg_start[hi] - self.seg_start[lo];
+                    let (shard_layers, rest_layers) = layers.split_at_mut(segments);
+                    (values, layers) = (rest_values, rest_layers);
+                    scope.spawn(move || solve(lo, shard_values, shard_layers));
+                    lo = hi;
+                }
+            });
+        }
+        values.iter().sum()
     }
 
     /// The dual function `g(λ)`: the minimized Lagrangian plus its
     /// constant term `Σ λ·(background − capacity)`. For any `λ ≥ 0`,
     /// `g(λ)` lower-bounds `f(x)` over every charged-feasible `x`.
     pub fn dual_value(&self, lambda: &Multipliers, threads: usize) -> f64 {
-        let (_, minimized) = self.minimize(lambda, threads);
+        let mut layers = vec![0; self.num_segments()];
+        let minimized = self.minimize(lambda, threads, &mut layers);
         self.dual_value_from(lambda, minimized)
     }
 
@@ -330,11 +236,11 @@ impl<'a> Relaxation<'a> {
         let mut constant = 0.0;
         for l in 0..grid.num_layers() {
             let edges = grid.edge_usage_row(l).iter().zip(grid.edge_capacity_row(l));
-            for (&m, (&u, &c)) in lambda.edge[l].iter().zip(edges) {
+            for (&m, (&u, &c)) in lambda.edge_row(l).iter().zip(edges) {
                 constant += m * (u as f64 - c as f64);
             }
             let cells = grid.via_usage_row(l).iter().zip(grid.via_capacity_row(l));
-            for (&m, (&u, &c)) in lambda.via[l].iter().zip(cells) {
+            for (&m, (&u, &c)) in lambda.via_row(l).iter().zip(cells) {
                 constant += m * (u as f64 - c as f64);
             }
         }
@@ -358,7 +264,7 @@ impl<'a> Relaxation<'a> {
         let root_cell = tree.node(root).cell;
         for &cs in tree.child_segments(root) {
             let cs = cs as usize;
-            visit(root_cell, net.source().layer, x[cs], self.caps[k][cs]);
+            visit(root_cell, net.source().layer, x[cs], self.caps(k)[cs]);
         }
         for s in 0..tree.num_segments() {
             let child_node = tree.segment(s).to as usize;
@@ -369,7 +275,7 @@ impl<'a> Relaxation<'a> {
             }
             for &cs in tree.child_segments(child_node) {
                 let cs = cs as usize;
-                visit(cell, x[s], x[cs], self.caps[k][cs]);
+                visit(cell, x[s], x[cs], self.caps(k)[cs]);
             }
         }
     }
@@ -382,10 +288,10 @@ impl<'a> Relaxation<'a> {
         let w = self.weights[k];
         let mut total = 0.0;
         for (s, &xs) in x.iter().enumerate().take(tree.num_segments()) {
-            total += w * timing::segment_delay_on_layer(self.grid, net, s, xs, self.caps[k][s]);
+            total += w * timing::segment_delay_on_layer(self.grid, net, s, xs, self.caps(k)[s]);
             if let Some(lambda) = lambda {
-                for e in tree.segment_edges(s) {
-                    total += lambda.edge(xs, self.grid.edge_flat_index(e));
+                for idx in tree.segment_run(s, self.grid).indices() {
+                    total += lambda.edge(xs, idx);
                 }
             }
         }
@@ -414,119 +320,5 @@ impl<'a> Relaxation<'a> {
             }
         }
         cost
-    }
-
-    /// Exact minimizer for one net: bottom-up DP over the routing tree,
-    /// one state per (segment, layer), vias priced between every
-    /// parent/child pair — the same recurrence TILA uses, with the
-    /// criticality weight folded into every delay term.
-    fn minimize_net(&self, k: usize, lambda: &Multipliers) -> (Vec<usize>, f64) {
-        let grid = self.grid;
-        let net = self.netlist.net(self.released[k]);
-        let tree = net.tree();
-        let w = self.weights[k];
-        let num_layers = grid.num_layers();
-        let h_layers: Vec<usize> = grid.layers_in_direction(Direction::Horizontal).collect();
-        let v_layers: Vec<usize> = grid.layers_in_direction(Direction::Vertical).collect();
-        let layers_of = |dir: Direction| -> &[usize] {
-            match dir {
-                Direction::Horizontal => &h_layers,
-                Direction::Vertical => &v_layers,
-            }
-        };
-        if tree.num_segments() == 0 {
-            return (Vec::new(), 0.0);
-        }
-
-        let mut dp = vec![vec![f64::INFINITY; num_layers]; tree.num_segments()];
-        let mut pick: Vec<Vec<Vec<usize>>> =
-            vec![vec![Vec::new(); num_layers]; tree.num_segments()];
-        for s in tree.postorder_segments() {
-            let child_node = tree.segment(s).to as usize;
-            let node_cell = tree.node(child_node).cell;
-            let pin = tree.node(child_node).pin.map(|p| &net.pins()[p as usize]);
-            for &l in layers_of(tree.segment(s).dir) {
-                let mut cost = w * timing::segment_delay_on_layer(grid, net, s, l, self.caps[k][s]);
-                for e in tree.segment_edges(s) {
-                    cost += lambda.edge(l, grid.edge_flat_index(e));
-                }
-                let mut choices = Vec::new();
-                if let Some(p) = pin {
-                    cost += self.via_cost(k, Some(lambda), node_cell, l, p.layer, p.capacitance);
-                }
-                for &cs in tree.child_segments(child_node) {
-                    let cs = cs as usize;
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "validated grids route every direction on ≥ 1 layer"
-                    )]
-                    let (best_l, best_c) = layers_of(tree.segment(cs).dir)
-                        .iter()
-                        .map(|&cl| {
-                            (
-                                cl,
-                                dp[cs][cl]
-                                    + self.via_cost(
-                                        k,
-                                        Some(lambda),
-                                        node_cell,
-                                        l,
-                                        cl,
-                                        self.caps[k][cs],
-                                    ),
-                            )
-                        })
-                        .min_by(|a, b| a.1.total_cmp(&b.1))
-                        .expect("layer exists per direction");
-                    cost += best_c;
-                    choices.push(best_l);
-                }
-                dp[s][l] = cost;
-                pick[s][l] = choices;
-            }
-        }
-
-        let mut layers = vec![usize::MAX; tree.num_segments()];
-        let root = tree.root();
-        let root_cell = tree.node(root).cell;
-        let src = net.source();
-        let mut total = 0.0;
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for &cs in tree.child_segments(root) {
-            let cs = cs as usize;
-            #[expect(
-                clippy::expect_used,
-                reason = "validated grids route every direction on ≥ 1 layer"
-            )]
-            let (best_l, best_c) = layers_of(tree.segment(cs).dir)
-                .iter()
-                .map(|&l| {
-                    (
-                        l,
-                        dp[cs][l]
-                            + self.via_cost(
-                                k,
-                                Some(lambda),
-                                root_cell,
-                                src.layer,
-                                l,
-                                self.caps[k][cs],
-                            ),
-                    )
-                })
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("layer exists");
-            total += best_c;
-            stack.push((cs, best_l));
-        }
-        while let Some((s, l)) = stack.pop() {
-            layers[s] = l;
-            let child_node = tree.segment(s).to as usize;
-            for (j, &cs) in tree.child_segments(child_node).iter().enumerate() {
-                stack.push((cs as usize, pick[s][l][j]));
-            }
-        }
-        debug_assert!(layers.iter().all(|&l| l != usize::MAX));
-        (layers, total)
     }
 }

@@ -76,6 +76,18 @@ impl Assignment {
         &self.layers[net]
     }
 
+    /// The per-segment layers of one net, to rewrite in place.
+    ///
+    /// Callers are responsible for keeping grid usage in sync, as with
+    /// [`Assignment::set_layer`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is out of range.
+    pub fn net_layers_mut(&mut self, net: usize) -> &mut [usize] {
+        &mut self.layers[net]
+    }
+
     /// Replaces the layer vector of one net.
     ///
     /// # Panics
@@ -170,7 +182,7 @@ pub fn remove_net_from_grid(grid: &mut Grid, net: &Net, layers: &[usize]) {
     for (s, &l) in layers.iter().enumerate() {
         grid.remove_wire_run(l, tree.segment_run(s, grid));
     }
-    for (cell, lo, hi) in net.stacks(layers) {
+    for (cell, lo, hi) in net.via_stacks(layers) {
         grid.remove_via_stack(cell, lo, hi);
     }
 }
@@ -188,7 +200,7 @@ pub fn restore_net_to_grid(grid: &mut Grid, net: &Net, layers: &[usize]) {
     for (s, &l) in layers.iter().enumerate() {
         grid.add_wire_run(l, tree.segment_run(s, grid));
     }
-    for (cell, lo, hi) in net.stacks(layers) {
+    for (cell, lo, hi) in net.via_stacks(layers) {
         grid.add_via_stack(cell, lo, hi);
     }
 }

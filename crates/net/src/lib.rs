@@ -61,7 +61,10 @@ pub use assignment::{apply_to_grid, remove_net_from_grid, restore_net_to_grid, A
 pub use ids::{NetId, NodeId, SegId};
 pub use netlist::{Netlist, SegmentRef};
 pub use pin::Pin;
-pub use tree::{BuildTreeError, NodeIter, RouteTree, RouteTreeBuilder, Segment, TreeNode};
+pub use tree::{
+    BuildTreeError, NodeIter, PostorderSegments, PreorderSegments, RouteTree, RouteTreeBuilder,
+    Segment, TreeNode,
+};
 
 use grid::Cell;
 
@@ -206,9 +209,10 @@ impl Net {
     }
 
     /// Enumerates the via stacks implied by assigning this net's segments
-    /// to `layers` (`layers[s]` = layer of segment `s`), as
+    /// to `layers` (`layers[s]` = layer of segment `s`), node by node, as
     /// `(cell, lowest layer, highest layer)` triples. Nodes where all
-    /// incident metal sits on one layer produce no stack.
+    /// incident metal sits on one layer produce no stack. Nothing is
+    /// collected.
     ///
     /// At a pin node the stack must extend down to `pin_layer`
     /// (conventionally 0, the pin/device layer).
@@ -216,26 +220,7 @@ impl Net {
     /// # Panics
     ///
     /// Panics if `layers.len() != self.tree().num_segments()`.
-    pub fn via_stacks(&self, layers: &[usize]) -> Vec<(Cell, usize, usize)> {
-        self.stacks(layers).collect()
-    }
-
-    /// Total via count of the net under `layers`: the number of
-    /// layer-boundary hops summed over all via stacks. Walks the nodes
-    /// directly, without building [`Net::via_stacks`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layers.len() != self.tree().num_segments()`.
-    pub fn via_count(&self, layers: &[usize]) -> u64 {
-        self.stacks(layers)
-            .map(|(_, lo, hi)| (hi - lo) as u64)
-            .sum()
-    }
-
-    /// The via stacks of [`Net::via_stacks`], node by node, without
-    /// collecting them.
-    fn stacks<'a>(
+    pub fn via_stacks<'a>(
         &'a self,
         layers: &'a [usize],
     ) -> impl Iterator<Item = (Cell, usize, usize)> + 'a {
@@ -244,6 +229,18 @@ impl Net {
             self.stack_span(ni, node.pin, layers)
                 .map(|(lo, hi)| (node.cell, lo, hi))
         })
+    }
+
+    /// Total via count of the net under `layers`: the number of
+    /// layer-boundary hops summed over all via stacks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers.len() != self.tree().num_segments()`.
+    pub fn via_count(&self, layers: &[usize]) -> u64 {
+        self.via_stacks(layers)
+            .map(|(_, lo, hi)| (hi - lo) as u64)
+            .sum()
     }
 
     /// The `(lowest, highest)` layer of the metal meeting at node `ni`
@@ -309,7 +306,7 @@ mod tests {
         // Both segments on layer 0: pin at root is layer 0 too -> only the
         // sink-side node has no gap either. No stacks except none at all,
         // because segment layers and pin layers all equal 0.
-        let stacks = net.via_stacks(&[0, 0]);
+        let stacks: Vec<_> = net.via_stacks(&[0, 0]).collect();
         assert!(stacks.is_empty(), "{stacks:?}");
         assert_eq!(net.via_count(&[0, 0]), 0);
     }
@@ -335,7 +332,7 @@ mod tests {
             let net = l_net();
             // Horizontal candidates 0/2, vertical 1/3.
             let layers = [h * 2, 1 + v * 2];
-            let stacks = net.via_stacks(&layers);
+            let stacks: Vec<_> = net.via_stacks(&layers).collect();
             let span_sum: u64 = stacks.iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum();
             assert_eq!(net.via_count(&layers), span_sum);
             let node_cells: Vec<_> = net.tree().nodes().map(|n| n.cell).collect();
@@ -360,7 +357,7 @@ mod tests {
     fn via_stacks_span_layer_gaps() {
         let net = l_net();
         // Segment 0 (horizontal) on layer 2, segment 1 (vertical) on 1.
-        let stacks = net.via_stacks(&[2, 1]);
+        let stacks: Vec<_> = net.via_stacks(&[2, 1]).collect();
         // Root: pin layer 0 + segment layer 2 -> (0..2).
         assert!(stacks.contains(&(Cell::new(0, 0), 0, 2)));
         // Corner: segment layers 2 and 1 -> (1..2).
@@ -374,6 +371,23 @@ mod tests {
     /// random nodes, with the source at the root and sinks on random
     /// other nodes, every pin on a random layer below `layers`.
     fn random_net(rng: &mut prng::Rng, max_segments: usize, layers: usize) -> Net {
+        let mut b = random_tree(rng, max_segments);
+        let mut pins =
+            vec![Pin::source(Cell::new(32, 32), 1.0).on_layer(rng.range_usize(0, layers - 1))];
+        b.attach_pin(b.root(), 0).unwrap();
+        for n in 1..b.num_nodes() {
+            if rng.bool(0.4) {
+                let cell = b.node_cell(n);
+                b.attach_pin(n, pins.len() as u32).unwrap();
+                pins.push(Pin::sink(cell, 1.0).on_layer(rng.range_usize(0, layers - 1)));
+            }
+        }
+        Net::new("random", pins, b.build().unwrap())
+    }
+
+    /// The tree of [`random_net`]: up to `max_segments` straight
+    /// segments grown from random nodes around (32, 32).
+    fn random_tree(rng: &mut prng::Rng, max_segments: usize) -> RouteTreeBuilder {
         let mut b = RouteTreeBuilder::new(Cell::new(32, 32));
         for _ in 0..rng.range_usize(1, max_segments) {
             let from = rng.range_usize(0, b.num_nodes() - 1);
@@ -391,17 +405,103 @@ mod tests {
                 b.add_segment(from, to).unwrap();
             }
         }
-        let mut pins =
-            vec![Pin::source(Cell::new(32, 32), 1.0).on_layer(rng.range_usize(0, layers - 1))];
-        b.attach_pin(b.root(), 0).unwrap();
-        for n in 1..b.num_nodes() {
-            if rng.bool(0.4) {
-                let cell = b.node_cell(n);
-                b.attach_pin(n, pins.len() as u32).unwrap();
-                pins.push(Pin::sink(cell, 1.0).on_layer(rng.range_usize(0, layers - 1)));
+        b
+    }
+
+    /// Checks the walk contract on `tree`: each walk yields every
+    /// segment exactly once, postorder after every segment below it and
+    /// preorder before every segment below it.
+    fn assert_walk_contract(tree: &RouteTree) {
+        let n = tree.num_segments();
+        let walks: [(&str, Vec<usize>, bool); 2] = [
+            (
+                "postorder",
+                tree.postorder_segments().take(n + 1).collect(),
+                false,
+            ),
+            (
+                "preorder",
+                tree.preorder_segments().take(n + 1).collect(),
+                true,
+            ),
+        ];
+        for (name, order, parents_first) in walks {
+            assert_eq!(
+                order.len(),
+                n,
+                "{name} yields {} of {n} segments",
+                order.len()
+            );
+            let mut pos = vec![usize::MAX; n];
+            for (i, &s) in order.iter().enumerate() {
+                assert_eq!(pos[s], usize::MAX, "{name} yields segment {s} twice");
+                pos[s] = i;
+            }
+            for s in 0..n {
+                let mut above = tree.parent_segment(tree.segment(s).from as usize);
+                while let Some(a) = above {
+                    assert_eq!(
+                        pos[a] < pos[s],
+                        parents_first,
+                        "{name}: segment {a} is above segment {s}"
+                    );
+                    above = tree.parent_segment(tree.segment(a).from as usize);
+                }
             }
         }
-        Net::new("random", pins, b.build().unwrap())
+    }
+
+    /// The segment walks keep their contract on one-segment trees, deep
+    /// chains, fan-out nodes, and random trees with split segments whose
+    /// split nodes branch again.
+    #[test]
+    fn segment_walks_visit_children_first_or_parents_first() {
+        let build = |b: RouteTreeBuilder| b.build().unwrap();
+
+        let mut one = RouteTreeBuilder::new(Cell::new(0, 0));
+        one.add_segment(0, Cell::new(3, 0)).unwrap();
+        assert_walk_contract(&build(one));
+
+        let mut chain = RouteTreeBuilder::new(Cell::new(0, 0));
+        let mut at = 0;
+        for k in 1..=300u16 {
+            let cell = Cell::new(k.div_ceil(2), k / 2);
+            at = chain.add_segment(at, cell).unwrap();
+        }
+        assert_walk_contract(&build(chain));
+
+        let mut fan = RouteTreeBuilder::new(Cell::new(8, 8));
+        for (dx, dy) in [(3, 0), (0, 3)] {
+            let arm = fan.add_segment(0, Cell::new(8 + dx, 8 + dy)).unwrap();
+            fan.add_segment(arm, Cell::new(8 + 2 * dx, 8 + 2 * dy))
+                .unwrap();
+        }
+        fan.add_segment(0, Cell::new(2, 8)).unwrap();
+        fan.add_segment(0, Cell::new(8, 2)).unwrap();
+        assert_walk_contract(&build(fan));
+
+        let mut rng = prng::Rng::seed_from_u64(0x3a1c);
+        let mut splits = 0;
+        for _ in 0..400 {
+            let mut b = random_tree(&mut rng, 16);
+            for _ in 0..rng.range_usize(0, 3) {
+                // A horizontal leg of length 2..=6 from a random node,
+                // split at a random interior cell that then branches.
+                let from = rng.range_usize(0, b.num_nodes() - 1);
+                let at = b.node_cell(from);
+                let len = rng.range_u16(2, 6);
+                let end = b.add_segment(from, Cell::new(at.x + len, at.y)).unwrap();
+                // Nodes and segments are created in pairs, so the new
+                // leg is segment `end - 1`.
+                let cut = Cell::new(at.x + rng.range_u16(1, len - 1), at.y);
+                let mid = b.split_segment_at(end - 1, cut).unwrap();
+                b.add_segment(mid, Cell::new(cut.x, cut.y + rng.range_u16(1, 3)))
+                    .unwrap();
+                splits += 1;
+            }
+            assert_walk_contract(&build(b));
+        }
+        assert!(splits > 0, "the sweep split no segment");
     }
 
     /// `via_count` equals the summed spans of `via_stacks` on random
@@ -416,7 +516,7 @@ mod tests {
             let x: Vec<usize> = (0..net.tree().num_segments())
                 .map(|_| rng.range_usize(0, layers - 1))
                 .collect();
-            let stacks = net.via_stacks(&x);
+            let stacks: Vec<_> = net.via_stacks(&x).collect();
             let spans: u64 = stacks.iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum();
             assert_eq!(net.via_count(&x), spans, "layers {x:?}");
             stacked += usize::from(stacks.len() > 1);

@@ -4,9 +4,11 @@
 //! vectors and the child lists are a CSR range (`child_start` offsets
 //! into one shared `children` buffer), so a million-segment design is a
 //! handful of contiguous allocations instead of one heap node per tree
-//! vertex. [`TreeNode`] is a cheap by-value view assembled on demand;
-//! traversal orders are unchanged from the per-node layout because the
-//! builder flattens each node's children in insertion order.
+//! vertex. [`TreeNode`] is a cheap by-value view assembled on demand.
+//! The builder flattens each node's children in insertion order, and
+//! the segment walks ([`RouteTree::postorder_segments`],
+//! [`RouteTree::preorder_segments`]) follow the parent and child arrays
+//! without a stack.
 
 use std::error::Error;
 use std::fmt;
@@ -251,43 +253,54 @@ impl RouteTree {
         grid.edge_run(self.cells[seg.from as usize], self.cells[seg.to as usize])
     }
 
-    /// Segment indices in postorder: every segment appears after all
-    /// segments in the subtree below it. This is the evaluation order for
-    /// downstream capacitance.
-    pub fn postorder_segments(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.segments.len());
-        // Iterative DFS from the root.
-        let mut stack = vec![(self.root(), false)];
-        let mut visit_stack: Vec<usize> = Vec::new();
-        while let Some((node, processed)) = stack.pop() {
-            if processed {
-                if let Some(seg) = self.parent_segment(node) {
-                    visit_stack.push(seg);
-                }
-                continue;
-            }
-            stack.push((node, true));
-            for &cs in self.child_segments(node) {
-                let child = self.segments[cs as usize].to as usize;
-                stack.push((child, false));
-            }
-        }
-        order.extend(visit_stack);
-        order
+    /// Every segment once, each after all segments in the subtree below
+    /// it: the evaluation order for downstream capacitance.
+    ///
+    /// The contract is children first and nothing more: siblings come in
+    /// no promised order. Every consumer combines a node's children over
+    /// [`RouteTree::child_segments`] in insertion order, so any
+    /// children-first order gives the same bits. The walk follows the
+    /// parent and child arrays and allocates nothing.
+    pub fn postorder_segments(&self) -> PostorderSegments<'_> {
+        let next = match self.child_segments(self.root()).first() {
+            Some(&first) => self.first_leaf_segment(first),
+            None => NONE,
+        };
+        PostorderSegments { tree: self, next }
     }
 
-    /// Segment indices in preorder: every segment appears before the
-    /// segments below it (top-down accumulation order for Elmore delay).
-    pub fn preorder_segments(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.segments.len());
-        let mut stack = vec![self.root()];
-        while let Some(node) = stack.pop() {
-            for &cs in self.child_segments(node) {
-                order.push(cs as usize);
-                stack.push(self.segments[cs as usize].to as usize);
-            }
+    /// Every segment once, each before all segments in the subtree below
+    /// it: the top-down accumulation order for Elmore delay.
+    ///
+    /// As with [`RouteTree::postorder_segments`], parents first is the
+    /// whole contract; siblings come in no promised order. The walk
+    /// allocates nothing.
+    pub fn preorder_segments(&self) -> PreorderSegments<'_> {
+        let next = self
+            .child_segments(self.root())
+            .first()
+            .copied()
+            .unwrap_or(NONE);
+        PreorderSegments { tree: self, next }
+    }
+
+    /// The segment at the bottom of the first-child chain that starts at
+    /// segment `s`.
+    fn first_leaf_segment(&self, mut s: u32) -> u32 {
+        while let Some(&first) = self
+            .child_segments(self.segments[s as usize].to as usize)
+            .first()
+        {
+            s = first;
         }
-        order
+        s
+    }
+
+    /// The child segment after `s` at `s`'s parent-side node, if any.
+    fn next_sibling(&self, s: u32) -> Option<u32> {
+        let siblings = self.child_segments(self.segments[s as usize].from as usize);
+        let at = siblings.iter().position(|&c| c == s)?;
+        siblings.get(at + 1).copied()
     }
 
     /// The segments on the path from the root to node `n`, root side
@@ -399,6 +412,75 @@ impl Iterator for NodeIter<'_> {
 }
 
 impl ExactSizeIterator for NodeIter<'_> {}
+
+/// Children-first walk over a tree's segments; see
+/// [`RouteTree::postorder_segments`].
+#[derive(Clone, Debug)]
+pub struct PostorderSegments<'a> {
+    tree: &'a RouteTree,
+    /// The segment to yield next (`NONE` once the walk is done).
+    next: u32,
+}
+
+impl Iterator for PostorderSegments<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let s = self.next;
+        if s == NONE {
+            return None;
+        }
+        // The subtree below `s` is done. Descend into the next sibling's
+        // subtree, or, with none left, finish the parent segment.
+        self.next = match self.tree.next_sibling(s) {
+            Some(sibling) => self.tree.first_leaf_segment(sibling),
+            None => self.tree.parent_seg[self.tree.segments[s as usize].from as usize],
+        };
+        Some(s as usize)
+    }
+}
+
+/// Parents-first walk over a tree's segments; see
+/// [`RouteTree::preorder_segments`].
+#[derive(Clone, Debug)]
+pub struct PreorderSegments<'a> {
+    tree: &'a RouteTree,
+    /// The segment to yield next (`NONE` once the walk is done).
+    next: u32,
+}
+
+impl Iterator for PreorderSegments<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let s = self.next;
+        if s == NONE {
+            return None;
+        }
+        let tree = self.tree;
+        // Go down to the first child; at a leaf, climb until a segment
+        // has a sibling left.
+        self.next = match tree
+            .child_segments(tree.segments[s as usize].to as usize)
+            .first()
+        {
+            Some(&first) => first,
+            None => {
+                let mut up = s;
+                loop {
+                    if let Some(sibling) = tree.next_sibling(up) {
+                        break sibling;
+                    }
+                    up = tree.parent_seg[tree.segments[up as usize].from as usize];
+                    if up == NONE {
+                        break NONE;
+                    }
+                }
+            }
+        };
+        Some(s as usize)
+    }
+}
 
 /// Builder-side node: children kept as a per-node vector until
 /// [`RouteTreeBuilder::build`] flattens them into the CSR layout.
@@ -665,7 +747,7 @@ mod tests {
     #[test]
     fn postorder_visits_children_first() {
         let t = y_tree();
-        let post = t.postorder_segments();
+        let post: Vec<usize> = t.postorder_segments().collect();
         assert_eq!(post.len(), 3);
         // Segment 0 is the root-side half (0,0)->(1,0): must come last.
         assert_eq!(*post.last().unwrap(), 0);
@@ -674,7 +756,7 @@ mod tests {
     #[test]
     fn preorder_visits_parents_first() {
         let t = y_tree();
-        let pre = t.preorder_segments();
+        let pre: Vec<usize> = t.preorder_segments().collect();
         assert_eq!(pre[0], 0);
         let pos = |s: usize| pre.iter().position(|&x| x == s).unwrap();
         for s in 1..3 {

@@ -23,7 +23,11 @@
 //! [`crate::alloc`]), run/round/stage spans carry the *driver thread's*
 //! allocation delta and leaf spans carry their own worker's; a stage's
 //! true total is the driver delta plus its foreign-thread leaves (the
-//! [`crate::stats::summarize`] rollup does this).
+//! [`crate::stats::summarize`] rollup does this). The recorder's own
+//! growth — its span list reallocating as spans close or leaves arrive
+//! — happens on the driver thread inside whatever spans are open; it is
+//! measured around each push and subtracted, so a span reports only
+//! what the engine allocated.
 
 use std::time::Instant;
 
@@ -91,12 +95,14 @@ impl SpanRecord {
     }
 }
 
-/// An open (not yet ended) span: its start time and the driver thread's
-/// allocation counters at that instant.
+/// An open (not yet ended) span: its start time, the driver thread's
+/// allocation counters and the recorder's own allocations at that
+/// instant.
 #[derive(Clone, Copy, Debug)]
 struct OpenSpan {
     start_us: f64,
     alloc: AllocStats,
+    own: AllocStats,
 }
 
 /// A [`StageObserver`] that records the full span tree of one run.
@@ -110,6 +116,9 @@ pub struct Recorder {
     label: String,
     origin: Instant,
     spans: Vec<SpanRecord>,
+    /// Cumulative allocations of the recorder's own pushes, on the
+    /// driver thread.
+    own: AllocStats,
     open_run: Option<OpenSpan>,
     open_round: Option<(usize, OpenSpan)>,
     open_stage: Option<(usize, Stage, OpenSpan)>,
@@ -124,6 +133,7 @@ impl Recorder {
             label: label.into(),
             origin: Instant::now(),
             spans: Vec::new(),
+            own: AllocStats::default(),
             open_run: None,
             open_round: None,
             open_stage: None,
@@ -157,13 +167,26 @@ impl Recorder {
         OpenSpan {
             start_us: self.now_us(),
             alloc: thread_stats(),
+            own: self.own,
         }
+    }
+
+    /// Appends a closed span, adding whatever the push allocates (the
+    /// span list growing) to the recorder's own tally.
+    fn push(&mut self, span: SpanRecord) {
+        let before = thread_stats();
+        self.spans.push(span);
+        let grown = thread_stats().since(before);
+        self.own.bytes += grown.bytes;
+        self.own.events += grown.events;
     }
 
     fn close(&mut self, kind: SpanKind, stage: Option<Stage>, round: usize, open: OpenSpan) {
         let end_us = self.now_us();
-        let alloc = thread_stats().since(open.alloc);
-        self.spans.push(SpanRecord {
+        let alloc = thread_stats()
+            .since(open.alloc)
+            .since(self.own.since(open.own));
+        self.push(SpanRecord {
             kind,
             stage,
             round,
@@ -219,7 +242,7 @@ impl StageObserver for Recorder {
             Some((_, _, open)) => open.start_us,
             None => self.now_us(),
         };
-        self.spans.push(SpanRecord {
+        self.push(SpanRecord {
             kind: SpanKind::Leaf,
             stage: Some(leaf.stage),
             round: leaf.round,

@@ -55,14 +55,14 @@
     clippy::exit
 )]
 #![cfg_attr(not(test), warn(clippy::iter_over_hash_type))]
-// Index-based loops over segments mirror the DP recurrences.
+// Index-based loops over segments mirror the objective's per-segment sums.
 #![allow(clippy::needless_range_loop)]
 
 use flow::{
-    ConfigError, FlowCounters, FlowError, FlowReport, LayerAssigner, Metrics, RoundSnapshot, Stage,
-    StageObserver,
+    ConfigError, FlowCounters, FlowError, FlowReport, LayerAssigner, Metrics, Multipliers, NetDp,
+    RoundSnapshot, Stage, StageObserver,
 };
-use grid::{Direction, Grid};
+use grid::Grid;
 use net::{Assignment, Net, Netlist};
 use std::time::Instant;
 use timing::{NetTiming, TimingModel};
@@ -223,17 +223,19 @@ impl Tila {
     ) -> Result<TilaResult, FlowError> {
         self.config.validate()?;
         flow::validate_input(netlist, assignment, released)?;
-        let objective = |g: &Grid, a: &Assignment| -> f64 {
+        // One timing scratch serves every per-net pass of the run.
+        let mut timing = NetTiming::default();
+        let objective = |g: &Grid, a: &Assignment, t: &mut NetTiming| -> f64 {
             released
                 .iter()
                 .map(|&i| {
                     let net = netlist.net(i);
-                    let t = NetTiming::compute(g, net, a.net_layers(i));
-                    weighted_sum_delay(g, net, a.net_layers(i), &t)
+                    t.recompute(g, net, a.net_layers(i));
+                    weighted_sum_delay(g, net, a.net_layers(i), t)
                 })
                 .sum()
         };
-        let initial_objective = objective(grid, assignment);
+        let initial_objective = objective(grid, assignment, &mut timing);
         let initial_wire_overflow = grid.total_wire_overflow();
         let initial_via_overflow = grid.total_via_overflow();
         let mut best_objective = initial_objective;
@@ -271,13 +273,9 @@ impl Tila {
         };
         let mut best_penalized = initial_objective;
 
-        // Dense multiplier tables.
-        let mut lambda_edge: Vec<Vec<f64>> = (0..grid.num_layers())
-            .map(|l| vec![0.0; grid.num_edges(grid.layer(l).direction)])
-            .collect();
-        let n_cells = grid.width() as usize * grid.height() as usize;
-        let mut lambda_via: Vec<Vec<f64>> =
-            (0..grid.num_layers()).map(|_| vec![0.0; n_cells]).collect();
+        let mut lambda = Multipliers::zeros(grid);
+        let mut dp = NetDp::default();
+        let mut layers: Vec<usize> = Vec::new();
 
         // Criticality order: longest (slowest) nets first. Keys are
         // computed once per net — a comparator that re-times both sides
@@ -285,8 +283,8 @@ impl Tila {
         let mut keyed: Vec<(f64, usize)> = released
             .iter()
             .map(|&i| {
-                let t = NetTiming::compute(grid, netlist.net(i), assignment.net_layers(i));
-                (t.critical_delay(), i)
+                timing.recompute(grid, netlist.net(i), assignment.net_layers(i));
+                (timing.critical_delay(), i)
             })
             .collect();
         keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
@@ -307,30 +305,30 @@ impl Tila {
                 obs.on_stage_start(round, Stage::Solve);
             }
             let solve_t = Instant::now();
+            // Gauss-Seidel sweep: each net is minimized exactly under
+            // the current multipliers and downstream capacitances frozen
+            // at its incoming layers, with every delay weighted 1.
             for &ni in &order {
                 let net = netlist.net(ni);
-                let old_layers = assignment.net_layers(ni).to_vec();
-                net::remove_net_from_grid(grid, net, &old_layers);
-                let t = NetTiming::compute(grid, net, &old_layers);
-                let new_layers = self.assign_net(grid, net, &t, &lambda_edge, &lambda_via);
-                net::restore_net_to_grid(grid, net, &new_layers);
-                assignment.set_net_layers(ni, new_layers);
+                net::remove_net_from_grid(grid, net, assignment.net_layers(ni));
+                timing.recompute(grid, net, assignment.net_layers(ni));
+                layers.clear();
+                layers.resize(net.tree().num_segments(), 0);
+                dp.minimize(
+                    grid,
+                    net,
+                    timing.downstream_caps(),
+                    1.0,
+                    &lambda,
+                    &mut layers,
+                );
+                net::restore_net_to_grid(grid, net, &layers);
+                assignment.net_layers_mut(ni).copy_from_slice(&layers);
             }
 
             // Subgradient multiplier update with 1/k decay.
             let step = self.config.step_scale * delay_scale / round as f64;
-            for l in 0..grid.num_layers() {
-                let edges = grid.edge_usage_row(l).iter().zip(grid.edge_capacity_row(l));
-                for (m, (&u, &c)) in lambda_edge[l].iter_mut().zip(edges) {
-                    let violation = u as f64 - c as f64;
-                    *m = (*m + step * violation).max(0.0);
-                }
-                let cells = grid.via_usage_row(l).iter().zip(grid.via_capacity_row(l));
-                for (m, (&u, &c)) in lambda_via[l].iter_mut().zip(cells) {
-                    let violation = u as f64 - c as f64;
-                    *m = (*m + self.config.via_weight * step * violation).max(0.0);
-                }
-            }
+            lambda.subgradient_step(grid, step, self.config.via_weight);
 
             let solve_secs = solve_t.elapsed().as_secs_f64();
             for obs in observers.iter_mut() {
@@ -354,14 +352,14 @@ impl Tila {
                 obs.on_stage_start(round, Stage::Measure);
             }
             let measure_t = Instant::now();
-            let obj = objective(grid, assignment);
+            let obj = objective(grid, assignment, &mut timing);
             let pen = penalized(grid, obj);
             let improved = pen < best_penalized;
             if improved {
                 best_penalized = pen;
                 best_objective = obj;
                 for (slot, &i) in best_layers.iter_mut().zip(released) {
-                    *slot = assignment.net_layers(i).to_vec();
+                    slot.copy_from_slice(assignment.net_layers(i));
                 }
             }
             let measure_secs = measure_t.elapsed().as_secs_f64();
@@ -395,113 +393,6 @@ impl Tila {
             rounds_run,
         })
     }
-
-    /// Exact DP over one net's tree under fixed multipliers and frozen
-    /// downstream capacitances.
-    fn assign_net(
-        &self,
-        grid: &Grid,
-        net: &Net,
-        timing: &NetTiming,
-        lambda_edge: &[Vec<f64>],
-        lambda_via: &[Vec<f64>],
-    ) -> Vec<usize> {
-        let tree = net.tree();
-        let num_layers = grid.num_layers();
-        let h_layers: Vec<usize> = grid.layers_in_direction(Direction::Horizontal).collect();
-        let v_layers: Vec<usize> = grid.layers_in_direction(Direction::Vertical).collect();
-        let layers_of = |dir: Direction| -> &[usize] {
-            match dir {
-                Direction::Horizontal => &h_layers,
-                Direction::Vertical => &v_layers,
-            }
-        };
-        // Via transition cost between layers at a cell: delay (Eqn. 3
-        // with the frozen child-side cap) plus dualized via capacity.
-        let via_cost = |cell: grid::Cell, la: usize, lb: usize, cap: f64| {
-            let (lo, hi) = if la <= lb { (la, lb) } else { (lb, la) };
-            let mut cost = grid.via_stack_resistance(lo, hi) * cap;
-            let idx = grid.cell_flat_index(cell);
-            for l in (lo + 1)..hi {
-                cost += lambda_via[l][idx];
-            }
-            cost
-        };
-
-        let mut dp = vec![vec![f64::INFINITY; num_layers]; tree.num_segments()];
-        let mut pick: Vec<Vec<Vec<usize>>> =
-            vec![vec![Vec::new(); num_layers]; tree.num_segments()];
-        for s in tree.postorder_segments() {
-            let child_node = tree.segment(s).to as usize;
-            let node_cell = tree.node(child_node).cell;
-            let pin = tree.node(child_node).pin.map(|p| &net.pins()[p as usize]);
-            for &l in layers_of(tree.segment(s).dir) {
-                let mut cost =
-                    timing::segment_delay_on_layer(grid, net, s, l, timing.downstream_cap(s));
-                for e in tree.segment_edges(s) {
-                    cost += lambda_edge[l][grid.edge_flat_index(e)];
-                }
-                let mut choices = Vec::new();
-                if let Some(p) = pin {
-                    cost += via_cost(node_cell, l, p.layer, p.capacitance);
-                }
-                for &cs in tree.child_segments(child_node) {
-                    let cs = cs as usize;
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "validated grids route every direction on ≥ 1 layer"
-                    )]
-                    let (best_l, best_c) = layers_of(tree.segment(cs).dir)
-                        .iter()
-                        .map(|&cl| {
-                            (
-                                cl,
-                                dp[cs][cl] + via_cost(node_cell, l, cl, timing.downstream_cap(cs)),
-                            )
-                        })
-                        .min_by(|a, b| a.1.total_cmp(&b.1))
-                        .expect("layer exists per direction");
-                    cost += best_c;
-                    choices.push(best_l);
-                }
-                dp[s][l] = cost;
-                pick[s][l] = choices;
-            }
-        }
-
-        let mut layers = vec![usize::MAX; tree.num_segments()];
-        let root = tree.root();
-        let root_cell = tree.node(root).cell;
-        let src = net.source();
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        for &cs in tree.child_segments(root) {
-            let cs = cs as usize;
-            #[expect(
-                clippy::expect_used,
-                reason = "validated grids route every direction on ≥ 1 layer"
-            )]
-            let (best_l, _) = layers_of(tree.segment(cs).dir)
-                .iter()
-                .map(|&l| {
-                    (
-                        l,
-                        dp[cs][l] + via_cost(root_cell, src.layer, l, timing.downstream_cap(cs)),
-                    )
-                })
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("layer exists");
-            stack.push((cs, best_l));
-        }
-        while let Some((s, l)) = stack.pop() {
-            layers[s] = l;
-            let child_node = tree.segment(s).to as usize;
-            for (k, &cs) in tree.child_segments(child_node).iter().enumerate() {
-                stack.push((cs as usize, pick[s][l][k]));
-            }
-        }
-        debug_assert!(layers.iter().all(|&l| l != usize::MAX));
-        layers
-    }
 }
 
 impl LayerAssigner for Tila {
@@ -525,8 +416,8 @@ impl LayerAssigner for Tila {
         observers: &mut [&mut dyn StageObserver],
     ) -> Result<FlowReport, FlowError> {
         self.config.validate()?;
-        let full = timing::analyze(grid, netlist, assignment);
-        let released = flow::select_critical_nets(&full, self.config.critical_ratio);
+        let released =
+            flow::select_critical_nets(grid, netlist, assignment, self.config.critical_ratio);
         let initial_metrics = Metrics::measure(grid, netlist, assignment, &released);
         let result = self.run_observed(grid, netlist, assignment, &released, observers)?;
         let final_metrics = Metrics::measure(grid, netlist, assignment, &released);
@@ -543,7 +434,7 @@ impl LayerAssigner for Tila {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grid::{Cell, GridBuilder};
+    use grid::{Cell, Direction, GridBuilder};
     use net::{NetSpec, Pin};
     use route::{initial_assignment, route_netlist, RouterConfig};
     use timing::IncrementalTiming;

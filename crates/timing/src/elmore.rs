@@ -24,7 +24,13 @@ pub fn segment_delay_on_layer(
 }
 
 /// Elmore timing of one net under a given layer vector.
-#[derive(Clone, PartialEq, Debug)]
+///
+/// [`NetTiming::compute`] builds one; [`NetTiming::recompute`] reruns
+/// the same recursion into an existing value, reusing its buffers, so a
+/// caller timing many nets in turn (critical-net selection, the
+/// baselines' per-net passes) keeps one scratch instead of allocating
+/// per net.
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct NetTiming {
     /// Downstream capacitance per segment: total capacitance hanging
     /// below the segment's child-side endpoint (wire + sink loads),
@@ -47,11 +53,32 @@ impl NetTiming {
     /// Panics if `layers.len() != net.tree().num_segments()` or a layer
     /// index is out of range for the grid.
     pub fn compute(grid: &Grid, net: &Net, layers: &[usize]) -> NetTiming {
+        let mut timing = NetTiming::default();
+        timing.recompute(grid, net, layers);
+        timing
+    }
+
+    /// [`NetTiming::compute`] into `self`, overwriting every field and
+    /// reusing the buffers: the result is bit-identical to a fresh
+    /// compute, whatever `self` held before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers.len() != net.tree().num_segments()` or a layer
+    /// index is out of range for the grid.
+    pub fn recompute(&mut self, grid: &Grid, net: &Net, layers: &[usize]) {
         let tree = net.tree();
         assert_eq!(layers.len(), tree.num_segments());
+        let NetTiming {
+            downstream_cap,
+            node_delay,
+            sink_delays,
+            total_cap: total_cap_out,
+        } = self;
 
         // -------- bottom-up: downstream capacitance per segment --------
-        let mut downstream_cap = vec![0.0f64; tree.num_segments()];
+        downstream_cap.clear();
+        downstream_cap.resize(tree.num_segments(), 0.0);
         let node_pin_cap = |node: usize| -> f64 {
             match tree.node(node).pin {
                 // The source pin does not load the net.
@@ -82,7 +109,8 @@ impl NetTiming {
         }
 
         // -------- top-down: node delays --------
-        let mut node_delay = vec![0.0f64; tree.num_nodes()];
+        node_delay.clear();
+        node_delay.resize(tree.num_nodes(), 0.0);
         node_delay[root] = net.driver_resistance * total_cap;
         for s in tree.preorder_segments() {
             let seg = tree.segment(s);
@@ -118,7 +146,7 @@ impl NetTiming {
         }
 
         // -------- sink delays (including the pin drop-via) --------
-        let mut sink_delays = Vec::with_capacity(net.pins().len() - 1);
+        sink_delays.clear();
         for (ni, node) in tree.nodes().enumerate() {
             let Some(p) = node.pin else { continue };
             if p == 0 {
@@ -139,13 +167,7 @@ impl NetTiming {
             sink_delays.push((p as usize, node_delay[ni] + drop_delay));
         }
         sink_delays.sort_by_key(|&(p, _)| p);
-
-        NetTiming {
-            downstream_cap,
-            node_delay,
-            sink_delays,
-            total_cap,
-        }
+        *total_cap_out = total_cap;
     }
 
     /// Downstream capacitance of segment `s` (excluding its own wire).
@@ -399,6 +421,19 @@ mod tests {
             sink2(&high),
             sink2(&low)
         );
+    }
+
+    #[test]
+    fn recompute_into_a_used_scratch_matches_compute() {
+        // One scratch carried across nets of different shapes and
+        // layers must end bit-identical to a fresh compute each time.
+        let g = grid();
+        let nets = [straight_net(2.0), straight_net(0.5)];
+        let mut scratch = NetTiming::compute(&g, &nets[1], &[2]);
+        for (net, layers) in [(&nets[0], [0]), (&nets[1], [2]), (&nets[0], [2])] {
+            scratch.recompute(&g, net, &layers);
+            assert_eq!(scratch, NetTiming::compute(&g, net, &layers));
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   layer boundaries the via stack spans.
 //!
 //! Downstream capacitances are computed bottom-up (sinks to source), sink
-//! delays top-down; [`NetTiming`] bundles the results for one net and
+//! delays top-down; [`NetTiming`] bundles the results for one net
+//! ([`NetTiming::recompute`] reruns it into a reused scratch) and
 //! [`analyze`] produces a [`TimingReport`] over a whole netlist.
 //!
 //! # Example
@@ -58,10 +59,8 @@ mod elmore;
 mod histogram;
 mod incremental;
 mod report;
-mod soa;
 
 pub use elmore::{segment_delay_on_layer, NetTiming};
 pub use histogram::DelayHistogram;
 pub use incremental::{IncrementalTiming, TimingModel};
 pub use report::{analyze, analyze_nets, TimingReport};
-pub use soa::DesignTiming;

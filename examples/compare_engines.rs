@@ -26,8 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let assignment0 = initial_assignment(&mut grid0, &netlist);
 
     // Release the 5% most critical nets (small design, so a handful).
-    let report = timing::analyze(&grid0, &netlist, &assignment0);
-    let released = cpla::select_critical_nets(&report, 0.05);
+    let released = cpla::select_critical_nets(&grid0, &netlist, &assignment0, 0.05);
     println!(
         "{} nets, {} released as critical",
         netlist.len(),

@@ -35,6 +35,9 @@ cargo test --release -q --offline -p route --test route_pin --test initial_pin
 echo "==> partition-program and SDP-solve pins, release"
 cargo test --release -q --offline -p cpla --test problem_pin --test solve_pin
 
+echo "==> baseline pins, release (newblue5 is ignored in debug builds)"
+cargo test --release -q --offline --test baseline_pins
+
 echo "==> solver/cpla/timing/grid full property sweeps"
 cargo test -q --offline -p solver -p cpla -p timing -p grid --features proptest
 

@@ -63,8 +63,7 @@ fn cpla_improves_and_stays_consistent() {
 #[test]
 fn cpla_only_touches_released_nets() {
     let (mut grid, netlist, mut assignment) = pipeline(14);
-    let report = timing::analyze(&grid, &netlist, &assignment);
-    let released = cpla::select_critical_nets(&report, 0.03);
+    let released = cpla::select_critical_nets(&grid, &netlist, &assignment, 0.03);
     let untouched: Vec<usize> = (0..netlist.len())
         .filter(|i| !released.contains(i))
         .collect();

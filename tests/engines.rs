@@ -22,8 +22,7 @@ fn fixture(seed: u64) -> Fixture {
     let (mut grid, specs) = config.generate().expect("valid config");
     let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
     let assignment = initial_assignment(&mut grid, &netlist);
-    let report = timing::analyze(&grid, &netlist, &assignment);
-    let released = cpla::select_critical_nets(&report, 0.05);
+    let released = cpla::select_critical_nets(&grid, &netlist, &assignment, 0.05);
     Fixture {
         grid,
         netlist,
@@ -170,9 +169,8 @@ fn engines_preserve_non_released_usage() {
 #[test]
 fn higher_critical_ratio_releases_more_nets() {
     let f = fixture(25);
-    let report = timing::analyze(&f.grid, &f.netlist, &f.assignment);
-    let small = cpla::select_critical_nets(&report, 0.01);
-    let large = cpla::select_critical_nets(&report, 0.05);
+    let small = cpla::select_critical_nets(&f.grid, &f.netlist, &f.assignment, 0.01);
+    let large = cpla::select_critical_nets(&f.grid, &f.netlist, &f.assignment, 0.05);
     assert!(large.len() > small.len());
     // The small set is a prefix of the large one (same criticality
     // order).

@@ -8,8 +8,10 @@
 //! observer-induced drift would also be localizable against the
 //! recorded golden rows.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use cpla::{Cpla, CplaConfig, CplaReport};
-use flow::Stage;
+use flow::{FlowCounters, LeafSpan, RoundSnapshot, Stage, StageObserver};
 use ispd::SyntheticConfig;
 use net::Assignment;
 use route::{initial_assignment, route_netlist, RouterConfig};
@@ -19,6 +21,17 @@ use route::{initial_assignment, route_netlist, RouterConfig};
 // on for the instrumented runs below.
 #[global_allocator]
 static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
+
+/// Serializes the tests that switch allocation counting on: the switch
+/// is process-wide, and a run restoring it while another counts would
+/// stop the other's counting part-way.
+static COUNTING: Mutex<()> = Mutex::new(());
+
+/// Holds the counting switch for one test; a panicked holder left
+/// nothing to repair, so poisoning is ignored.
+fn counting() -> MutexGuard<'static, ()> {
+    COUNTING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn config(threads: usize, alloc_stats: bool) -> CplaConfig {
     CplaConfig {
@@ -50,6 +63,7 @@ fn run_instrumented(seed: u64, threads: usize) -> (CplaReport, Assignment, obs::
     let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
     let mut assignment = initial_assignment(&mut grid, &netlist);
     let mut recorder = obs::Recorder::new(format!("seed-{seed}"));
+    let _counting = counting();
     let report = Cpla::new(config(threads, true))
         .run_observed(&mut grid, &netlist, &mut assignment, &mut [&mut recorder])
         .expect("snapshot workload is well-formed");
@@ -194,6 +208,59 @@ fn exporters_agree_with_the_pipeline_stage_set() {
             .any(|s| s.alloc_bytes > 0),
         "alloc accounting recorded zero bytes across every stage"
     );
+}
+
+/// The recorder's own span list grows on the driver thread while spans
+/// are open; none of that may be charged to them. A stage fed 10,000
+/// leaves that allocate nothing reads 0 allocations, while a stage that
+/// allocates once reads exactly that one (so counting was live).
+#[test]
+fn recorder_growth_is_not_charged_to_spans() {
+    let _counting = counting();
+    let _enabled = obs::ScopedEnable::new();
+    let mut recorder = obs::Recorder::new("leaves");
+    recorder.on_stage_start(1, Stage::Accept);
+    for index in 0..10_000 {
+        recorder.on_leaf(&LeafSpan {
+            round: 1,
+            stage: Stage::Accept,
+            index,
+            items: 1,
+            thread: 0,
+            start_secs: 0.0,
+            dur_secs: 0.0,
+            alloc_bytes: 0,
+            alloc_events: 0,
+        });
+    }
+    recorder.on_stage_end(1, Stage::Accept, 0.0);
+    recorder.on_stage_start(1, Stage::Measure);
+    let kept = std::hint::black_box(vec![7u64; 1_000]);
+    recorder.on_stage_end(1, Stage::Measure, 0.0);
+    drop(kept);
+    recorder.on_round_end(&RoundSnapshot {
+        round: 1,
+        objective: 0.0,
+        improved: false,
+        counters: FlowCounters::default(),
+    });
+    recorder.finish();
+
+    let events = |kind: obs::SpanKind, stage: Option<Stage>| {
+        let span = recorder
+            .spans()
+            .iter()
+            .find(|s| s.kind == kind && s.stage == stage)
+            .expect("span recorded");
+        (span.alloc_events, span.alloc_bytes)
+    };
+    assert_eq!(events(obs::SpanKind::Stage, Some(Stage::Accept)), (0, 0));
+    assert_eq!(
+        events(obs::SpanKind::Stage, Some(Stage::Measure)),
+        (1, 8_000)
+    );
+    assert_eq!(events(obs::SpanKind::Round, None), (1, 8_000));
+    assert_eq!(events(obs::SpanKind::Run, None), (1, 8_000));
 }
 
 #[test]

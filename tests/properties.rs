@@ -101,7 +101,7 @@ fn selector_counts_and_orders() {
         let assignment = initial_assignment(&mut grid, &netlist);
         let report = timing::analyze(&grid, &netlist, &assignment);
         let ratio = pct as f64 / 100.0;
-        let selected = cpla::select_critical_nets(&report, ratio);
+        let selected = cpla::select_critical_nets(&grid, &netlist, &assignment, ratio);
         let expect = ((report.len() as f64 * ratio).round() as usize).max(1);
         assert_eq!(selected.len(), expect.min(report.len()));
         // Decreasing criticality.

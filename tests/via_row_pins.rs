@@ -68,8 +68,7 @@ fn fixture() -> (Grid, Netlist, Assignment, Vec<usize>) {
     let (mut grid, specs) = config.generate().expect("valid config");
     let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
     let mut assignment = initial_assignment(&mut grid, &netlist);
-    let full = timing::analyze(&grid, &netlist, &assignment);
-    let released = flow::select_critical_nets(&full, 0.1);
+    let released = flow::select_critical_nets(&grid, &netlist, &assignment, 0.1);
     for i in (0..netlist.len()).filter(|i| !released.contains(i)) {
         let net = netlist.net(i);
         let lifted: Vec<usize> = assignment
