@@ -31,6 +31,13 @@ impl Netlist {
         Netlist { nets: Vec::new() }
     }
 
+    /// Creates an empty netlist with room for `capacity` nets.
+    pub fn with_capacity(capacity: usize) -> Netlist {
+        Netlist {
+            nets: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends a net, returning its index.
     pub fn push(&mut self, net: Net) -> usize {
         self.nets.push(net);

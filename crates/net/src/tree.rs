@@ -1,14 +1,17 @@
 //! Routed net topologies: trees of straight wire segments.
 //!
-//! Storage is structure-of-arrays: per-node fields live in parallel flat
-//! vectors and the child lists are a CSR range (`child_start` offsets
-//! into one shared `children` buffer), so a million-segment design is a
-//! handful of contiguous allocations instead of one heap node per tree
-//! vertex. [`TreeNode`] is a cheap by-value view assembled on demand.
-//! The builder flattens each node's children in insertion order, and
-//! the segment walks ([`RouteTree::postorder_segments`],
-//! [`RouteTree::preorder_segments`]) follow the parent and child arrays
-//! without a stack.
+//! A [`RouteTree`] lives in three exact-size heap blocks: one record per
+//! node (cell, parent, parent segment, pin and the offset of its child
+//! segments) plus one closing record, the child-segment array those
+//! offsets index (CSR layout: node `n` owns the range from its offset to
+//! the next record's), and the segment array. A routed design keeps one
+//! tree per net for the whole of layer assignment, so a tree costs three
+//! allocations and a 48-byte header, not one per field. [`TreeNode`] is
+//! a cheap by-value view of a node record. The builder keeps each node's
+//! children as a linked list in insertion order and flattens it into the
+//! CSR range, and the segment walks ([`RouteTree::postorder_segments`],
+//! [`RouteTree::preorder_segments`]) follow the records and the child
+//! array without a stack.
 
 use std::error::Error;
 use std::fmt;
@@ -96,23 +99,32 @@ pub struct Segment {
     pub dir: Direction,
 }
 
+/// One node's record in a [`RouteTree`]'s node block.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+struct NodeRecord {
+    cell: Cell,
+    /// Parent node (`NONE` for the root).
+    parent: u32,
+    /// Segment to the parent (`NONE` for the root).
+    parent_seg: u32,
+    /// Pin index (`NONE` when no pin sits here).
+    pin: u32,
+    /// Offset of the node's first child segment in the child array; the
+    /// next record's offset ends its range.
+    child_start: u32,
+}
+
 /// A routed 2-D topology: a tree of straight [`Segment`]s rooted at the
-/// source pin's node (index 0), stored as flat parallel arrays.
+/// source pin's node (index 0), stored in three exact-size blocks (see
+/// the module docs).
 #[derive(Clone, PartialEq, Debug)]
 pub struct RouteTree {
-    cells: Vec<Cell>,
-    /// Parent node per node (`NONE` for the root).
-    parent: Vec<u32>,
-    /// Parent segment per node (`NONE` for the root).
-    parent_seg: Vec<u32>,
-    /// Pin index per node (`NONE` when no pin sits there).
-    pin: Vec<u32>,
-    /// CSR offsets into `children`; node `n` owns
-    /// `children[child_start[n]..child_start[n + 1]]`.
-    child_start: Vec<u32>,
+    /// One record per node, in index order, then a closing record whose
+    /// `child_start` ends the last node's child range.
+    nodes: Box<[NodeRecord]>,
     /// Child segment indices, grouped per node in insertion order.
-    children: Vec<u32>,
-    segments: Vec<Segment>,
+    children: Box<[u32]>,
+    segments: Box<[Segment]>,
 }
 
 impl RouteTree {
@@ -133,14 +145,26 @@ impl RouteTree {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is out of range.
+    /// Panics if `n` is out of range. In release builds `n ==
+    /// num_nodes()` reads the closing record, a childless root-like
+    /// view, instead: the engines call this in their inner loops, and
+    /// the one bounds check is part of their speed.
     pub fn node(&self, n: usize) -> TreeNode {
+        let r = self.record(n);
         TreeNode {
-            cell: self.cells[n],
-            parent: opt(self.parent[n]),
-            parent_segment: opt(self.parent_seg[n]),
-            pin: opt(self.pin[n]),
+            cell: r.cell,
+            parent: opt(r.parent),
+            parent_segment: opt(r.parent_seg),
+            pin: opt(r.pin),
         }
+    }
+
+    /// The record of node `n`. The closing record is not a node, but
+    /// only debug builds check that `n` stops short of it (see
+    /// [`RouteTree::node`]).
+    fn record(&self, n: usize) -> &NodeRecord {
+        debug_assert!(n < self.num_nodes(), "node {n} out of range");
+        &self.nodes[n]
     }
 
     /// All segments.
@@ -164,7 +188,7 @@ impl RouteTree {
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.cells.len()
+        self.nodes.len() - 1
     }
 
     /// Length of segment `s` in grid edges.
@@ -174,18 +198,21 @@ impl RouteTree {
     /// Panics if `s` is out of range.
     pub fn segment_length(&self, s: usize) -> u32 {
         let seg = self.segments[s];
-        self.cells[seg.from as usize].manhattan(self.cells[seg.to as usize])
+        self.nodes[seg.from as usize]
+            .cell
+            .manhattan(self.nodes[seg.to as usize].cell)
     }
 
-    /// Index of the segment connecting node `n` to its parent.
+    /// Index of the segment connecting node `n` to its parent. Range
+    /// checks as in [`RouteTree::node`].
     pub fn parent_segment(&self, n: usize) -> Option<usize> {
-        opt(self.parent_seg[n]).map(|s| s as usize)
+        opt(self.record(n).parent_seg).map(|s| s as usize)
     }
 
     /// Segments from node `n` down to its children, in insertion order.
     pub fn child_segments(&self, n: usize) -> &[u32] {
-        let lo = self.child_start[n] as usize;
-        let hi = self.child_start[n + 1] as usize;
+        let lo = self.nodes[n].child_start as usize;
+        let hi = self.nodes[n + 1].child_start as usize;
         &self.children[lo..hi]
     }
 
@@ -209,8 +236,8 @@ impl RouteTree {
     /// Panics if `s` is out of range.
     pub fn segment_edges_into(&self, s: usize, out: &mut Vec<Edge2d>) {
         let seg = self.segments[s];
-        let a = self.cells[seg.from as usize];
-        let b = self.cells[seg.to as usize];
+        let a = self.nodes[seg.from as usize].cell;
+        let b = self.nodes[seg.to as usize].cell;
         out.clear();
         out.reserve_exact(a.manhattan(b) as usize);
         match seg.dir {
@@ -250,7 +277,10 @@ impl RouteTree {
     /// Panics if `s` is out of range or the segment leaves the grid.
     pub fn segment_run(&self, s: usize, grid: &Grid) -> EdgeRun {
         let seg = self.segments[s];
-        grid.edge_run(self.cells[seg.from as usize], self.cells[seg.to as usize])
+        grid.edge_run(
+            self.nodes[seg.from as usize].cell,
+            self.nodes[seg.to as usize].cell,
+        )
     }
 
     /// Every segment once, each after all segments in the subtree below
@@ -322,7 +352,9 @@ impl RouteTree {
 
     /// Finds the node at `cell`, if any.
     pub fn find_node_at(&self, cell: Cell) -> Option<usize> {
-        self.cells.iter().position(|&c| c == cell)
+        self.nodes[..self.num_nodes()]
+            .iter()
+            .position(|r| r.cell == cell)
     }
 
     /// Total wirelength in grid edges.
@@ -357,8 +389,8 @@ impl RouteTree {
         }
         let mut covered = std::collections::HashSet::new();
         for (s, seg) in self.segments.iter().enumerate() {
-            let a = self.cells[seg.from as usize];
-            let b = self.cells[seg.to as usize];
+            let a = self.nodes[seg.from as usize].cell;
+            let b = self.nodes[seg.to as usize].cell;
             if a.x != b.x && a.y != b.y {
                 return Err(format!("segment {s} {a}->{b} is not straight"));
             }
@@ -373,7 +405,7 @@ impl RouteTree {
             if seg.dir != expect_dir {
                 return Err(format!("segment {s} direction mismatch"));
             }
-            if self.parent_seg[seg.to as usize] != s as u32 {
+            if self.nodes[seg.to as usize].parent_seg != s as u32 {
                 return Err(format!("segment {s} child link broken"));
             }
             for e in self.segment_edges(s) {
@@ -434,7 +466,7 @@ impl Iterator for PostorderSegments<'_> {
         // subtree, or, with none left, finish the parent segment.
         self.next = match self.tree.next_sibling(s) {
             Some(sibling) => self.tree.first_leaf_segment(sibling),
-            None => self.tree.parent_seg[self.tree.segments[s as usize].from as usize],
+            None => self.tree.nodes[self.tree.segments[s as usize].from as usize].parent_seg,
         };
         Some(s as usize)
     }
@@ -471,7 +503,7 @@ impl Iterator for PreorderSegments<'_> {
                     if let Some(sibling) = tree.next_sibling(up) {
                         break sibling;
                     }
-                    up = tree.parent_seg[tree.segments[up as usize].from as usize];
+                    up = tree.nodes[tree.segments[up as usize].from as usize].parent_seg;
                     if up == NONE {
                         break NONE;
                     }
@@ -482,37 +514,63 @@ impl Iterator for PreorderSegments<'_> {
     }
 }
 
-/// Builder-side node: children kept as a per-node vector until
-/// [`RouteTreeBuilder::build`] flattens them into the CSR layout.
-#[derive(Clone, Debug)]
+/// Builder-side node: its children are a linked list through
+/// [`RouteTreeBuilder`]'s `next_sibling`, in insertion order.
+#[derive(Copy, Clone, Debug)]
 struct BuilderNode {
     cell: Cell,
-    parent: Option<u32>,
-    parent_segment: Option<u32>,
-    child_segments: Vec<u32>,
-    pin: Option<u32>,
+    parent: u32,
+    parent_seg: u32,
+    pin: u32,
+    /// First and last child segment (`NONE` when the node has none).
+    first_child: u32,
+    last_child: u32,
+}
+
+impl BuilderNode {
+    fn leaf(cell: Cell, parent: u32, parent_seg: u32) -> BuilderNode {
+        BuilderNode {
+            cell,
+            parent,
+            parent_seg,
+            pin: NONE,
+            first_child: NONE,
+            last_child: NONE,
+        }
+    }
 }
 
 /// Incremental builder for [`RouteTree`], used by routers.
+///
+/// One builder can serve many trees: [`RouteTreeBuilder::finish`] copies
+/// the tree out and [`RouteTreeBuilder::reset`] starts the next one in
+/// the same buffers.
 #[derive(Clone, Debug)]
 pub struct RouteTreeBuilder {
     nodes: Vec<BuilderNode>,
     segments: Vec<Segment>,
+    /// The child segment after each segment at its parent-side node
+    /// (`NONE` for the last).
+    next_sibling: Vec<u32>,
 }
 
 impl RouteTreeBuilder {
     /// Starts a tree rooted at `root` (the source pin's cell).
     pub fn new(root: Cell) -> RouteTreeBuilder {
         RouteTreeBuilder {
-            nodes: vec![BuilderNode {
-                cell: root,
-                parent: None,
-                parent_segment: None,
-                child_segments: Vec::new(),
-                pin: None,
-            }],
+            nodes: vec![BuilderNode::leaf(root, NONE, NONE)],
             segments: Vec::new(),
+            next_sibling: Vec::new(),
         }
+    }
+
+    /// Discards the tree built so far and starts a new one rooted at
+    /// `root`, keeping the buffers.
+    pub fn reset(&mut self, root: Cell) {
+        self.nodes.clear();
+        self.nodes.push(BuilderNode::leaf(root, NONE, NONE));
+        self.segments.clear();
+        self.next_sibling.clear();
     }
 
     /// The root node index.
@@ -532,6 +590,17 @@ impl RouteTreeBuilder {
     /// Number of nodes created so far.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Appends segment `seg` to node `n`'s child list.
+    fn push_child(&mut self, n: usize, seg: u32) {
+        self.next_sibling.push(NONE);
+        let node = &mut self.nodes[n];
+        match node.last_child {
+            NONE => node.first_child = seg,
+            last => self.next_sibling[last as usize] = seg,
+        }
+        node.last_child = seg;
     }
 
     /// Appends one straight segment from node `from` to `to_cell`,
@@ -560,22 +629,18 @@ impl RouteTreeBuilder {
                 to: to_cell,
             });
         };
-        let node_idx = self.nodes.len();
-        let seg_idx = self.segments.len();
+        // cast: node and segment counts of a tree fit the u32 indices.
+        let node_idx = self.nodes.len() as u32;
+        let seg_idx = self.segments.len() as u32;
         self.segments.push(Segment {
             from: from as u32,
-            to: node_idx as u32,
+            to: node_idx,
             dir,
         });
-        self.nodes.push(BuilderNode {
-            cell: to_cell,
-            parent: Some(from as u32),
-            parent_segment: Some(seg_idx as u32),
-            child_segments: Vec::new(),
-            pin: None,
-        });
-        self.nodes[from].child_segments.push(seg_idx as u32);
-        Ok(node_idx)
+        self.nodes
+            .push(BuilderNode::leaf(to_cell, from as u32, seg_idx));
+        self.push_child(from, seg_idx);
+        Ok(node_idx as usize)
     }
 
     /// Appends a rectilinear path through `waypoints` starting at node
@@ -618,27 +683,23 @@ impl RouteTreeBuilder {
         if !interior {
             return Err(BuildTreeError::NotRectilinear { from: a, to: cell });
         }
-        let mid_idx = self.nodes.len();
-        let new_seg_idx = self.segments.len();
+        // cast: node and segment counts of a tree fit the u32 indices.
+        let mid_idx = self.nodes.len() as u32;
+        let new_seg_idx = self.segments.len() as u32;
         // New node takes over the child-side half.
-        self.nodes.push(BuilderNode {
-            cell,
-            parent: Some(s.from),
-            parent_segment: Some(seg as u32),
-            child_segments: vec![new_seg_idx as u32],
-            pin: None,
-        });
+        self.nodes.push(BuilderNode::leaf(cell, s.from, seg as u32));
         self.segments.push(Segment {
-            from: mid_idx as u32,
+            from: mid_idx,
             to: s.to,
             dir: s.dir,
         });
+        self.push_child(mid_idx as usize, new_seg_idx);
         // Original segment now ends at the new node.
-        self.segments[seg].to = mid_idx as u32;
-        let old_child = s.to as usize;
-        self.nodes[old_child].parent = Some(mid_idx as u32);
-        self.nodes[old_child].parent_segment = Some(new_seg_idx as u32);
-        Ok(mid_idx)
+        self.segments[seg].to = mid_idx;
+        let old_child = &mut self.nodes[s.to as usize];
+        old_child.parent = mid_idx;
+        old_child.parent_seg = new_seg_idx;
+        Ok(mid_idx as usize)
     }
 
     /// Attaches pin index `pin` (within the owning net) to node `node`.
@@ -652,10 +713,10 @@ impl RouteTreeBuilder {
             .nodes
             .get_mut(node)
             .ok_or(BuildTreeError::UnknownNode(node))?;
-        if n.pin.is_some() {
+        if n.pin != NONE {
             return Err(BuildTreeError::PinAlreadyAttached(pin));
         }
-        n.pin = Some(pin);
+        n.pin = pin;
         Ok(())
     }
 
@@ -680,44 +741,59 @@ impl RouteTreeBuilder {
         })
     }
 
-    /// Finishes the tree, flattening per-node child lists into the CSR
-    /// layout. Children are laid out in node order with each node's
-    /// insertion order preserved, so traversal orders — and therefore all
-    /// delay arithmetic downstream — are bit-identical to the per-node
-    /// layout.
+    /// Copies the tree built so far into a [`RouteTree`], flattening the
+    /// child lists into the CSR layout: children in node order, each
+    /// node's in insertion order, so traversal orders — and therefore
+    /// all delay arithmetic downstream — follow the insertion order. The
+    /// builder keeps its state; [`RouteTreeBuilder::reset`] starts the
+    /// next tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildTreeError::Empty`] if no segments were added.
+    pub fn finish(&self) -> Result<RouteTree, BuildTreeError> {
+        if self.segments.is_empty() {
+            return Err(BuildTreeError::Empty);
+        }
+        let mut nodes = Vec::with_capacity(self.nodes.len() + 1);
+        let mut children = Vec::with_capacity(self.segments.len());
+        for node in &self.nodes {
+            nodes.push(NodeRecord {
+                cell: node.cell,
+                parent: node.parent,
+                parent_seg: node.parent_seg,
+                pin: node.pin,
+                // cast: a tree's segment count fits the u32 indices.
+                child_start: children.len() as u32,
+            });
+            let mut c = node.first_child;
+            while c != NONE {
+                children.push(c);
+                c = self.next_sibling[c as usize];
+            }
+        }
+        nodes.push(NodeRecord {
+            cell: Cell::new(0, 0),
+            parent: NONE,
+            parent_seg: NONE,
+            pin: NONE,
+            // cast: a tree's segment count fits the u32 indices.
+            child_start: children.len() as u32,
+        });
+        Ok(RouteTree {
+            nodes: nodes.into_boxed_slice(),
+            children: children.into_boxed_slice(),
+            segments: self.segments.as_slice().into(),
+        })
+    }
+
+    /// Finishes the tree; see [`RouteTreeBuilder::finish`].
     ///
     /// # Errors
     ///
     /// Returns [`BuildTreeError::Empty`] if no segments were added.
     pub fn build(self) -> Result<RouteTree, BuildTreeError> {
-        if self.segments.is_empty() {
-            return Err(BuildTreeError::Empty);
-        }
-        let n = self.nodes.len();
-        let mut cells = Vec::with_capacity(n);
-        let mut parent = Vec::with_capacity(n);
-        let mut parent_seg = Vec::with_capacity(n);
-        let mut pin = Vec::with_capacity(n);
-        let mut child_start = Vec::with_capacity(n + 1);
-        let mut children = Vec::with_capacity(self.segments.len());
-        for node in &self.nodes {
-            cells.push(node.cell);
-            parent.push(node.parent.unwrap_or(NONE));
-            parent_seg.push(node.parent_segment.unwrap_or(NONE));
-            pin.push(node.pin.unwrap_or(NONE));
-            child_start.push(children.len() as u32);
-            children.extend_from_slice(&node.child_segments);
-        }
-        child_start.push(children.len() as u32);
-        Ok(RouteTree {
-            cells,
-            parent,
-            parent_seg,
-            pin,
-            child_start,
-            children,
-            segments: self.segments,
-        })
+        self.finish()
     }
 }
 
@@ -843,5 +919,308 @@ mod tests {
         assert_eq!(t.nodes().len(), t.num_nodes());
         let cells: Vec<Cell> = t.nodes().map(|n| n.cell).collect();
         assert_eq!(cells.len(), 4);
+    }
+
+    /// A tree under construction as the plain per-node lists the
+    /// builder's layout replaced: one child-segment `Vec` per node.
+    /// Every operation mirrors the builder's, errors included.
+    #[derive(Default)]
+    struct Model {
+        cells: Vec<Cell>,
+        parent: Vec<Option<u32>>,
+        parent_seg: Vec<Option<u32>>,
+        pin: Vec<Option<u32>>,
+        children: Vec<Vec<u32>>,
+        segments: Vec<Segment>,
+    }
+
+    impl Model {
+        fn new(root: Cell) -> Model {
+            let mut m = Model::default();
+            m.push_node(root, None, None);
+            m
+        }
+
+        fn push_node(&mut self, cell: Cell, parent: Option<u32>, parent_seg: Option<u32>) {
+            self.cells.push(cell);
+            self.parent.push(parent);
+            self.parent_seg.push(parent_seg);
+            self.pin.push(None);
+            self.children.push(Vec::new());
+        }
+
+        fn add_segment(&mut self, from: usize, to: Cell) -> Result<usize, BuildTreeError> {
+            let a = *self
+                .cells
+                .get(from)
+                .ok_or(BuildTreeError::UnknownNode(from))?;
+            if a == to {
+                return Err(BuildTreeError::ZeroLength(to));
+            }
+            let dir = if a.y == to.y {
+                Direction::Horizontal
+            } else if a.x == to.x {
+                Direction::Vertical
+            } else {
+                return Err(BuildTreeError::NotRectilinear { from: a, to });
+            };
+            let (n, s) = (self.cells.len() as u32, self.segments.len() as u32);
+            self.segments.push(Segment {
+                from: from as u32,
+                to: n,
+                dir,
+            });
+            self.push_node(to, Some(from as u32), Some(s));
+            self.children[from].push(s);
+            Ok(n as usize)
+        }
+
+        fn interior(&self, s: Segment, c: Cell) -> bool {
+            let (a, b) = (self.cells[s.from as usize], self.cells[s.to as usize]);
+            match s.dir {
+                Direction::Horizontal => c.y == a.y && c.x > a.x.min(b.x) && c.x < a.x.max(b.x),
+                Direction::Vertical => c.x == a.x && c.y > a.y.min(b.y) && c.y < a.y.max(b.y),
+            }
+        }
+
+        fn split(&mut self, seg: usize, cell: Cell) -> Result<usize, BuildTreeError> {
+            let s = *self
+                .segments
+                .get(seg)
+                .ok_or(BuildTreeError::UnknownNode(seg))?;
+            if !self.interior(s, cell) {
+                let from = self.cells[s.from as usize];
+                return Err(BuildTreeError::NotRectilinear { from, to: cell });
+            }
+            let (mid, new_seg) = (self.cells.len() as u32, self.segments.len() as u32);
+            self.push_node(cell, Some(s.from), Some(seg as u32));
+            self.children[mid as usize].push(new_seg);
+            self.segments.push(Segment {
+                from: mid,
+                to: s.to,
+                dir: s.dir,
+            });
+            self.segments[seg].to = mid;
+            self.parent[s.to as usize] = Some(mid);
+            self.parent_seg[s.to as usize] = Some(new_seg);
+            Ok(mid as usize)
+        }
+
+        fn attach_pin(&mut self, node: usize, pin: u32) -> Result<(), BuildTreeError> {
+            let slot = self
+                .pin
+                .get_mut(node)
+                .ok_or(BuildTreeError::UnknownNode(node))?;
+            if slot.is_some() {
+                return Err(BuildTreeError::PinAlreadyAttached(pin));
+            }
+            *slot = Some(pin);
+            Ok(())
+        }
+
+        /// Segments depth first from the root, children in insertion
+        /// order: parents first, or children first.
+        fn walk(&self, parents_first: bool) -> Vec<usize> {
+            fn visit(m: &Model, s: u32, parents_first: bool, out: &mut Vec<usize>) {
+                if parents_first {
+                    out.push(s as usize);
+                }
+                for &c in &m.children[m.segments[s as usize].to as usize] {
+                    visit(m, c, parents_first, out);
+                }
+                if !parents_first {
+                    out.push(s as usize);
+                }
+            }
+            let mut out = Vec::new();
+            for &c in &self.children[0] {
+                visit(self, c, parents_first, &mut out);
+            }
+            out
+        }
+
+        fn edges(&self, s: usize) -> Vec<Edge2d> {
+            let seg = self.segments[s];
+            let mut cur = self.cells[seg.from as usize];
+            let end = self.cells[seg.to as usize];
+            let mut out = Vec::new();
+            while cur != end {
+                let next = match (cur.x.cmp(&end.x), cur.y.cmp(&end.y)) {
+                    (std::cmp::Ordering::Less, _) => Cell::new(cur.x + 1, cur.y),
+                    (std::cmp::Ordering::Greater, _) => Cell::new(cur.x - 1, cur.y),
+                    (_, std::cmp::Ordering::Less) => Cell::new(cur.x, cur.y + 1),
+                    _ => Cell::new(cur.x, cur.y - 1),
+                };
+                out.push(Edge2d::between(cur, next).unwrap());
+                cur = next;
+            }
+            out
+        }
+    }
+
+    /// Checks every accessor of `tree`, and both segment walks, against
+    /// the model it was built beside.
+    fn assert_matches_model(tree: &RouteTree, m: &Model) {
+        use grid::GridBuilder;
+
+        let n = m.cells.len();
+        assert_eq!((tree.root(), tree.num_nodes()), (0, n));
+        assert_eq!(tree.num_segments(), m.segments.len());
+        assert_eq!(tree.segments(), m.segments.as_slice());
+        let views: Vec<TreeNode> = (0..n)
+            .map(|i| TreeNode {
+                cell: m.cells[i],
+                parent: m.parent[i],
+                parent_segment: m.parent_seg[i],
+                pin: m.pin[i],
+            })
+            .collect();
+        assert_eq!(tree.nodes().len(), n);
+        assert_eq!(tree.nodes().collect::<Vec<_>>(), views);
+        for (i, view) in views.iter().enumerate() {
+            assert_eq!(tree.node(i), *view, "node {i}");
+            assert_eq!(tree.parent_segment(i), m.parent_seg[i].map(|s| s as usize));
+            assert_eq!(tree.child_segments(i), m.children[i].as_slice(), "node {i}");
+            assert_eq!(
+                tree.find_node_at(m.cells[i]),
+                m.cells.iter().position(|&c| c == m.cells[i])
+            );
+            let mut path = Vec::new();
+            let mut at = i;
+            while let Some(s) = m.parent_seg[at] {
+                path.push(s as usize);
+                at = m.segments[s as usize].from as usize;
+            }
+            path.reverse();
+            assert_eq!(tree.path_segments(i), path, "node {i}");
+        }
+        let (w, h) = (
+            m.cells.iter().map(|c| c.x).max().unwrap() + 2,
+            m.cells.iter().map(|c| c.y).max().unwrap() + 2,
+        );
+        assert_eq!(tree.find_node_at(Cell::new(w, h)), None);
+        let grid = GridBuilder::new(w, h)
+            .alternating_layers(2, Direction::Horizontal)
+            .build()
+            .unwrap();
+        let mut buf = Vec::new();
+        let mut wirelength = 0;
+        for s in 0..m.segments.len() {
+            let edges = m.edges(s);
+            wirelength += edges.len() as u64;
+            assert_eq!(tree.segment(s), m.segments[s]);
+            assert_eq!(tree.segment_length(s) as usize, edges.len());
+            assert_eq!(tree.segment_edges(s), edges, "segment {s}");
+            tree.segment_edges_into(s, &mut buf);
+            assert_eq!(buf, edges);
+            let flat: Vec<usize> = edges.iter().map(|&e| grid.edge_flat_index(e)).collect();
+            assert_eq!(
+                tree.segment_run(s, &grid).indices().collect::<Vec<_>>(),
+                flat
+            );
+        }
+        assert_eq!(tree.wirelength(), wirelength);
+        assert_eq!(tree.preorder_segments().collect::<Vec<_>>(), m.walk(true));
+        assert_eq!(tree.postorder_segments().collect::<Vec<_>>(), m.walk(false));
+    }
+
+    /// Random `add_path`, `split_segment_at` and `attach_pin` calls, bad
+    /// arguments included, on one builder `reset` between trees: every
+    /// call returns what the model's does, the builder's own lookups
+    /// agree with it, and every finished tree matches it accessor by
+    /// accessor, walks included.
+    #[test]
+    fn builder_matches_a_per_node_model_across_resets() {
+        let trees = 600;
+        let mut rng = prng::Rng::seed_from_u64(0x7b1d);
+        let mut b = RouteTreeBuilder::new(Cell::new(0, 0));
+        let (mut splits, mut errors, mut built) = (0, 0, 0);
+        for t in 0..trees {
+            let root = Cell::new(rng.range_u16(0, 12), rng.range_u16(0, 12));
+            b.reset(root);
+            let mut m = Model::new(root);
+            let mut next_pin = 0;
+            for _ in 0..rng.range_usize(0, 24) {
+                let nodes = m.cells.len();
+                match rng.range_usize(0, 9) {
+                    0..=4 => {
+                        // A path of 1-3 legs from a node, sometimes an
+                        // unknown one; legs are mostly straight, some
+                        // zero-length or diagonal.
+                        let from = rng.range_usize(0, nodes);
+                        let mut at = m.cells.get(from).copied().unwrap_or(root);
+                        let waypoints: Vec<Cell> = (0..rng.range_usize(1, 3))
+                            .map(|_| {
+                                let (dx, dy) = (rng.range_u16(0, 5), rng.range_u16(0, 5));
+                                at = match rng.range_usize(0, 9) {
+                                    0 => Cell::new(at.x + dx, at.y + dy),
+                                    1..=4 => Cell::new(
+                                        at.x.saturating_sub(dx) + rng.range_u16(0, 2 * dx),
+                                        at.y,
+                                    ),
+                                    _ => Cell::new(
+                                        at.x,
+                                        at.y.saturating_sub(dy) + rng.range_u16(0, 2 * dy),
+                                    ),
+                                };
+                                at
+                            })
+                            .collect();
+                        let mut want = Ok(from);
+                        for &wp in &waypoints {
+                            want = want.and_then(|cur| m.add_segment(cur, wp));
+                        }
+                        assert_eq!(b.add_path(from, &waypoints), want);
+                        errors += usize::from(want.is_err());
+                    }
+                    5..=7 => {
+                        let seg = rng.range_usize(0, m.segments.len());
+                        let cell = match m.segments.get(seg) {
+                            Some(s) => {
+                                let (a, z) = (m.cells[s.from as usize], m.cells[s.to as usize]);
+                                Cell::new(
+                                    rng.range_u16(a.x.min(z.x), a.x.max(z.x)),
+                                    rng.range_u16(a.y.min(z.y), a.y.max(z.y) + 1),
+                                )
+                            }
+                            None => root,
+                        };
+                        let found = m.segments.iter().position(|&s| m.interior(s, cell));
+                        assert_eq!(b.find_segment_through(cell), found);
+                        let want = m.split(seg, cell);
+                        assert_eq!(b.split_segment_at(seg, cell), want);
+                        splits += usize::from(want.is_ok());
+                        errors += usize::from(want.is_err());
+                    }
+                    _ => {
+                        let node = rng.range_usize(0, nodes);
+                        let want = m.attach_pin(node, next_pin);
+                        assert_eq!(b.attach_pin(node, next_pin), want);
+                        next_pin += 1;
+                        errors += usize::from(want.is_err());
+                    }
+                }
+                assert_eq!(b.num_nodes(), m.cells.len());
+                for (i, &c) in m.cells.iter().enumerate() {
+                    assert_eq!(b.node_cell(i), c);
+                    assert_eq!(b.find_node_at(c), m.cells.iter().position(|&x| x == c));
+                }
+            }
+            let tree = b.finish();
+            if m.segments.is_empty() {
+                assert_eq!(tree, Err(BuildTreeError::Empty));
+                continue;
+            }
+            let tree = tree.unwrap();
+            assert_matches_model(&tree, &m);
+            if t % 16 == 0 {
+                assert_eq!(b.clone().build().as_ref(), Ok(&tree));
+            }
+            built += 1;
+        }
+        assert!(
+            splits > 0 && errors > 0 && built > trees / 2,
+            "sweep missed a case: {splits} splits, {errors} errors, {built} of {trees} trees built"
+        );
     }
 }

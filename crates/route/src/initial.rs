@@ -65,10 +65,10 @@ pub fn initial_assignment_with(
     };
     let mut tables = DpTables::default();
     for i in order {
-        let chosen = assign_net(grid, netlist.net(i), config, &layers, &mut tables);
+        let chosen = assignment.net_layers_mut(i);
+        assign_net(grid, netlist.net(i), config, &layers, &mut tables, chosen);
         // Commit usage so later nets see this net's wires.
-        net::restore_net_to_grid(grid, netlist.net(i), &chosen);
-        assignment.set_net_layers(i, chosen);
+        net::restore_net_to_grid(grid, netlist.net(i), assignment.net_layers(i));
     }
     assignment
 }
@@ -88,8 +88,8 @@ impl DirLayers {
     }
 }
 
-/// The DP's flat tables, reused from net to net; row `s` holds one entry
-/// per grid layer.
+/// The DP's buffers, reused from net to net. Rows of the flat tables
+/// hold one entry per grid layer.
 #[derive(Default)]
 struct DpTables {
     /// `dp[s * L + l]`: best subtree cost with segment `s` on layer `l`.
@@ -97,20 +97,23 @@ struct DpTables {
     /// `pick[cs * L + l]`: the best layer of child segment `cs` when its
     /// parent segment sits on layer `l`.
     pick: Vec<usize>,
+    /// The top-down walk's pending `(segment, layer)` choices.
+    stack: Vec<(usize, usize)>,
 }
 
-/// Bottom-up DP over one net's tree. Returns the chosen layer per
-/// segment. Does not touch grid usage.
+/// Bottom-up DP over one net's tree; writes the chosen layer of every
+/// segment `s` to `chosen[s]`. Does not touch grid usage.
 fn assign_net(
     grid: &Grid,
     net: &Net,
     config: &InitialConfig,
     layers: &DirLayers,
     tables: &mut DpTables,
-) -> Vec<usize> {
+    chosen: &mut [usize],
+) {
     let tree = net.tree();
     let nl = grid.num_layers();
-    let DpTables { dp, pick } = tables;
+    let DpTables { dp, pick, stack } = tables;
     dp.clear();
     dp.resize(tree.num_segments() * nl, f64::INFINITY);
     pick.clear();
@@ -141,11 +144,12 @@ fn assign_net(
     }
 
     // Root choice includes the via from the source pin's layer.
-    let mut chosen = vec![usize::MAX; tree.num_segments()];
+    debug_assert_eq!(chosen.len(), tree.num_segments());
+    chosen.fill(usize::MAX);
     let src_layer = net.source().layer;
     // Choose each root child independently (they only couple through the
     // shared source via stack, approximated pairwise here).
-    let mut stack: Vec<(usize, usize)> = Vec::new();
+    stack.clear();
     for &cs in tree.child_segments(tree.root()) {
         let cs = cs as usize;
         let candidates = layers.of(tree.segment(cs).dir);
@@ -161,7 +165,6 @@ fn assign_net(
         }
     }
     debug_assert!(chosen.iter().all(|&l| l != usize::MAX));
-    chosen
 }
 
 /// The best of `candidates` for segment `cs` below metal on layer `l`:

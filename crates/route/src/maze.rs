@@ -128,10 +128,11 @@ impl Search {
     /// Finds a minimum-cost rectilinear path from `start` to `goal`.
     ///
     /// `costs[edge_index(e)]` is the cost of edge `e`; edges with
-    /// `forbidden[edge_index(e)]` set are never traversed. Returns the
-    /// cell sequence from `start` to `goal` inclusive, or `None` if no
-    /// path exists. The path is the one Dijkstra's algorithm with the
-    /// heap order of the module docs returns, cell for cell.
+    /// `forbidden[edge_index(e)]` set are never traversed. On success
+    /// `path` holds the cell sequence from `start` to `goal` inclusive
+    /// and the call returns `true`; if no path exists it returns `false`
+    /// and leaves `path` empty. The path is the one Dijkstra's algorithm
+    /// with the heap order of the module docs returns, cell for cell.
     ///
     /// Cost contract: every cost is finite and at least 1, and path
     /// costs stay below 2⁵⁰, where an `f64` sum rounds by at most 1/8.
@@ -161,7 +162,8 @@ impl Search {
         costs: &[f64],
         forbidden: &[bool],
         charge: f64,
-    ) -> Option<Vec<Cell>> {
+        path: &mut Vec<Cell>,
+    ) -> bool {
         let (width, height) = (self.width, self.height);
         assert!(start.x < width && start.y < height, "start out of bounds");
         assert!(goal.x < width && goal.y < height, "goal out of bounds");
@@ -250,8 +252,10 @@ impl Search {
             }
         }
 
-        let path = dist[goal_at].is_finite().then(|| {
-            let mut path = vec![goal];
+        path.clear();
+        let found = dist[goal_at].is_finite();
+        if found {
+            path.push(goal);
             let mut at = goal_at;
             while at != start_at {
                 let p = cell_of(prev[at]);
@@ -259,8 +263,7 @@ impl Search {
                 at = index(p);
             }
             path.reverse();
-            path
-        });
+        }
         stats.searches += 1;
         stats.settled += settled;
         stats.labelled += labelled.len() as u64;
@@ -274,7 +277,7 @@ impl Search {
         }
         labelled.clear();
         across.clear();
-        path
+        found
     }
 
     /// Labels cells with the fewest walls (edges costing at least
@@ -342,17 +345,18 @@ impl Search {
 }
 
 /// Compresses a cell path into its bend points (the waypoints a
-/// [`net::RouteTreeBuilder::add_path`] call needs): every cell where the
-/// travel direction changes, plus the final cell.
+/// [`net::RouteTreeBuilder::add_path`] call needs), written to `out`,
+/// which is cleared first: every cell where the travel direction
+/// changes, plus the final cell.
 ///
 /// # Panics
 ///
 /// Panics if consecutive cells are not rectilinearly adjacent.
-pub fn path_waypoints(path: &[Cell]) -> Vec<Cell> {
+pub fn path_waypoints(path: &[Cell], out: &mut Vec<Cell>) {
+    out.clear();
     if path.len() < 2 {
-        return Vec::new();
+        return;
     }
-    let mut out = Vec::new();
     let step = |a: Cell, b: Cell| (b.x as i32 - a.x as i32, b.y as i32 - a.y as i32);
     let mut dir = step(path[0], path[1]);
     assert!(dir.0.abs() + dir.1.abs() == 1, "path cells not adjacent");
@@ -369,7 +373,6 @@ pub fn path_waypoints(path: &[Cell]) -> Vec<Cell> {
         reason = "the len() < 2 early return leaves path non-empty here"
     )]
     out.push(*path.last().unwrap());
-    out
 }
 
 #[cfg(test)]
@@ -463,7 +466,11 @@ mod tests {
         }
         let expect =
             reference_find_path(w, h, start, goal, |e| costs[edge_index(w, h, e)], forbidden);
-        let got = search.find_path(start, goal, costs, &mask, charge);
+        // Stale contents the call must clear.
+        let mut path = vec![goal, start];
+        let found = search.find_path(start, goal, costs, &mask, charge, &mut path);
+        assert!(found || path.is_empty(), "a failed search leaves {path:?}");
+        let got = found.then_some(path);
         assert_eq!(
             got,
             expect,
@@ -609,6 +616,13 @@ mod tests {
         assert!(p.iter().any(|c| c.y == 1), "{p:?}");
     }
 
+    /// [`path_waypoints`] into a buffer holding stale contents.
+    fn waypoints(path: &[Cell]) -> Vec<Cell> {
+        let mut out = vec![Cell::new(9, 9)];
+        path_waypoints(path, &mut out);
+        out
+    }
+
     #[test]
     fn waypoints_compress_straight_runs() {
         let path = vec![
@@ -619,14 +633,14 @@ mod tests {
             Cell::new(2, 2),
             Cell::new(3, 2),
         ];
-        let w = path_waypoints(&path);
+        let w = waypoints(&path);
         assert_eq!(w, vec![Cell::new(2, 0), Cell::new(2, 2), Cell::new(3, 2)]);
     }
 
     #[test]
     fn waypoints_of_straight_path_is_endpoint_only() {
         let path = vec![Cell::new(0, 0), Cell::new(0, 1), Cell::new(0, 2)];
-        assert_eq!(path_waypoints(&path), vec![Cell::new(0, 2)]);
+        assert_eq!(waypoints(&path), vec![Cell::new(0, 2)]);
     }
 
     #[test]
@@ -641,7 +655,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p, vec![Cell::new(2, 2)]);
-        assert!(path_waypoints(&p).is_empty());
+        assert!(waypoints(&p).is_empty());
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //! legs strictly reduce (L) or never revisit (maze with forbidden tree
 //! edges) distance, the resulting tree never covers a 2-D edge twice —
 //! the invariant [`net::RouteTree::validate`] enforces.
-
-use std::collections::HashSet;
+//!
+//! A connection allocates nothing: the router keeps every per-net
+//! buffer, scores each pattern as a strided walk over the congestion
+//! map's cost array, and commits the chosen path the same way.
 
 use grid::{Cell, Direction, Edge2d, Grid};
-use net::{Net, NetSpec, Netlist, RouteTreeBuilder};
+use net::{Net, NetSpec, Netlist, Pin, RouteTreeBuilder};
 
 use crate::maze;
 
@@ -123,9 +125,18 @@ impl CongestionMap {
 
     /// Records one more wire on `e` and reprices it.
     pub fn add(&mut self, e: Edge2d) {
-        let i = self.index(e);
+        self.add_at(self.index(e));
+    }
+
+    /// [`CongestionMap::add`] on the edge at index `i`.
+    fn add_at(&mut self, i: usize) {
         self.usage[i] += 1;
         self.cost[i] = self.edge_cost(i);
+    }
+
+    /// Whether the edge at index `i` is at or beyond capacity.
+    fn full_at(&self, i: usize) -> bool {
+        self.usage[i] >= self.capacity[i]
     }
 
     /// Routing cost of `e`: base 1 plus congestion-scaled terms.
@@ -148,110 +159,140 @@ impl CongestionMap {
     }
 }
 
-/// All cells of the L-path `from → bend → to` excluding `from`, expressed
-/// as the two waypoints the tree builder needs.
-fn l_waypoints(from: Cell, bend_at_from_axis: bool, to: Cell) -> Vec<Cell> {
-    let bend = if bend_at_from_axis {
-        Cell::new(to.x, from.y)
-    } else {
-        Cell::new(from.x, to.y)
-    };
-    let mut w = Vec::with_capacity(2);
-    if bend != from && bend != to {
-        w.push(bend);
-    }
-    w.push(to);
-    w
+/// The legs `(start, end)` of the rectilinear path `from → waypoints[0]
+/// → …`, in walk order.
+fn legs(from: Cell, waypoints: &[Cell]) -> impl Iterator<Item = (Cell, Cell)> + '_ {
+    std::iter::once(from)
+        .chain(waypoints.iter().copied())
+        .zip(waypoints.iter().copied())
 }
 
-/// Candidate pattern routes from `from` to `to`: the two L-shapes plus
-/// up to `z_samples` Z-shapes per orientation, with bends strictly
-/// between the endpoints (every candidate is a monotone staircase of
-/// minimum length).
-fn pattern_candidates(from: Cell, to: Cell, z_samples: usize) -> Vec<Vec<Cell>> {
-    let mut out = vec![l_waypoints(from, true, to), l_waypoints(from, false, to)];
-    let dx = from.x.abs_diff(to.x);
-    let dy = from.y.abs_diff(to.y);
-    if z_samples == 0 || dx < 2 || dy < 2 {
-        return out;
+/// The edges of the straight leg `a → b`, walked from `a`, as indices in
+/// the [`maze::edge_index`] layout: the grid's run of the leg, past the
+/// horizontal edges when it is vertical.
+fn leg_edges(grid: &Grid, a: Cell, b: Cell) -> impl Iterator<Item = usize> {
+    let base = if a.y == b.y {
+        0
+    } else {
+        (usize::from(grid.width()) - 1) * usize::from(grid.height())
+    };
+    grid.edge_run(a, b).indices().map(move |i| base + i)
+}
+
+/// Sum of `costs` over the path `from → waypoints[0] → …`, added edge by
+/// edge in walk order, or `None` once the running sum reaches `bound`.
+/// Costs are never negative (the router's are at least 1), so the sum
+/// only grows: a path cut off there cannot cost less than `bound`.
+fn path_cost_below(
+    costs: &[f64],
+    grid: &Grid,
+    from: Cell,
+    waypoints: &[Cell],
+    bound: f64,
+) -> Option<f64> {
+    let mut total = 0.0;
+    for (a, b) in legs(from, waypoints) {
+        for i in leg_edges(grid, a, b) {
+            total += costs[i];
+            if total >= bound {
+                return None;
+            }
+        }
     }
-    let sample_axis = |a: u16, b: u16| -> Vec<u16> {
-        let (lo, hi) = (a.min(b) + 1, a.max(b)); // interior: lo..hi
-        let span = (hi - lo) as usize;
-        let count = z_samples.min(span);
-        (1..=count)
-            .map(|k| lo + ((k * span) / (count + 1)) as u16)
-            .collect()
+    Some(total)
+}
+
+/// The waypoints of one pattern route: an L's bend and end, or a Z's two
+/// bends and end.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct Pattern {
+    cells: [Cell; 3],
+    len: usize,
+}
+
+impl Pattern {
+    fn waypoints(&self) -> &[Cell] {
+        &self.cells[..self.len]
+    }
+}
+
+/// Up to `count` coordinates spread strictly between `a` and `b`, in
+/// increasing order.
+fn samples(a: u16, b: u16, count: usize) -> impl Iterator<Item = u16> {
+    let lo = a.min(b) + 1;
+    let span = usize::from(a.abs_diff(b)) - 1;
+    let count = count.min(span);
+    // cast: each sample lies between `a` and `b`.
+    (1..=count).map(move |k| lo + ((k * span) / (count + 1)) as u16)
+}
+
+/// The pattern routes from `from` to `to`, which differ in both
+/// coordinates: the two L-shapes, then up to `z_samples` Z-shapes per
+/// orientation with bends strictly between the endpoints (every one a
+/// monotone staircase of minimum length).
+fn patterns(from: Cell, to: Cell, z_samples: usize) -> impl Iterator<Item = Pattern> {
+    debug_assert!(from.x != to.x && from.y != to.y, "{from}->{to} is straight");
+    let l = |bend: Cell| Pattern {
+        cells: [bend, to, to],
+        len: 2,
+    };
+    let z = move |a: Cell, b: Cell| Pattern {
+        cells: [a, b, to],
+        len: 3,
+    };
+    let z_samples = if from.x.abs_diff(to.x) < 2 || from.y.abs_diff(to.y) < 2 {
+        0
+    } else {
+        z_samples
     };
     // HVH: horizontal to (mx, from.y), vertical to (mx, to.y), then to.
-    for mx in sample_axis(from.x, to.x) {
-        out.push(vec![Cell::new(mx, from.y), Cell::new(mx, to.y), to]);
-    }
+    let hvh = samples(from.x, to.x, z_samples)
+        .map(move |mx| z(Cell::new(mx, from.y), Cell::new(mx, to.y)));
     // VHV: vertical to (from.x, my), horizontal to (to.x, my), then to.
-    for my in sample_axis(from.y, to.y) {
-        out.push(vec![Cell::new(from.x, my), Cell::new(to.x, my), to]);
+    let vhv = samples(from.y, to.y, z_samples)
+        .map(move |my| z(Cell::new(from.x, my), Cell::new(to.x, my)));
+    [l(Cell::new(to.x, from.y)), l(Cell::new(from.x, to.y))]
+        .into_iter()
+        .chain(hvh)
+        .chain(vhv)
+}
+
+/// The cheapest pattern route from `from` to `to` (which differ in both
+/// coordinates) under `costs`, and its cost: the first of
+/// [`patterns`]'s candidates at the least cost.
+fn best_pattern(
+    costs: &[f64],
+    grid: &Grid,
+    from: Cell,
+    to: Cell,
+    z_samples: usize,
+) -> (Pattern, f64) {
+    let mut best = (
+        Pattern {
+            cells: [to; 3],
+            len: 0,
+        },
+        f64::INFINITY,
+    );
+    for cand in patterns(from, to, z_samples) {
+        if let Some(cost) = path_cost_below(costs, grid, from, cand.waypoints(), best.1) {
+            best = (cand, cost);
+        }
     }
-    out
+    best
 }
 
-/// The unit edges of the rectilinear path `from → waypoints[0] → …`,
-/// in walk order, each with the cell it steps onto. Each leg moves
-/// along x first, then along y.
-fn path_steps(from: Cell, waypoints: &[Cell]) -> impl Iterator<Item = (Edge2d, Cell)> + '_ {
-    let mut cur = from;
-    let mut legs = waypoints.iter();
-    let mut target = legs.next().copied();
-    std::iter::from_fn(move || loop {
-        let w = target?;
-        let (edge, next) = if cur.x < w.x {
-            (
-                Edge2d::horizontal(cur.x, cur.y),
-                Cell::new(cur.x + 1, cur.y),
-            )
-        } else if cur.x > w.x {
-            (
-                Edge2d::horizontal(cur.x - 1, cur.y),
-                Cell::new(cur.x - 1, cur.y),
-            )
-        } else if cur.y < w.y {
-            (Edge2d::vertical(cur.x, cur.y), Cell::new(cur.x, cur.y + 1))
-        } else if cur.y > w.y {
-            (
-                Edge2d::vertical(cur.x, cur.y - 1),
-                Cell::new(cur.x, cur.y - 1),
-            )
-        } else {
-            target = legs.next().copied();
-            continue;
-        };
-        cur = next;
-        return Some((edge, next));
-    })
-}
-
-/// Sums edge costs along a rectilinear multi-leg path.
-fn path_cost(cong: &CongestionMap, from: Cell, waypoints: &[Cell]) -> f64 {
-    path_steps(from, waypoints).fold(0.0, |total, (e, _)| total + cong.cost(e))
-}
-
-/// Whether any edge along the path is already at or beyond capacity.
-fn path_overflows(cong: &CongestionMap, from: Cell, waypoints: &[Cell]) -> bool {
-    path_steps(from, waypoints).any(|(e, _)| cong.usage(e) >= cong.capacity(e))
-}
-
-/// Closest point of the current tree to `target`: either an existing node
-/// or a cell interior to a segment (which must then be split).
-fn closest_tree_point(tree_cells: &[Cell], target: Cell) -> Cell {
-    // All tree cells (node cells plus segment interiors) are maintained
-    // by the caller in `tree_cells`.
-    #[expect(
-        clippy::expect_used,
-        reason = "callers seed `tree_cells` with the source cell"
-    )]
-    *tree_cells
-        .iter()
-        .min_by_key(|c| c.manhattan(target))
-        .expect("tree has at least the root cell")
+/// One step from `c` toward `to` along a straight leg.
+fn step_toward(c: Cell, to: Cell) -> Cell {
+    if c.x < to.x {
+        Cell::new(c.x + 1, c.y)
+    } else if c.x > to.x {
+        Cell::new(c.x - 1, c.y)
+    } else if c.y < to.y {
+        Cell::new(c.x, c.y + 1)
+    } else {
+        Cell::new(c.x, c.y - 1)
+    }
 }
 
 /// Cumulative work of a [`Router`].
@@ -271,9 +312,9 @@ pub struct RouterStats {
 
 /// Routes nets one at a time on one grid, sharing a congestion map.
 ///
-/// The router owns the run's maze buffers and the mask of the current
-/// net's tree edges (forbidden to the maze), so routing a net allocates
-/// no grid-sized state.
+/// The router owns the run's maze buffers, the mask of the current
+/// net's tree edges (forbidden to the maze), one tree builder and every
+/// per-net list, so routing a net allocates only the net it returns.
 #[derive(Debug)]
 pub struct Router<'g> {
     grid: &'g Grid,
@@ -285,6 +326,22 @@ pub struct Router<'g> {
     on_tree: Vec<bool>,
     /// Edge indices set in `on_tree`, for clearing it.
     tree_edges: Vec<usize>,
+    /// Per-cell (row-major) mask of the current net's pin cells, for
+    /// merging pins that share a cell; all clear between nets.
+    pin_cells: Vec<bool>,
+    /// The current net's pins, one per cell, source first.
+    pins: Vec<Pin>,
+    /// Indices into `pins` of the sinks not yet connected.
+    remaining: Vec<usize>,
+    /// Per pin: its distance to the tree and the first tree cell, in the
+    /// order cells joined the tree, at that distance.
+    nearest: Vec<(u32, Cell)>,
+    builder: RouteTreeBuilder,
+    /// Waypoints of the connection being made.
+    waypoints: Vec<Cell>,
+    /// The last maze path, cell by cell, and its waypoints.
+    maze_path: Vec<Cell>,
+    maze_waypoints: Vec<Cell>,
     /// Maze paths that replaced a pattern route so far.
     maze_paths_kept: u64,
 }
@@ -300,6 +357,14 @@ impl<'g> Router<'g> {
             search: maze::Search::new(w, h),
             on_tree: vec![false; maze::num_edges(w, h)],
             tree_edges: Vec::new(),
+            pin_cells: vec![false; usize::from(w) * usize::from(h)],
+            pins: Vec::new(),
+            remaining: Vec::new(),
+            nearest: Vec::new(),
+            builder: RouteTreeBuilder::new(Cell::new(0, 0)),
+            waypoints: Vec::new(),
+            maze_path: Vec::new(),
+            maze_waypoints: Vec::new(),
             maze_paths_kept: 0,
         }
     }
@@ -322,7 +387,7 @@ impl<'g> Router<'g> {
     ///
     /// Panics if a pin lies outside the grid.
     pub fn route_all(&mut self, specs: &[NetSpec]) -> Netlist {
-        let mut netlist = Netlist::new();
+        let mut netlist = Netlist::with_capacity(specs.len());
         for spec in specs {
             if let Some(net) = self.route(spec) {
                 netlist.push(net);
@@ -343,62 +408,60 @@ impl<'g> Router<'g> {
     /// Panics if a pin lies outside the grid.
     pub fn route(&mut self, spec: &NetSpec) -> Option<Net> {
         // Deduplicate pins by cell, keeping the source first.
-        let mut pins = Vec::with_capacity(spec.pins.len());
-        let mut seen = HashSet::new();
+        self.pins.clear();
         for p in &spec.pins {
             assert!(self.grid.contains(p.cell), "pin {} outside grid", p.cell);
-            if seen.insert(p.cell) {
-                pins.push(*p);
+            let at = self.grid.cell_flat_index(p.cell);
+            if !self.pin_cells[at] {
+                self.pin_cells[at] = true;
+                self.pins.push(*p);
             }
         }
-        if pins.len() < 2 {
+        for p in &self.pins {
+            self.pin_cells[self.grid.cell_flat_index(p.cell)] = false;
+        }
+        if self.pins.len() < 2 {
             return None;
         }
 
-        let source = pins[0];
-        let mut builder = RouteTreeBuilder::new(source.cell);
+        let source = self.pins[0].cell;
+        self.builder.reset(source);
         #[expect(
             clippy::expect_used,
-            reason = "a just-built root node carries no pin yet"
+            reason = "a just-reset root node carries no pin yet"
         )]
-        builder.attach_pin(0, 0).expect("fresh root has no pin");
+        self.builder
+            .attach_pin(0, 0)
+            .expect("fresh root has no pin");
+        self.remaining.clear();
+        self.remaining.extend(1..self.pins.len());
+        self.nearest.clear();
+        self.nearest
+            .extend(self.pins.iter().map(|p| (p.cell.manhattan(source), source)));
 
-        // Tree geometry bookkeeping: every covered cell; covered edges
-        // go to the `on_tree` mask.
-        let mut tree_cells: Vec<Cell> = vec![source.cell];
-
-        let mut remaining: Vec<usize> = (1..pins.len()).collect();
-        while !remaining.is_empty() {
-            // Nearest unrouted sink to the tree.
-            #[expect(
-                clippy::expect_used,
-                reason = "guarded by the loop's !remaining.is_empty()"
-            )]
-            let (pos, &pin_idx) = remaining
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &p)| {
-                    tree_cells
-                        .iter()
-                        .map(|c| c.manhattan(pins[p].cell))
-                        .min()
-                        .unwrap_or(u32::MAX)
-                })
-                .expect("remaining is non-empty");
-            remaining.swap_remove(pos);
-            let target = pins[pin_idx].cell;
-
-            let attach_cell = closest_tree_point(&tree_cells, target);
-            let waypoints = self.connection(attach_cell, target);
+        while !self.remaining.is_empty() {
+            // Nearest unrouted sink to the tree: the first in `remaining`
+            // at the least distance.
+            let mut pos = 0;
+            for (i, &p) in self.remaining.iter().enumerate().skip(1) {
+                if self.nearest[p].0 < self.nearest[self.remaining[pos]].0 {
+                    pos = i;
+                }
+            }
+            let pin_idx = self.remaining.swap_remove(pos);
+            let target = self.pins[pin_idx].cell;
+            let attach_cell = self.nearest[pin_idx].1;
+            self.connection(attach_cell, target);
 
             // Find or create the attach node.
+            let builder = &mut self.builder;
             let attach_node = match builder.find_node_at(attach_cell) {
                 Some(n) => n,
                 None => {
                     #[expect(
                         clippy::expect_used,
-                        reason = "attach_cell came from `tree_cells`, all of which are node cells \
-                                  or segment interiors"
+                        reason = "attach_cell joined the tree as a node cell or a segment \
+                                  interior"
                     )]
                     let seg = builder
                         .find_segment_through(attach_cell)
@@ -414,26 +477,18 @@ impl<'g> Router<'g> {
                 }
             };
 
-            let end_node = if waypoints.is_empty() {
+            let end_node = if self.waypoints.is_empty() {
                 attach_node
             } else {
                 #[expect(
                     clippy::expect_used,
-                    reason = "pattern_candidates and path_waypoints only emit axis-aligned \
-                              waypoint sequences"
+                    reason = "patterns and path_waypoints only emit axis-aligned waypoint \
+                              sequences"
                 )]
                 let end = builder
-                    .add_path(attach_node, &waypoints)
+                    .add_path(attach_node, &self.waypoints)
                     .expect("waypoints are rectilinear by construction");
-                // Record new geometry.
-                let (w, h) = (self.grid.width(), self.grid.height());
-                for (e, next) in path_steps(attach_cell, &waypoints) {
-                    self.congestion.add(e);
-                    let i = maze::edge_index(w, h, e);
-                    self.on_tree[i] = true;
-                    self.tree_edges.push(i);
-                    tree_cells.push(next);
-                }
+                self.commit(attach_cell);
                 end
             };
             #[expect(
@@ -441,7 +496,7 @@ impl<'g> Router<'g> {
                 reason = "dedup above leaves one pin per cell, so no node is asked to carry a \
                           second pin"
             )]
-            builder
+            self.builder
                 // cast: pin ordinals come from the u32-indexed arena.
                 .attach_pin(end_node, pin_idx as u32)
                 .expect("pin cells are deduplicated");
@@ -455,49 +510,91 @@ impl<'g> Router<'g> {
             reason = "pins.len() >= 2 above guarantees at least one path was added, so the \
                       builder holds a segment"
         )]
-        let tree = builder.build().expect("two distinct pins imply a segment");
-        let mut net = Net::new(spec.name.clone(), pins, tree);
+        let tree = self
+            .builder
+            .finish()
+            .expect("two distinct pins imply a segment");
+        let mut net = Net::new(spec.name.clone(), self.pins.clone(), tree);
         net.driver_resistance = spec.driver_resistance;
         Some(net)
     }
 
-    /// Waypoints of the cheapest connection from the tree cell `from` to
-    /// `to`: a straight run, else the best pattern route, replaced by a
-    /// maze route around the tree when the pattern hits a full edge and
-    /// the maze path is strictly cheaper.
-    fn connection(&mut self, from: Cell, to: Cell) -> Vec<Cell> {
-        if from == to {
-            return Vec::new();
-        }
-        if from.x == to.x || from.y == to.y {
-            return vec![to];
-        }
-        let congestion = &self.congestion;
-        let mut best: Vec<Cell> = Vec::new();
-        let mut best_cost = f64::INFINITY;
-        for cand in pattern_candidates(from, to, self.config.z_samples) {
-            let cost = path_cost(congestion, from, &cand);
-            if cost < best_cost {
-                best_cost = cost;
-                best = cand;
+    /// Records the connection in `waypoints`, which starts at the tree
+    /// cell `from`: charges its edges to the congestion, masks them as
+    /// tree edges, and moves each unrouted sink's nearest tree cell to
+    /// any new cell that is strictly closer.
+    fn commit(&mut self, from: Cell) {
+        let Router {
+            grid,
+            congestion,
+            on_tree,
+            tree_edges,
+            pins,
+            remaining,
+            nearest,
+            waypoints,
+            ..
+        } = self;
+        for (a, b) in legs(from, waypoints) {
+            let mut cell = a;
+            for i in leg_edges(grid, a, b) {
+                cell = step_toward(cell, b);
+                congestion.add_at(i);
+                on_tree[i] = true;
+                tree_edges.push(i);
+                for &p in remaining.iter() {
+                    let d = cell.manhattan(pins[p].cell);
+                    if d < nearest[p].0 {
+                        nearest[p] = (d, cell);
+                    }
+                }
             }
         }
-        if self.config.maze_fallback && path_overflows(congestion, from, &best) {
-            if let Some(path) = self.search.find_path(
+    }
+
+    /// Sets `waypoints` to the cheapest connection from the tree cell
+    /// `from` to `to`: a straight run, else the best pattern route,
+    /// replaced by a maze route around the tree when the pattern hits a
+    /// full edge and the maze path is strictly cheaper.
+    fn connection(&mut self, from: Cell, to: Cell) {
+        self.waypoints.clear();
+        if from == to {
+            return;
+        }
+        if from.x == to.x || from.y == to.y {
+            self.waypoints.push(to);
+            return;
+        }
+        let (grid, congestion) = (self.grid, &self.congestion);
+        let (best, best_cost) =
+            best_pattern(congestion.costs(), grid, from, to, self.config.z_samples);
+        self.waypoints.extend_from_slice(best.waypoints());
+        if self.config.maze_fallback
+            && legs(from, &self.waypoints)
+                .any(|(a, b)| leg_edges(grid, a, b).any(|i| congestion.full_at(i)))
+            && self.search.find_path(
                 from,
                 to,
                 congestion.costs(),
                 &self.on_tree,
                 self.config.overflow_penalty,
-            ) {
-                let mw = maze::path_waypoints(&path);
-                if path_cost(congestion, from, &mw) < best_cost {
-                    best = mw;
-                    self.maze_paths_kept += 1;
-                }
+                &mut self.maze_path,
+            )
+        {
+            maze::path_waypoints(&self.maze_path, &mut self.maze_waypoints);
+            if path_cost_below(
+                congestion.costs(),
+                grid,
+                from,
+                &self.maze_waypoints,
+                best_cost,
+            )
+            .is_some()
+            {
+                std::mem::swap(&mut self.waypoints, &mut self.maze_waypoints);
+                self.maze_paths_kept += 1;
             }
         }
-        best
     }
 }
 
@@ -537,7 +634,7 @@ mod tests {
     fn z_candidates_are_monotone_and_minimum_length() {
         let from = Cell::new(2, 3);
         let to = Cell::new(9, 8);
-        let cands = pattern_candidates(from, to, 3);
+        let cands: Vec<Pattern> = patterns(from, to, 3).collect();
         // 2 Ls + 3 HVH + 3 VHV.
         assert_eq!(cands.len(), 8);
         let expect_len = from.manhattan(to);
@@ -546,7 +643,7 @@ mod tests {
             // (monotone staircase ⇒ minimal).
             let mut cur = from;
             let mut len = 0;
-            for &w in cand {
+            for &w in cand.waypoints() {
                 assert!(cur.x == w.x || cur.y == w.y, "not rectilinear");
                 len += cur.manhattan(w);
                 cur = w;
@@ -558,8 +655,181 @@ mod tests {
 
     #[test]
     fn z_disabled_leaves_only_ls() {
-        let cands = pattern_candidates(Cell::new(0, 0), Cell::new(5, 5), 0);
-        assert_eq!(cands.len(), 2);
+        assert_eq!(patterns(Cell::new(0, 0), Cell::new(5, 5), 0).count(), 2);
+    }
+
+    /// The pattern scorer as it stood before the strided folds: every
+    /// candidate built as a waypoint vector, every edge of each walked
+    /// cell by cell and summed in full. Kept as the reference the pruned
+    /// scorer must reproduce exactly.
+    mod reference {
+        use super::*;
+
+        /// All cells of the L-path `from → bend → to` excluding `from`,
+        /// expressed as the two waypoints the tree builder needs.
+        fn l_waypoints(from: Cell, bend_at_from_axis: bool, to: Cell) -> Vec<Cell> {
+            let bend = if bend_at_from_axis {
+                Cell::new(to.x, from.y)
+            } else {
+                Cell::new(from.x, to.y)
+            };
+            let mut w = Vec::with_capacity(2);
+            if bend != from && bend != to {
+                w.push(bend);
+            }
+            w.push(to);
+            w
+        }
+
+        /// Candidate pattern routes from `from` to `to`: the two
+        /// L-shapes plus up to `z_samples` Z-shapes per orientation.
+        fn pattern_candidates(from: Cell, to: Cell, z_samples: usize) -> Vec<Vec<Cell>> {
+            let mut out = vec![l_waypoints(from, true, to), l_waypoints(from, false, to)];
+            let dx = from.x.abs_diff(to.x);
+            let dy = from.y.abs_diff(to.y);
+            if z_samples == 0 || dx < 2 || dy < 2 {
+                return out;
+            }
+            let sample_axis = |a: u16, b: u16| -> Vec<u16> {
+                let (lo, hi) = (a.min(b) + 1, a.max(b));
+                let span = (hi - lo) as usize;
+                let count = z_samples.min(span);
+                (1..=count)
+                    .map(|k| lo + ((k * span) / (count + 1)) as u16)
+                    .collect()
+            };
+            for mx in sample_axis(from.x, to.x) {
+                out.push(vec![Cell::new(mx, from.y), Cell::new(mx, to.y), to]);
+            }
+            for my in sample_axis(from.y, to.y) {
+                out.push(vec![Cell::new(from.x, my), Cell::new(to.x, my), to]);
+            }
+            out
+        }
+
+        /// The unit edges of the rectilinear path `from → waypoints[0]
+        /// → …`, in walk order. Each leg moves along x first, then y.
+        fn path_steps(from: Cell, waypoints: &[Cell]) -> Vec<Edge2d> {
+            let mut out = Vec::new();
+            let mut cur = from;
+            for &w in waypoints {
+                while cur != w {
+                    let (edge, next) = if cur.x < w.x {
+                        (
+                            Edge2d::horizontal(cur.x, cur.y),
+                            Cell::new(cur.x + 1, cur.y),
+                        )
+                    } else if cur.x > w.x {
+                        (
+                            Edge2d::horizontal(cur.x - 1, cur.y),
+                            Cell::new(cur.x - 1, cur.y),
+                        )
+                    } else if cur.y < w.y {
+                        (Edge2d::vertical(cur.x, cur.y), Cell::new(cur.x, cur.y + 1))
+                    } else {
+                        (
+                            Edge2d::vertical(cur.x, cur.y - 1),
+                            Cell::new(cur.x, cur.y - 1),
+                        )
+                    };
+                    out.push(edge);
+                    cur = next;
+                }
+            }
+            out
+        }
+
+        /// The cheapest candidate and its cost, first minimum kept.
+        pub(super) fn best_pattern(
+            costs: &[f64],
+            (w, h): (u16, u16),
+            from: Cell,
+            to: Cell,
+            z_samples: usize,
+        ) -> (Vec<Cell>, f64) {
+            let mut best = Vec::new();
+            let mut best_cost = f64::INFINITY;
+            for cand in pattern_candidates(from, to, z_samples) {
+                let cost = path_steps(from, &cand)
+                    .into_iter()
+                    .fold(0.0, |total, e| total + costs[maze::edge_index(w, h, e)]);
+                if cost < best_cost {
+                    best_cost = cost;
+                    best = cand;
+                }
+            }
+            (best, best_cost)
+        }
+    }
+
+    /// The pruned strided scorer picks the reference's waypoints at the
+    /// reference's cost bits, on random grids whose edge costs are all
+    /// 1 (every candidate ties), small integers (frequent exact ties),
+    /// or the router's formula over random usage with many full edges;
+    /// for `z_samples` 0 to 6, and for endpoints with `dx` or `dy` below
+    /// 2, where only the L-shapes run.
+    #[test]
+    fn pruned_pattern_scorer_matches_the_reference() {
+        let cases = if cfg!(feature = "proptest") {
+            20_000
+        } else {
+            2_000
+        };
+        let mut rng = prng::Rng::seed_from_u64(0x5c02);
+        let (mut ties, mut full, mut narrow, mut z_won) = (0, 0, 0, 0);
+        for case in 0..cases {
+            let (w, h) = (rng.range_u16(2, 24), rng.range_u16(2, 24));
+            let costs: Vec<f64> = (0..maze::num_edges(w, h))
+                .map(|_| match case % 3 {
+                    0 => 1.0,
+                    1 => f64::from(rng.range_u32(1, 3)),
+                    _ => {
+                        let capacity = f64::from(rng.range_u32(0, 4));
+                        let usage = f64::from(rng.range_u32(0, 6));
+                        let mut cost = 1.0 + 2.0 * usage / (capacity + 1.0);
+                        if usage >= capacity {
+                            cost += 1000.0;
+                        }
+                        cost
+                    }
+                })
+                .collect();
+            let from = Cell::new(rng.range_u16(0, w - 1), rng.range_u16(0, h - 1));
+            let to = loop {
+                let to = Cell::new(rng.range_u16(0, w - 1), rng.range_u16(0, h - 1));
+                if to.x != from.x && to.y != from.y {
+                    break to;
+                }
+            };
+            let z_samples = rng.range_usize(0, 6);
+            let (want, want_cost) = reference::best_pattern(&costs, (w, h), from, to, z_samples);
+            let grid = GridBuilder::new(w, h)
+                .alternating_layers(2, Direction::Horizontal)
+                .build()
+                .unwrap();
+            let (got, got_cost) = best_pattern(&costs, &grid, from, to, z_samples);
+            assert_eq!(
+                (got.waypoints(), got_cost.to_bits()),
+                (want.as_slice(), want_cost.to_bits()),
+                "{w}x{h}, {from} -> {to}, z_samples {z_samples}"
+            );
+            let full_cost = |c: &Pattern| {
+                path_cost_below(&costs, &grid, from, c.waypoints(), f64::INFINITY).unwrap()
+            };
+            ties += usize::from(
+                patterns(from, to, z_samples)
+                    .filter(|c| full_cost(c) == got_cost)
+                    .count()
+                    > 1,
+            );
+            full += usize::from(got_cost >= 1000.0);
+            narrow += usize::from(from.x.abs_diff(to.x) < 2 || from.y.abs_diff(to.y) < 2);
+            z_won += usize::from(got.len == 3);
+        }
+        assert!(
+            ties > 0 && full > 0 && narrow > 0 && z_won > 0,
+            "sweep missed a case: {ties} ties, {full} full, {narrow} narrow, {z_won} Z picks"
+        );
     }
 
     #[test]

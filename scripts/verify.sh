@@ -29,8 +29,8 @@ cargo test --workspace -q --offline
 echo "==> route/ispd full property sweeps"
 cargo test -q --offline -p route -p ispd --features proptest
 
-echo "==> route and initial-assignment pins, release (the scale-100k pins are ignored in debug builds)"
-cargo test --release -q --offline -p route --test route_pin --test initial_pin
+echo "==> route, initial-assignment and whole-suite pins, release (the scale-100k and suite pins are ignored in debug builds)"
+cargo test --release -q --offline -p route --test route_pin --test initial_pin --test suite_pin
 
 echo "==> partition-program and SDP-solve pins, release"
 cargo test --release -q --offline -p cpla --test problem_pin --test solve_pin
