@@ -12,6 +12,8 @@
 //!   recount of every net's via stacks (a stack `lo..=hi` consumes
 //!   capacity on the layers *strictly between* its endpoints), and the
 //!   total via-overflow figure (the paper's `Vo`) matches.
+//! - **`via#`** — the grid's running via count equals `Σ (hi − lo)`
+//!   over the same stacks, single-hop ones included.
 //! - **Timing** — an [`IncrementalTiming`] cache, deliberately churned
 //!   through its `set_layer`/`revert`/`commit` paths, agrees with a
 //!   from-scratch [`NetTiming`] recompute within [`ELMORE_TOLERANCE`].
@@ -123,7 +125,8 @@ fn check_wire_accounting(
     Ok(())
 }
 
-/// Eqn. (4d): per-cell via usage and the total via overflow (`Vo`).
+/// Eqn. (4d): per-cell via usage and the total via overflow (`Vo`),
+/// then the running via count (`via#`).
 fn check_via_accounting(
     grid: &Grid,
     netlist: &Netlist,
@@ -131,6 +134,7 @@ fn check_via_accounting(
 ) -> Result<(), InvariantError> {
     let cells = grid.width() as usize * grid.height() as usize;
     let mut recount: Vec<Vec<u32>> = vec![vec![0u32; cells]; grid.num_layers()];
+    let mut vias = 0u64;
     for (ni, net) in netlist.nets().iter().enumerate() {
         let layers = assignment.net_layers(ni);
         for (cell, lo, hi) in net.via_stacks(layers) {
@@ -139,6 +143,7 @@ fn check_via_accounting(
             for counts in &mut recount[(lo + 1)..hi] {
                 counts[grid.cell_flat_index(cell)] += 1;
             }
+            vias += (hi - lo) as u64;
         }
     }
     let mut overflow = 0u64;
@@ -163,6 +168,13 @@ fn check_via_accounting(
         return Err(InvariantError::ViaOverflow {
             recorded,
             recounted: overflow,
+        });
+    }
+    let recorded = grid.total_via_count();
+    if recorded != vias {
+        return Err(InvariantError::ViaCount {
+            recorded,
+            recounted: vias,
         });
     }
     Ok(())
@@ -304,6 +316,32 @@ mod tests {
         let err = check_solution(&grid, &nl, &a).unwrap_err();
         assert!(matches!(err, InvariantError::ViaUsage { .. }), "{err}");
         assert!(err.to_string().contains("4d"), "{err}");
+    }
+
+    #[test]
+    fn a_single_hop_via_nobody_owns_is_caught_by_the_via_count() {
+        let (mut grid, nl) = fixture();
+        let a = Assignment::lowest_layers(&nl, &grid);
+        net::apply_to_grid(&mut grid, &nl, &a);
+        let before = grid.snapshot_usage();
+        // Sabotage: a one-hop via takes no via capacity, so the usage
+        // tallies cannot see it; only the count does.
+        grid.add_via_stack(Cell::new(2, 2), 1, 2);
+        let err = check_solution(&grid, &nl, &a).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                InvariantError::ViaCount {
+                    recorded,
+                    recounted
+                } if recorded == recounted + 1
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("via#"), "{err}");
+        grid.remove_via_stack(Cell::new(2, 2), 1, 2);
+        assert_eq!(grid.snapshot_usage(), before);
+        check_solution(&grid, &nl, &a).unwrap();
     }
 
     #[test]

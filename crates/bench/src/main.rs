@@ -13,8 +13,8 @@
 //! `--alloc-stats` (per-span allocation accounting),
 //! `--trace-chrome <file.json>` (Chrome `trace_event` span dump for
 //! `chrome://tracing`/Perfetto), `--metrics <file.txt>` (Prometheus
-//! text dump), `--bench-json <file|none>` (per-stage p50/p95 baseline,
-//! default `BENCH_cpla.json`), `--preset scale-100k|scale-1m` (fix the
+//! text dump), `--bench-json <file>` (per-stage p50/p95 baseline; without
+//! the flag no file is written), `--preset scale-100k|scale-1m` (fix the
 //! design to a scale-generator config, overriding the design flags),
 //! `--compare-threads N` (additionally run the workload at 1 and N
 //! threads and record the wall ratio under `thread_scaling`),
@@ -163,7 +163,7 @@ impl Default for Args {
             alloc_stats: false,
             trace_chrome: None,
             metrics: None,
-            bench_json: Some("BENCH_cpla.json".to_string()),
+            bench_json: None,
             preset: None,
             compare_threads: None,
             assigners: Vec::new(),
@@ -217,10 +217,7 @@ fn parse_args() -> Args {
             "--alloc-stats" => args.alloc_stats = true,
             "--trace-chrome" => args.trace_chrome = Some(value("--trace-chrome")),
             "--metrics" => args.metrics = Some(value("--metrics")),
-            "--bench-json" => {
-                let v = value("--bench-json");
-                args.bench_json = (v != "none").then_some(v);
-            }
+            "--bench-json" => args.bench_json = Some(value("--bench-json")),
             "--preset" => {
                 let v = value("--preset");
                 if SyntheticConfig::scale(&v).is_none() {
@@ -251,7 +248,7 @@ fn parse_args() -> Args {
                      [--layers N] [--capacity N] [--threads N] [--ratio F] \
                      [--rounds N] [--reps N] [--trace file.jsonl] \
                      [--alloc-stats] [--trace-chrome file.json] \
-                     [--metrics file.txt] [--bench-json file|none] \
+                     [--metrics file.txt] [--bench-json file] \
                      [--preset scale-100k|scale-1m] [--compare-threads N] \
                      [--assigners tila,lagrange,greedy,race]"
                 );

@@ -154,7 +154,7 @@ fn run(command: Command, out: &mut dyn Write) -> Result<(), CliError> {
                     .iter()
                     .map(|n| n.tree().wirelength())
                     .sum::<u64>(),
-                assignment.total_via_count(&netlist),
+                grid.total_via_count(),
                 grid.total_wire_overflow(),
                 grid.total_via_overflow()
             )?;

@@ -126,6 +126,14 @@ pub enum InvariantError {
         /// Overflow recounted from the assignment.
         recounted: u64,
     },
+    /// The grid's running via count (the paper's `via#`) disagrees with
+    /// `Σ (hi − lo)` over every net's via stacks.
+    ViaCount {
+        /// Via count the grid reports.
+        recorded: u64,
+        /// Via count recounted from the assignment.
+        recounted: u64,
+    },
     /// The incremental timing cache drifted from a from-scratch Elmore
     /// recompute beyond tolerance.
     TimingDrift {
@@ -180,6 +188,14 @@ impl fmt::Display for InvariantError {
             } => write!(
                 f,
                 "via-overflow invariant (4d) violated: grid reports Vo = {recorded}, \
+                 recount finds {recounted}"
+            ),
+            InvariantError::ViaCount {
+                recorded,
+                recounted,
+            } => write!(
+                f,
+                "via-count invariant violated: grid reports via# = {recorded}, \
                  recount finds {recounted}"
             ),
             InvariantError::TimingDrift {

@@ -19,9 +19,12 @@ pub struct Metrics {
 impl Metrics {
     /// Measures the current state.
     ///
-    /// `grid` usage must reflect `assignment`; the timing statistics are
-    /// taken over `released`, while `OV#` and `via#` are design-wide,
-    /// matching the paper's table.
+    /// `grid` usage must reflect `assignment`. The timing statistics
+    /// time the `released` nets only. `OV#` and `via#` are design-wide,
+    /// matching the paper's table, and are the grid's running totals
+    /// ([`Grid::total_via_overflow`], [`Grid::total_via_count`]), so a
+    /// measure costs the released nets' timing and nothing per net
+    /// beyond them.
     ///
     /// # Panics
     ///
@@ -38,7 +41,7 @@ impl Metrics {
             avg_tcp: report.avg_critical_delay(),
             max_tcp: report.max_critical_delay(),
             via_overflow: grid.total_via_overflow(),
-            via_count: assignment.total_via_count(netlist),
+            via_count: grid.total_via_count(),
         }
     }
 }

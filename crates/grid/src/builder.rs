@@ -193,8 +193,10 @@ impl GridBuilder {
             via_cap: Vec::new(),
             wire_overflow: 0,
             via_overflow: 0,
+            via_count: 0,
         };
-        // Usage starts empty, so both overflow totals start at zero.
+        // Usage starts empty, so both overflow totals and the via count
+        // start at zero.
         grid.via_cap = (0..grid.num_layers())
             .map(|l| grid.cells().map(|c| grid.eqn1_via_capacity(c, l)).collect())
             .collect();

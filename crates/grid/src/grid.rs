@@ -9,14 +9,16 @@ use crate::{Cell, Direction, Edge2d, Layer};
 /// current wire usage of each routing edge of that layer's direction, plus
 /// the via usage stacked through every tile.
 ///
-/// The grid also keeps every tile's Eqn. (1) via capacity and the running
-/// wire and via overflow totals. The mutators ([`Grid::add_wire`],
-/// [`Grid::remove_wire`], their run forms [`Grid::add_wire_run`] and
-/// [`Grid::remove_wire_run`], [`Grid::add_via_stack`],
-/// [`Grid::remove_via_stack`] and [`Grid::set_edge_capacity`]) update them
-/// from the entries they touch, and [`Grid::restore_usage`] recounts the
-/// totals, so [`Grid::via_capacity`], [`Grid::total_wire_overflow`] and
-/// [`Grid::total_via_overflow`] are O(1) reads.
+/// The grid also keeps every tile's Eqn. (1) via capacity, the running
+/// wire and via overflow totals and the running via count. The mutators
+/// ([`Grid::add_wire`], [`Grid::remove_wire`], their run forms
+/// [`Grid::add_wire_run`] and [`Grid::remove_wire_run`],
+/// [`Grid::add_via_stack`], [`Grid::remove_via_stack`] and
+/// [`Grid::set_edge_capacity`]) update them from the entries they touch,
+/// and [`Grid::restore_usage`] recounts the overflow totals, so
+/// [`Grid::via_capacity`], [`Grid::total_wire_overflow`],
+/// [`Grid::total_via_overflow`] and [`Grid::total_via_count`] are O(1)
+/// reads.
 ///
 /// Construct with [`crate::GridBuilder`].
 ///
@@ -50,6 +52,8 @@ pub struct Grid {
     pub(crate) wire_overflow: u64,
     /// Running `Σ max(0, via_usage − via_cap)` over all layer cells.
     pub(crate) via_overflow: u64,
+    /// Running `Σ (hi − lo)` over the recorded via stacks.
+    pub(crate) via_count: u64,
 }
 
 /// The edges a straight wire between two cells crosses, as a strided run
@@ -96,6 +100,9 @@ impl EdgeRun {
 pub struct UsageSnapshot {
     usage: Vec<Vec<u32>>,
     via_usage: Vec<Vec<u32>>,
+    /// The via count: unlike the overflow totals it does not depend on
+    /// capacities, so it is stored rather than recounted.
+    via_count: u64,
 }
 
 impl Grid {
@@ -586,7 +593,8 @@ impl Grid {
     ///
     /// Following constraint (4d) of the paper, the stack consumes via
     /// capacity on every layer *strictly between* its endpoints; a
-    /// single-hop via (`hi == lo + 1`) consumes none.
+    /// single-hop via (`hi == lo + 1`) consumes none. Every stack adds
+    /// its `hi − lo` vias to [`Grid::total_via_count`].
     ///
     /// # Panics
     ///
@@ -595,6 +603,7 @@ impl Grid {
     pub fn add_via_stack(&mut self, cell: Cell, lo: usize, hi: usize) {
         assert!(lo <= hi && hi < self.num_layers());
         let idx = self.cell_index(cell);
+        self.via_count += (hi - lo) as u64;
         for l in (lo + 1)..hi {
             self.via_usage[l][idx] += 1;
             if self.via_usage[l][idx] > self.via_cap[l][idx] {
@@ -608,10 +617,15 @@ impl Grid {
     ///
     /// # Panics
     ///
-    /// Panics if the stack was not recorded (usage underflow) or the
-    /// arguments are out of range.
+    /// Panics if the stack was not recorded (usage or via-count
+    /// underflow) or the arguments are out of range.
     pub fn remove_via_stack(&mut self, cell: Cell, lo: usize, hi: usize) {
         assert!(lo <= hi && hi < self.num_layers());
+        assert!(
+            self.via_count >= (hi - lo) as u64,
+            "removing vias {lo}..={hi} at {cell} from a grid that holds {}",
+            self.via_count
+        );
         let idx = self.cell_index(cell);
         for l in (lo + 1)..hi {
             assert!(
@@ -623,6 +637,7 @@ impl Grid {
             }
             self.via_usage[l][idx] -= 1;
         }
+        self.via_count -= (hi - lo) as u64;
     }
 
     // ------------------------------------------------------------------
@@ -642,6 +657,14 @@ impl Grid {
     /// O(1): a running total kept by the usage and capacity mutators.
     pub fn total_via_overflow(&self) -> u64 {
         self.via_overflow
+    }
+
+    /// Total via count (the paper's `via#`): `Σ (hi − lo)` over the via
+    /// stacks recorded by [`Grid::add_via_stack`] and not yet removed.
+    ///
+    /// O(1): a running total kept by the via-stack mutators.
+    pub fn total_via_count(&self) -> u64 {
+        self.via_count
     }
 
     // ------------------------------------------------------------------
@@ -722,11 +745,12 @@ impl Grid {
     // Snapshots
     // ------------------------------------------------------------------
 
-    /// Captures the current wire and via usage.
+    /// Captures the current wire and via usage and the via count.
     pub fn snapshot_usage(&self) -> UsageSnapshot {
         UsageSnapshot {
             usage: self.usage.clone(),
             via_usage: self.via_usage.clone(),
+            via_count: self.via_count,
         }
     }
 
@@ -746,6 +770,7 @@ impl Grid {
         }
         self.usage = snapshot.usage;
         self.via_usage = snapshot.via_usage;
+        self.via_count = snapshot.via_count;
         // A snapshot can outlive a capacity edit, so the totals are
         // recounted against today's capacities rather than stored.
         self.wire_overflow = excess(&self.usage, &self.cap);
@@ -845,16 +870,19 @@ mod tests {
         let mut g = grid4();
         let c = Cell::new(2, 1);
         g.add_via_stack(c, 0, 3);
+        assert_eq!(g.total_via_count(), 3);
         assert_eq!(g.via_usage(c, 0), 0);
         assert_eq!(g.via_usage(c, 1), 1);
         assert_eq!(g.via_usage(c, 2), 1);
         assert_eq!(g.via_usage(c, 3), 0);
-        // Single-hop via consumes nothing.
+        // Single-hop via consumes nothing, but it is a via.
         g.add_via_stack(c, 1, 2);
         assert_eq!(g.via_usage(c, 1), 1);
+        assert_eq!(g.total_via_count(), 4);
         g.remove_via_stack(c, 0, 3);
         assert_eq!(g.via_usage(c, 1), 0);
         assert_eq!(g.via_usage(c, 2), 0);
+        assert_eq!(g.total_via_count(), 1);
     }
 
     #[test]
@@ -874,6 +902,7 @@ mod tests {
         g.restore_usage(snap);
         assert_eq!(g.edge_usage(0, Edge2d::horizontal(0, 0)), 0);
         assert_eq!(g.via_usage(Cell::new(1, 1), 1), 0);
+        assert_eq!(g.total_via_count(), 0);
     }
 
     #[test]
@@ -901,6 +930,13 @@ mod tests {
             seen[idx] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    #[should_panic(expected = "from a grid that holds 0")]
+    fn removing_an_unrecorded_single_hop_via_panics() {
+        // It takes no via capacity, so only the count can notice.
+        grid4().remove_via_stack(Cell::new(2, 1), 1, 2);
     }
 
     #[test]
@@ -976,6 +1012,12 @@ mod tests {
 
         fn check_books(g: &Grid, ledger: &Ledger, what: &str) {
             check_usage(g, ledger, what);
+            let vias: u64 = ledger
+                .stacks
+                .iter()
+                .map(|&(_, lo, hi)| (hi - lo) as u64)
+                .sum();
+            assert_eq!(g.total_via_count(), vias, "after {what}: via count");
             assert_eq!(
                 g.total_wire_overflow(),
                 scan_wire_overflow(g),
@@ -1011,6 +1053,8 @@ mod tests {
         struct Reached {
             wire_overflow: usize,
             via_overflow: usize,
+            /// Stacks of one hop: counted as vias, but no via usage.
+            single_hop: usize,
             multi_hop: usize,
             cap_to_zero: usize,
             cap_below_usage: usize,
@@ -1060,9 +1104,8 @@ mod tests {
                     );
                     let lo = rng.range_usize(0, layers - 1);
                     let hi = rng.range_usize(lo, layers - 1);
-                    if hi > lo + 1 {
-                        reached.multi_hop += 1;
-                    }
+                    reached.single_hop += usize::from(hi == lo + 1);
+                    reached.multi_hop += usize::from(hi > lo + 1);
                     g.add_via_stack(cell, lo, hi);
                     ledger.stacks.push((cell, lo, hi));
                 }
@@ -1155,8 +1198,9 @@ mod tests {
 
         /// Interleaved wire, via-stack and capacity edits plus snapshot
         /// / edit / restore rounds on random small grids: after every
-        /// operation both running totals equal a from-scratch recount
-        /// and every cached via capacity equals a fresh Eqn. (1)
+        /// operation both running overflow totals equal a from-scratch
+        /// recount, the running via count equals the ledger's `Σ (hi −
+        /// lo)`, and every cached via capacity equals a fresh Eqn. (1)
         /// evaluation. Deterministic seed sweep; the off-by-default
         /// `proptest` feature widens it.
         #[test]
@@ -1216,6 +1260,7 @@ mod tests {
                 [
                     r.wire_overflow,
                     r.via_overflow,
+                    r.single_hop,
                     r.multi_hop,
                     r.cap_to_zero,
                     r.cap_below_usage,

@@ -104,20 +104,6 @@ impl Assignment {
         self.layers.len()
     }
 
-    /// Total via count over the whole netlist.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `netlist` does not match the assignment's shape.
-    pub fn total_via_count(&self, netlist: &Netlist) -> u64 {
-        netlist
-            .nets()
-            .iter()
-            .zip(&self.layers)
-            .map(|(n, l)| n.via_count(l))
-            .sum()
-    }
-
     /// Checks that every segment sits on a layer whose direction matches
     /// the segment's orientation.
     ///
@@ -266,13 +252,19 @@ mod tests {
     }
 
     #[test]
-    fn via_count_tracks_assignment() {
-        let (grid, nl) = fixture();
+    fn grid_via_count_tracks_assignment() {
+        let (mut grid, nl) = fixture();
         let mut a = Assignment::lowest_layers(&nl, &grid);
-        let low = a.total_via_count(&nl);
+        apply_to_grid(&mut grid, &nl, &a);
+        let low = grid.total_via_count();
+        assert_eq!(low, nl.net(0).via_count(a.net_layers(0)));
+        remove_net_from_grid(&mut grid, nl.net(0), a.net_layers(0));
+        assert_eq!(grid.total_via_count(), 0);
         a.set_layer(0, 0, 2); // push horizontal segment to M3
         a.set_layer(0, 1, 3); // vertical to M4
-        let high = a.total_via_count(&nl);
+        restore_net_to_grid(&mut grid, nl.net(0), a.net_layers(0));
+        let high = grid.total_via_count();
+        assert_eq!(high, nl.net(0).via_count(a.net_layers(0)));
         assert!(high > low, "{high} vs {low}");
         a.validate(&nl, &grid).unwrap();
     }

@@ -38,6 +38,9 @@ cargo test --release -q --offline -p cpla --test problem_pin --test solve_pin
 echo "==> baseline pins, release (newblue5 is ignored in debug builds)"
 cargo test --release -q --offline --test baseline_pins
 
+echo "==> critical-net selection on the whole suite and scale-100k, release (ignored in debug builds)"
+cargo test --release -q --offline -p flow --lib selection_matches_the_reference_on_the_whole_suite
+
 echo "==> solver/cpla/timing/grid full property sweeps"
 cargo test -q --offline -p solver -p cpla -p timing -p grid --features proptest
 
